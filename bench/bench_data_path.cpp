@@ -1,22 +1,16 @@
-// Micro-benchmarks (google-benchmark) for the concurrent data path:
-// how fast placement code can price transfers now that directory
-// lookups no longer ride the runtime lock.
+// Micro-benchmarks (google-benchmark) for directory contention: how fast
+// placement code can price transfers while other threads query and
+// mutate the same directory (one `data` mutex, DESIGN.md §13).
 //
-// The headline comparison is BM_TransferCostSharded (the sharded,
-// epoch-versioned read path, N threads querying at once) against
-// BM_TransferCostGlobalMutex, which re-creates the pre-refactor
-// arrangement where every lookup serialized on one big mutex — the
-// sharded path should hold per-thread throughput roughly flat from 1
-// to 8 threads while the global-mutex baseline collapses.
-// BM_ReadersUnderChurn keeps one thread mutating the directory while
-// the rest read, exercising the seqlock retry path that placement's
-// epoch re-validation depends on.
+// BM_TransferCost has N threads querying at once; BM_ReadersUnderChurn
+// keeps one thread mutating the directory while the rest read — the
+// regime placement runs in on the thread backend, where workers stage
+// data while the scheduler prices the next placements.
 #include <benchmark/benchmark.h>
 
 #include "bench_context.h"
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -82,7 +76,7 @@ std::vector<std::pair<AccessList, SpaceId>> make_probes(int thread_index) {
   return probes;
 }
 
-void BM_TransferCostSharded(benchmark::State& state) {
+void BM_TransferCost(benchmark::State& state) {
   SharedDirectory& sh = shared();
   const auto probes = make_probes(state.thread_index());
   std::size_t i = 0;
@@ -92,28 +86,7 @@ void BM_TransferCostSharded(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TransferCostSharded)
-    ->Threads(1)
-    ->Threads(2)
-    ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime();
-
-/// Pre-refactor model: every lookup took the runtime lock, so reads
-/// from all workers serialized on a single mutex.
-void BM_TransferCostGlobalMutex(benchmark::State& state) {
-  static std::mutex runtime_mutex;
-  SharedDirectory& sh = shared();
-  const auto probes = make_probes(state.thread_index());
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& [accesses, space] = probes[i++ % kProbes];
-    std::lock_guard<std::mutex> lock(runtime_mutex);
-    benchmark::DoNotOptimize(sh.directory.transfer_cost(accesses, space));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TransferCostGlobalMutex)
+BENCHMARK(BM_TransferCost)
     ->Threads(1)
     ->Threads(2)
     ->Threads(4)
@@ -122,8 +95,7 @@ BENCHMARK(BM_TransferCostGlobalMutex)
 
 /// Thread 0 mutates (read-mode acquires bouncing copies between
 /// spaces), the rest price transfers concurrently: read throughput
-/// under writer churn, i.e. the seqlock retry + epoch re-validation
-/// regime placement actually runs in.
+/// under writer churn.
 void BM_ReadersUnderChurn(benchmark::State& state) {
   SharedDirectory& sh = shared();
   if (state.thread_index() == 0) {
@@ -148,91 +120,6 @@ void BM_ReadersUnderChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ReadersUnderChurn)->Threads(2)->Threads(4)->Threads(8)
-    ->UseRealTime();
-
-// --- Concurrent mutators: per-shard epochs vs the global-epoch path ----
-//
-// Each thread owns a disjoint region pair and performs inout acquires
-// bouncing between the two device spaces. With capacity-0 (uncapped)
-// spaces the directory routes acquires through the parallel mutator path
-// (shared lock + per-shard epoch marks), so disjoint-region mutators
-// commit concurrently; with capped spaces every acquire takes the
-// directory lock exclusively and ticks the global epoch — the
-// pre-per-shard arrangement. The per-shard curve should scale with
-// threads while the exclusive baseline serializes.
-
-constexpr std::size_t kMutatorMaxThreads = 8;
-constexpr std::size_t kMutatorRegionsPerThread = 2;
-
-Machine make_mutator_machine(std::uint64_t capacity) {
-  Machine::Builder builder;
-  const SpaceId g0 = builder.add_space("g0", capacity);
-  const SpaceId g1 = builder.add_space("g1", capacity);
-  const DeviceId d0 = builder.add_device(DeviceKind::kCuda, g0, "a", 1);
-  const DeviceId d1 = builder.add_device(DeviceKind::kCuda, g1, "b", 1);
-  builder.add_worker(d0);
-  builder.add_worker(d1);
-  builder.add_bidi_link(kHostSpace, g0, 1e9, 1e-5);
-  builder.add_bidi_link(kHostSpace, g1, 1e9, 1e-5);
-  builder.add_bidi_link(g0, g1, 1e9, 1e-5);
-  return builder.build();
-}
-
-struct MutatorPool {
-  Machine machine;
-  DataDirectory directory;
-  std::vector<RegionId> regions;
-
-  explicit MutatorPool(std::uint64_t capacity)
-      : machine(make_mutator_machine(capacity)), directory(machine) {
-    for (std::size_t r = 0;
-         r < kMutatorMaxThreads * kMutatorRegionsPerThread; ++r) {
-      regions.push_back(
-          directory.register_region("m" + std::to_string(r), 1 << 12));
-    }
-  }
-};
-
-void run_mutators(benchmark::State& state, MutatorPool& pool) {
-  // Disjoint ownership: thread t mutates only its own region pair, so
-  // with per-shard epochs the acquires have no logical conflicts.
-  const std::size_t base = static_cast<std::size_t>(state.thread_index()) *
-                           kMutatorRegionsPerThread;
-  const AccessList accesses = {Access::inout(pool.regions[base]),
-                               Access::inout(pool.regions[base + 1])};
-  TransferList ops;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const SpaceId space = static_cast<SpaceId>(1 + (i++ & 1));
-    pool.directory.acquire(accesses, space, ops);
-    ops.clear();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-void BM_ConcurrentMutatorsPerShard(benchmark::State& state) {
-  static MutatorPool pool(0);  // uncapped -> parallel mutator path
-  run_mutators(state, pool);
-}
-BENCHMARK(BM_ConcurrentMutatorsPerShard)
-    ->Threads(1)
-    ->Threads(2)
-    ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime();
-
-/// Baseline: capped spaces force every acquire through the exclusive
-/// directory lock + global epoch tick (capacity far above the working
-/// set, so no eviction runs — only the locking regime differs).
-void BM_ConcurrentMutatorsGlobalEpoch(benchmark::State& state) {
-  static MutatorPool pool(1ull << 40);
-  run_mutators(state, pool);
-}
-BENCHMARK(BM_ConcurrentMutatorsGlobalEpoch)
-    ->Threads(1)
-    ->Threads(2)
-    ->Threads(4)
-    ->Threads(8)
     ->UseRealTime();
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the runtime's hot paths: event
-// queue churn, dependence analysis (serial and concurrent via the sharded
-// analyzer), directory acquires, profile updates, versioning decisions,
-// and end-to-end task throughput in simulation.
+// queue churn, dependence analysis, directory acquires, profile updates,
+// versioning decisions, and end-to-end task throughput in simulation.
 #include <benchmark/benchmark.h>
 
 #include "bench_context.h"
@@ -64,38 +63,6 @@ void BM_DependencyAnalysisRandomRanges(benchmark::State& state) {
                           static_cast<std::int64_t>(tasks));
 }
 BENCHMARK(BM_DependencyAnalysisRandomRanges)->Arg(1024);
-
-/// Concurrent registration throughput through the sharded analyzer: each
-/// thread submits an inout chain over its own disjoint region set
-/// (regions striped across analyzer shards), so producers contend only
-/// on shard mutexes they actually share. Per-thread throughput should
-/// hold roughly flat from 1 to 8 threads on a multicore host — the
-/// pre-sharding analyzer serialized every add_task on one mutex.
-void BM_RegistrationThroughputSharded(benchmark::State& state) {
-  static DependencyAnalyzer analyzer;
-  constexpr std::uint64_t kRegionsPerThread = 4;
-  const RegionId base =
-      static_cast<RegionId>(state.thread_index()) * kRegionsPerThread;
-  TaskId id = static_cast<TaskId>(state.thread_index() + 1) * 1000000000ull;
-  std::vector<TaskId> preds;
-  for (auto _ : state) {
-    ++id;
-    // Inout chains keep the interval state bounded (each access replaces
-    // the last writer instead of growing a reader list).
-    const AccessList accesses = {
-        Access{base + (id % kRegionsPerThread), AccessMode::kInOut, 0, 4096}};
-    preds.clear();
-    analyzer.add_task(id, accesses, preds);
-    benchmark::DoNotOptimize(preds.size());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RegistrationThroughputSharded)
-    ->Threads(1)
-    ->Threads(2)
-    ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime();
 
 void BM_DirectoryAcquireMigrate(benchmark::State& state) {
   const Machine machine = make_minotauro_node(2, 2);

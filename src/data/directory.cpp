@@ -1,7 +1,5 @@
 #include "data/directory.h"
 
-#include <thread>
-
 #include "common/check.h"
 #include "common/log.h"
 
@@ -10,152 +8,78 @@ namespace {
 
 constexpr std::uint64_t bit(SpaceId space) { return std::uint64_t{1} << space; }
 
-constexpr std::uint64_t shard_bit(std::size_t index) {
-  return std::uint64_t{1} << index;
-}
-
 }  // namespace
 
 DataDirectory::DataDirectory(const Machine& machine)
-    : machine_(machine), used_(machine.space_count()) {
+    : machine_(machine), used_(machine.space_count(), 0) {
   VERSA_CHECK_MSG(machine.space_count() <= 64,
                   "validity masks support up to 64 memory spaces");
-  for (auto& bytes : used_) {
-    bytes.store(0, std::memory_order_relaxed);
-  }
-}
-
-// Exclusive mutators follow the legacy publication protocol: hold the
-// writer mutex exclusively (rank 13), flip the global epoch to odd, mark
-// the touched shards, mutate region state under the per-shard rank-14
-// locks, retract the marks, flip the epoch back to even. Parallel
-// acquires (unlimited-capacity target spaces) hold the writer mutex
-// *shared* and publish through the shard marks alone. Readers that need
-// cross-region consistency (read_consistent) retry around active writers
-// or moved epochs of the shards they touch; per-region readers only need
-// the shard lock.
-
-std::uint64_t DataDirectory::shard_mask(const AccessList& accesses) {
-  std::uint64_t mask = 0;
-  for (const Access& access : accesses) {
-    mask |= shard_bit(access.region % kShardCount);
-  }
-  return mask;
-}
-
-std::uint64_t DataDirectory::shard_epoch(std::uint64_t mask) const {
-  std::uint64_t folded = 0;
-  for (std::size_t i = 0; i < kShardCount; ++i) {
-    if (mask & shard_bit(i)) {
-      folded += shards_[i].epoch.load(std::memory_order_acquire);
-    }
-  }
-  return folded;
-}
-
-void DataDirectory::mark_shards_begin(std::uint64_t mask) {
-  for (std::size_t i = 0; i < kShardCount; ++i) {
-    if (mask & shard_bit(i)) {
-      shards_[i].writers.fetch_add(1, std::memory_order_acq_rel);
-      shards_[i].epoch.fetch_add(1, std::memory_order_acq_rel);
-    }
-  }
-}
-
-void DataDirectory::mark_shards_end(std::uint64_t mask) {
-  for (std::size_t i = 0; i < kShardCount; ++i) {
-    if (mask & shard_bit(i)) {
-      shards_[i].epoch.fetch_add(1, std::memory_order_release);
-      shards_[i].writers.fetch_sub(1, std::memory_order_release);
-    }
-  }
 }
 
 RegionId DataDirectory::register_region(std::string name, std::uint64_t size,
                                         void* host_ptr) {
   VERSA_CHECK_MSG(size > 0, "zero-sized region");
-  versa::SharedMutexExclusiveGuard writer(mutex_);
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
-  const RegionId id =
-      static_cast<RegionId>(region_limit_.load(std::memory_order_relaxed));
-  const std::uint64_t mask = shard_bit(id % kShardCount);
-  mark_shards_begin(mask);
-  Shard& shard = shard_of(id);
-  {
-    versa::LockGuard lock(shard.mutex);
-    VERSA_CHECK(slot_of(id) == shard.regions.size());
-    RegionState rs;
-    rs.desc.id = id;
-    rs.desc.name = std::move(name);
-    rs.desc.size = size;
-    rs.desc.host_ptr = host_ptr;
-    rs.valid_mask = bit(kHostSpace);
-    shard.regions.push_back(std::move(rs));
-  }
-  used_[kHostSpace].fetch_add(size, std::memory_order_relaxed);
-  live_regions_.fetch_add(1, std::memory_order_relaxed);
-  region_limit_.store(id + 1, std::memory_order_release);
-  mark_shards_end(mask);
-  epoch_.fetch_add(1, std::memory_order_release);
+  versa::LockGuard lock(mutex_);
+  const RegionId id = static_cast<RegionId>(regions_.size());
+  RegionState rs;
+  rs.desc.id = id;
+  rs.desc.name = std::move(name);
+  rs.desc.size = size;
+  rs.desc.host_ptr = host_ptr;
+  rs.valid_mask = bit(kHostSpace);
+  regions_.push_back(std::move(rs));
+  used_[kHostSpace] += size;
+  ++live_regions_;
   return id;
 }
 
 void DataDirectory::unregister_region(RegionId id) {
-  versa::SharedMutexExclusiveGuard writer(mutex_);
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
-  const std::uint64_t mask = shard_bit(id % kShardCount);
-  mark_shards_begin(mask);
-  {
-    Shard& shard = shard_of(id);
-    versa::LockGuard lock(shard.mutex);
-    RegionState& rs = state_at(shard, id);
-    VERSA_CHECK_MSG(!rs.pinned, "cannot unregister a region mid-acquire");
-    if (rs.dirty != kInvalidSpace) {
-      VERSA_LOG(kWarn) << "unregistering region '" << rs.desc.name
-                       << "' with unflushed device data";
-    }
-    for (SpaceId s = 0; s < machine_.space_count(); ++s) {
-      drop_valid(rs, s);
-    }
-    rs.dirty = kInvalidSpace;
-    rs.removed = true;
+  versa::LockGuard lock(mutex_);
+  RegionState& rs = state_at(id);
+  VERSA_CHECK_MSG(!rs.pinned, "cannot unregister a region mid-acquire");
+  if (rs.dirty != kInvalidSpace) {
+    VERSA_LOG(kWarn) << "unregistering region '" << rs.desc.name
+                     << "' with unflushed device data";
   }
-  VERSA_CHECK(live_regions_.load(std::memory_order_relaxed) > 0);
-  live_regions_.fetch_sub(1, std::memory_order_relaxed);
-  mark_shards_end(mask);
-  epoch_.fetch_add(1, std::memory_order_release);
+  for (SpaceId s = 0; s < machine_.space_count(); ++s) {
+    drop_valid(rs, s);
+  }
+  rs.dirty = kInvalidSpace;
+  rs.removed = true;
+  VERSA_CHECK(live_regions_ > 0);
+  --live_regions_;
 }
 
 bool DataDirectory::is_registered(RegionId id) const {
-  if (id >= region_limit_.load(std::memory_order_acquire)) return false;
-  const Shard& shard = shard_of(id);
-  versa::LockGuard lock(shard.mutex);
-  return !shard.regions[slot_of(id)].removed;
+  versa::LockGuard lock(mutex_);
+  return id < regions_.size() && !regions_[id].removed;
 }
 
 const RegionDesc& DataDirectory::region(RegionId id) const {
-  // Ref-returning accessor: the shard guard orders the lookup; the
-  // reference stays valid because descriptors are never moved (per-shard
-  // deques, ids never reused).
-  const Shard& shard = shard_of(id);
-  versa::LockGuard lock(shard.mutex);
-  return state_at(shard, id).desc;
+  versa::LockGuard lock(mutex_);
+  return state_at(id).desc;
 }
 
-DataDirectory::RegionState& DataDirectory::state_at(Shard& shard,
-                                                    RegionId id) {
-  VERSA_CHECK(id < region_limit_.load(std::memory_order_acquire));
-  VERSA_CHECK(slot_of(id) < shard.regions.size());
-  RegionState& rs = shard.regions[slot_of(id)];
+std::size_t DataDirectory::region_count() const {
+  versa::LockGuard lock(mutex_);
+  return regions_.size();
+}
+
+std::size_t DataDirectory::live_region_count() const {
+  versa::LockGuard lock(mutex_);
+  return live_regions_;
+}
+
+DataDirectory::RegionState& DataDirectory::state_at(RegionId id) {
+  VERSA_CHECK(id < regions_.size());
+  RegionState& rs = regions_[id];
   VERSA_CHECK_MSG(!rs.removed, "region was unregistered");
   return rs;
 }
 
-const DataDirectory::RegionState& DataDirectory::state_at(const Shard& shard,
-                                                          RegionId id) const {
-  VERSA_CHECK(id < region_limit_.load(std::memory_order_acquire));
-  VERSA_CHECK(slot_of(id) < shard.regions.size());
-  const RegionState& rs = shard.regions[slot_of(id)];
+const DataDirectory::RegionState& DataDirectory::state_at(RegionId id) const {
+  VERSA_CHECK(id < regions_.size());
+  const RegionState& rs = regions_[id];
   VERSA_CHECK_MSG(!rs.removed, "region was unregistered");
   return rs;
 }
@@ -177,16 +101,15 @@ SpaceId DataDirectory::choose_source(const RegionState& rs,
 void DataDirectory::add_valid(RegionState& rs, SpaceId space) {
   if ((rs.valid_mask & bit(space)) == 0) {
     rs.valid_mask |= bit(space);
-    used_[space].fetch_add(rs.desc.size, std::memory_order_relaxed);
+    used_[space] += rs.desc.size;
   }
 }
 
 void DataDirectory::drop_valid(RegionState& rs, SpaceId space) {
   if (rs.valid_mask & bit(space)) {
     rs.valid_mask &= ~bit(space);
-    VERSA_DCHECK(used_[space].load(std::memory_order_relaxed) >=
-                 rs.desc.size);
-    used_[space].fetch_sub(rs.desc.size, std::memory_order_relaxed);
+    VERSA_DCHECK(used_[space] >= rs.desc.size);
+    used_[space] -= rs.desc.size;
   }
 }
 
@@ -201,91 +124,48 @@ void DataDirectory::make_room(SpaceId space, std::uint64_t needed,
                               TransferList& out) {
   const std::uint64_t capacity = machine_.space(space).capacity;
   if (capacity == 0) return;  // unlimited
-  while (used_[space].load(std::memory_order_relaxed) + needed > capacity) {
-    // Find the least recently used unpinned region valid in this space.
-    // Per-shard scans under the shard locks, combined lexicographically by
-    // (last_use, id) — identical to the historical single-vector scan,
-    // which took the first id among the minimum-last_use candidates.
-    bool found = false;
-    std::uint64_t best_use = 0;
-    RegionId best_id = 0;
-    for (const Shard& shard : shards_) {
-      versa::LockGuard lock(shard.mutex);
-      for (const RegionState& rs : shard.regions) {
-        if (rs.removed || rs.pinned) continue;
-        if ((rs.valid_mask & bit(space)) == 0) continue;
-        if (!found || rs.last_use < best_use ||
-            (rs.last_use == best_use && rs.desc.id < best_id)) {
-          found = true;
-          best_use = rs.last_use;
-          best_id = rs.desc.id;
-        }
-      }
+  while (used_[space] + needed > capacity) {
+    // Find the least recently used unpinned region valid in this space;
+    // ties on last_use go to the lowest id.
+    RegionState* victim = nullptr;
+    for (RegionState& rs : regions_) {
+      if (rs.removed || rs.pinned) continue;
+      if ((rs.valid_mask & bit(space)) == 0) continue;
+      if (victim == nullptr || rs.last_use < victim->last_use) victim = &rs;
     }
-    if (!found) {
+    if (victim == nullptr) {
       VERSA_LOG(kWarn) << "memory space " << machine_.space(space).name
                        << " over-committed; cannot evict";
       return;
     }
-    // The victim cannot change between the scan and here: the writer mutex
-    // is held exclusively, and readers never mutate region state. The
-    // victim's shard may lie outside the acquiring task's access mask, so
-    // it gets its own mark.
-    const std::uint64_t victim_mask = shard_bit(best_id % kShardCount);
-    mark_shards_begin(victim_mask);
-    {
-      Shard& shard = shard_of(best_id);
-      versa::LockGuard lock(shard.mutex);
-      RegionState& victim = state_at(shard, best_id);
-      if (victim.dirty == space) {
-        // Write back before dropping the only modified copy.
-        emit_copy(victim, space, kHostSpace, out);
-        add_valid(victim, kHostSpace);
-        victim.dirty = kInvalidSpace;
-      }
-      drop_valid(victim, space);
+    if (victim->dirty == space) {
+      // Write back before dropping the only modified copy.
+      emit_copy(*victim, space, kHostSpace, out);
+      add_valid(*victim, kHostSpace);
+      victim->dirty = kInvalidSpace;
     }
-    mark_shards_end(victim_mask);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    drop_valid(*victim, space);
+    ++evictions_;
   }
 }
 
 void DataDirectory::acquire(const AccessList& accesses, SpaceId space,
                             TransferList& out) {
   VERSA_CHECK(space < machine_.space_count());
-  if (machine_.space(space).capacity == 0) {
-    // Unlimited space: no pinning, no eviction — the acquire only touches
-    // the regions in its own access list, so it can share the directory
-    // with every other such acquire.
-    acquire_parallel(accesses, space, out);
-  } else {
-    acquire_exclusive(accesses, space, out);
-  }
-}
-
-void DataDirectory::acquire_exclusive(const AccessList& accesses,
-                                      SpaceId space, TransferList& out) {
-  versa::SharedMutexExclusiveGuard writer(mutex_);
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
-  const std::uint64_t mask = shard_mask(accesses);
-  mark_shards_begin(mask);
+  versa::LockGuard lock(mutex_);
   // Pin the working set so evictions never victimize data this very task
   // is about to use.
   std::uint64_t incoming = 0;
   for (const Access& access : accesses) {
-    Shard& shard = shard_of(access.region);
-    versa::LockGuard lock(shard.mutex);
-    RegionState& rs = state_at(shard, access.region);
+    RegionState& rs = state_at(access.region);
     rs.pinned = true;
     if ((rs.valid_mask & bit(space)) == 0) incoming += rs.desc.size;
   }
   make_room(space, incoming, out);
 
   for (const Access& access : accesses) {
-    Shard& shard = shard_of(access.region);
-    versa::LockGuard lock(shard.mutex);
-    RegionState& rs = state_at(shard, access.region);
-    rs.last_use = tick_.fetch_add(1, std::memory_order_relaxed) + 1;
+    RegionState& rs = state_at(access.region);
+    rs.last_use = ++tick_;
     const bool valid_here = (rs.valid_mask & bit(space)) != 0;
     if (reads(access.mode) && !valid_here) {
       const SpaceId from = choose_source(rs, space);
@@ -305,126 +185,31 @@ void DataDirectory::acquire_exclusive(const AccessList& accesses,
     }
   }
   for (const Access& access : accesses) {
-    Shard& shard = shard_of(access.region);
-    versa::LockGuard lock(shard.mutex);
-    state_at(shard, access.region).pinned = false;
+    state_at(access.region).pinned = false;
   }
-  mark_shards_end(mask);
-  epoch_.fetch_add(1, std::memory_order_release);
-}
-
-void DataDirectory::acquire_parallel(const AccessList& accesses,
-                                     SpaceId space, TransferList& out) {
-  // Shared hold: excludes exclusive mutators (whose pin/evict logic needs
-  // the global view) but admits other parallel acquires — disjoint-region
-  // acquires commit concurrently, same-shard acquires serialize only on
-  // the shard mutexes. No pinning: nothing evicts from an unlimited
-  // space, and capacity-limited evictions cannot run while we hold the
-  // mutex shared.
-  versa::SharedLockGuard reader(mutex_);
-  const std::uint64_t mask = shard_mask(accesses);
-  // All begin marks land before the first mutation so the acquire is
-  // atomic as a whole to consistent readers of any subset of its shards.
-  mark_shards_begin(mask);
-  for (const Access& access : accesses) {
-    Shard& shard = shard_of(access.region);
-    versa::LockGuard lock(shard.mutex);
-    RegionState& rs = state_at(shard, access.region);
-    rs.last_use = tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-    const bool valid_here = (rs.valid_mask & bit(space)) != 0;
-    if (reads(access.mode) && !valid_here) {
-      const SpaceId from = choose_source(rs, space);
-      emit_copy(rs, from, space, out);
-      add_valid(rs, space);
-    } else if (!valid_here) {
-      add_valid(rs, space);
-    }
-    if (writes(access.mode)) {
-      for (SpaceId s = 0; s < machine_.space_count(); ++s) {
-        if (s != space) drop_valid(rs, s);
-      }
-      rs.dirty = (space == kHostSpace) ? kInvalidSpace : space;
-    }
-  }
-  mark_shards_end(mask);
-}
-
-template <typename Fn>
-auto DataDirectory::read_consistent(const AccessList& accesses,
-                                    Fn&& fn) const {
-  // Per-shard seqlock read path: run `fn` inside a window where the
-  // global epoch is even and stable and every *touched* shard shows no
-  // active writer and a stable epoch. Each region access inside `fn`
-  // takes its shard lock, so there are no data races regardless — the
-  // epochs only vouch for *cross-region* consistency. Mutations of
-  // untouched shards no longer force a retry. Bounded retries (named
-  // config, see kDefaultConsistentReadRetries), then exclude both mutator
-  // paths via an exclusive hold of the writer mutex (rank 13 -> shard
-  // rank 14 inside `fn` is in documented order). The fallback cannot
-  // starve: it waits only for in-flight critical sections to drain, and
-  // once the exclusive hold is granted `fn` runs mutation-free.
-  const int retries = read_retries_.load(std::memory_order_relaxed);
-  for (int attempt = 0; attempt < retries; ++attempt) {
-    const std::uint64_t global_before = epoch_.load(std::memory_order_acquire);
-    if (global_before & 1) {  // an exclusive mutator is publishing
-      std::this_thread::yield();
-      continue;
-    }
-    const std::uint64_t mask = shard_mask(accesses);
-    std::array<std::uint64_t, kShardCount> before{};
-    bool busy = false;
-    for (std::size_t i = 0; i < kShardCount && !busy; ++i) {
-      if ((mask & shard_bit(i)) == 0) continue;
-      // Epoch first, writer count second: a writer arriving between the
-      // two loads is caught by the count; one arriving after is caught by
-      // the final epoch comparison.
-      before[i] = shards_[i].epoch.load(std::memory_order_acquire);
-      busy = shards_[i].writers.load(std::memory_order_acquire) != 0;
-    }
-    if (busy) {
-      std::this_thread::yield();
-      continue;
-    }
-    auto result = fn();
-    bool stable = epoch_.load(std::memory_order_acquire) == global_before;
-    for (std::size_t i = 0; i < kShardCount && stable; ++i) {
-      if ((mask & shard_bit(i)) == 0) continue;
-      stable = shards_[i].epoch.load(std::memory_order_acquire) == before[i];
-    }
-    if (stable) return result;
-  }
-  stats_.record_consistent_fallback();
-  versa::SharedMutexExclusiveGuard writer(mutex_);
-  return fn();
 }
 
 std::uint64_t DataDirectory::bytes_missing(const AccessList& accesses,
                                            SpaceId space) const {
-  return read_consistent(accesses, [&]() {
-    std::uint64_t missing = 0;
-    for (const Access& access : accesses) {
-      if (!reads(access.mode)) continue;
-      const Shard& shard = shard_of(access.region);
-      versa::LockGuard lock(shard.mutex);
-      const RegionState& rs = state_at(shard, access.region);
-      if ((rs.valid_mask & bit(space)) == 0) missing += rs.desc.size;
-    }
-    return missing;
-  });
+  versa::LockGuard lock(mutex_);
+  std::uint64_t missing = 0;
+  for (const Access& access : accesses) {
+    if (!reads(access.mode)) continue;
+    const RegionState& rs = state_at(access.region);
+    if ((rs.valid_mask & bit(space)) == 0) missing += rs.desc.size;
+  }
+  return missing;
 }
 
 std::uint64_t DataDirectory::bytes_valid(const AccessList& accesses,
                                          SpaceId space) const {
-  return read_consistent(accesses, [&]() {
-    std::uint64_t valid = 0;
-    for (const Access& access : accesses) {
-      const Shard& shard = shard_of(access.region);
-      versa::LockGuard lock(shard.mutex);
-      const RegionState& rs = state_at(shard, access.region);
-      if (rs.valid_mask & bit(space)) valid += rs.desc.size;
-    }
-    return valid;
-  });
+  versa::LockGuard lock(mutex_);
+  std::uint64_t valid = 0;
+  for (const Access& access : accesses) {
+    const RegionState& rs = state_at(access.region);
+    if (rs.valid_mask & bit(space)) valid += rs.desc.size;
+  }
+  return valid;
 }
 
 Duration DataDirectory::transfer_cost(const AccessList& accesses,
@@ -439,64 +224,56 @@ Duration DataDirectory::transfer_cost(const AccessList& accesses,
 }
 
 void DataDirectory::flush_all(TransferList& out) {
-  versa::SharedMutexExclusiveGuard writer(mutex_);
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
-  // Walk ids in registration order so the emitted TransferList is ordered
-  // exactly as the historical single-vector walk (the sim replays it).
-  const std::size_t limit = region_limit_.load(std::memory_order_relaxed);
-  for (RegionId id = 0; id < limit; ++id) {
-    Shard& shard = shard_of(id);
-    std::uint64_t touched = 0;
-    {
-      versa::LockGuard lock(shard.mutex);
-      RegionState& rs = shard.regions[slot_of(id)];
-      if (rs.dirty != kInvalidSpace) {
-        touched = shard_bit(id % kShardCount);
-        mark_shards_begin(touched);
-        emit_copy(rs, rs.dirty, kHostSpace, out);
-        add_valid(rs, kHostSpace);
-        rs.dirty = kInvalidSpace;
-      }
-    }
-    if (touched != 0) mark_shards_end(touched);
-  }
-  epoch_.fetch_add(1, std::memory_order_release);
-}
-
-void DataDirectory::flush_region(RegionId id, TransferList& out) {
-  versa::SharedMutexExclusiveGuard writer(mutex_);
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
-  const std::uint64_t mask = shard_bit(id % kShardCount);
-  mark_shards_begin(mask);
-  {
-    Shard& shard = shard_of(id);
-    versa::LockGuard lock(shard.mutex);
-    RegionState& rs = state_at(shard, id);
+  versa::LockGuard lock(mutex_);
+  // Walk ids in registration order: the sim replays the TransferList.
+  for (RegionState& rs : regions_) {
     if (rs.dirty != kInvalidSpace) {
       emit_copy(rs, rs.dirty, kHostSpace, out);
       add_valid(rs, kHostSpace);
       rs.dirty = kInvalidSpace;
     }
   }
-  mark_shards_end(mask);
-  epoch_.fetch_add(1, std::memory_order_release);
+}
+
+void DataDirectory::flush_region(RegionId id, TransferList& out) {
+  versa::LockGuard lock(mutex_);
+  RegionState& rs = state_at(id);
+  if (rs.dirty != kInvalidSpace) {
+    emit_copy(rs, rs.dirty, kHostSpace, out);
+    add_valid(rs, kHostSpace);
+    rs.dirty = kInvalidSpace;
+  }
 }
 
 bool DataDirectory::is_valid_in(RegionId id, SpaceId space) const {
-  const Shard& shard = shard_of(id);
-  versa::LockGuard lock(shard.mutex);
-  return (state_at(shard, id).valid_mask & bit(space)) != 0;
+  versa::LockGuard lock(mutex_);
+  return (state_at(id).valid_mask & bit(space)) != 0;
 }
 
 SpaceId DataDirectory::dirty_space(RegionId id) const {
-  const Shard& shard = shard_of(id);
-  versa::LockGuard lock(shard.mutex);
-  return state_at(shard, id).dirty;
+  versa::LockGuard lock(mutex_);
+  return state_at(id).dirty;
 }
 
 std::uint64_t DataDirectory::used_bytes(SpaceId space) const {
+  versa::LockGuard lock(mutex_);
   VERSA_CHECK(space < used_.size());
-  return used_[space].load(std::memory_order_acquire);
+  return used_[space];
+}
+
+TransferStats DataDirectory::stats() const {
+  versa::LockGuard lock(mutex_);
+  return stats_;
+}
+
+void DataDirectory::reset_stats() {
+  versa::LockGuard lock(mutex_);
+  stats_ = TransferStats{};
+}
+
+std::uint64_t DataDirectory::eviction_count() const {
+  versa::LockGuard lock(mutex_);
+  return evictions_;
 }
 
 }  // namespace versa

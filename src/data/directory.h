@@ -12,39 +12,14 @@
 // decide *when* they happen (and, in simulation, how long they take).
 //
 // Thread-safety: the directory is internally synchronized and every public
-// method is callable WITHOUT the runtime lock (DESIGN.md §9). Region state
-// is sharded by region id across `kShardCount` shards, each behind its own
-// `data.shard` (rank 14) mutex, and each carrying its own *mutation epoch*
-// (plus an active-writer count). Two mutator paths publish through them:
-//
-//   * Exclusive mutators (register/unregister/flush/acquire into a
-//     capacity-limited space — anything that needs the global view for
-//     pinning and LRU eviction) hold the writer mutex (class `data`,
-//     rank 13) exclusively and additionally flip the legacy global seqlock
-//     epoch odd/even.
-//   * Parallel acquires (into capacity-unlimited spaces, the common case
-//     for the simulated-GPU and thread-backend staging paths) hold the
-//     writer mutex *shared*, so disjoint-region acquires commit in
-//     parallel; they announce themselves only on the shards they touch
-//     (writer count up, epoch bump, mutate under the shard locks, epoch
-//     bump, writer count down).
-//
-// Reads over a single region take only the shard lock. Reads that span
-// regions (bytes_missing / bytes_valid / transfer_cost — the schedulers'
-// pricing queries) revalidate ONLY the shards their access list touches:
-// sample the touched shard epochs, run, and retry if a shard epoch moved
-// or a writer was active. After `consistent_read_retries()` failed
-// attempts they fall back to an exclusive hold of the writer mutex, which
-// excludes both mutator paths outright — the fallback is what makes the
-// read path non-starving, and each one is counted in the transfer stats
-// (`consistent_fallback_count`). Concurrent placement decisions built on
-// those answers re-validate against shard_epoch(shard_mask(accesses)) —
-// the per-shard form of the DESIGN.md §9 re-validation rule —
-// or mutation_epoch(), the folded legacy counter.
+// method is callable WITHOUT the runtime lock (DESIGN.md §9). One mutex
+// (class `data`, rank 13) guards all region state, so every query and
+// every mutation sees one consistent directory state. On the thread
+// backend an acquire is bookkeeping only (the data stays in host
+// storage), so a single short critical section costs less than any
+// finer-grained scheme would save (DESIGN.md §13).
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -71,17 +46,6 @@ using TransferList = std::vector<TransferOp>;
 
 class DataDirectory {
  public:
-  /// Region ids stripe across shards (`id % kShardCount`). Public so the
-  /// DependencyAnalyzer mirrors the same striping and tests/benches can
-  /// construct disjoint-shard workloads deliberately.
-  static constexpr std::size_t kShardCount = 8;
-
-  /// Default bounded-retry count of the consistent-read seqlock loop
-  /// before it falls back to the writer mutex. Override per directory
-  /// with set_consistent_read_retries() (RuntimeConfig plumbs
-  /// VERSA_READ_RETRIES here).
-  static constexpr int kDefaultConsistentReadRetries = 8;
-
   explicit DataDirectory(const Machine& machine);
 
   /// Register a managed region. `host_ptr` may be null (virtual region).
@@ -96,32 +60,23 @@ class DataDirectory {
 
   bool is_registered(RegionId id) const;
 
-  /// Borrowed reference into shard-guarded state: valid because region
-  /// descriptors live in per-shard deques and are never moved or erased
-  /// (ids are never reused); the shard guard inside orders the lookup.
+  /// Borrowed reference into mutex-guarded state: valid because region
+  /// descriptors live in a deque and are never moved or erased (ids are
+  /// never reused), and a descriptor never changes after registration.
   const RegionDesc& region(RegionId id) const;
-  std::size_t region_count() const {
-    return region_limit_.load(std::memory_order_acquire);
-  }
-  std::size_t live_region_count() const {
-    return live_regions_.load(std::memory_order_acquire);
-  }
+  std::size_t region_count() const;
+  std::size_t live_region_count() const;
 
   /// Make every region accessed by `accesses` coherent for execution in
   /// `space`: appends the copies required to `out`, updates validity
   /// (writes invalidate other spaces) and evicts LRU copies if the space
   /// would overflow. Must be called in dependence order per task chain —
-  /// the task graph orders conflicting acquires, so concurrent calls only
-  /// ever touch disjoint or read-shared regions. Acquires into
-  /// capacity-limited spaces serialize on the writer mutex; acquires into
-  /// unlimited spaces run in parallel under a shared hold, publishing
-  /// through their shards' epochs (each acquire is atomic as a whole to
-  /// consistent readers).
+  /// the task graph orders conflicting acquires. Atomic as a whole to
+  /// every query.
   void acquire(const AccessList& accesses, SpaceId space, TransferList& out);
 
   /// Bytes that would need copying into `space` to run `accesses` there.
-  /// Pure query — the affinity scheduler's cost function. Answers are
-  /// consistent: computed from one epoch-stable directory state.
+  /// Pure query — the affinity scheduler's cost function.
   std::uint64_t bytes_missing(const AccessList& accesses, SpaceId space) const;
 
   /// Bytes of `accesses` already valid in `space` (locality score).
@@ -148,47 +103,12 @@ class DataDirectory {
 
   std::uint64_t used_bytes(SpaceId space) const;
 
-  /// Bitmask (bit i = shard i) of the shards `accesses` touches — the key
-  /// for shard_epoch() re-validation.
-  static std::uint64_t shard_mask(const AccessList& accesses);
-
-  /// Folded epoch of the shards selected by `mask`: equal samples around
-  /// a computation prove none of those shards was mutated in between
-  /// (every component is monotone). The schedulers' per-shard
-  /// re-validation snapshot.
-  std::uint64_t shard_epoch(std::uint64_t mask) const;
-
-  /// Legacy whole-directory mutation counter: the global seqlock epoch
-  /// folded with every shard epoch. Monotone; equal samples prove the
-  /// whole directory is unchanged. Callers that know their access list
-  /// should prefer shard_epoch(shard_mask(...)) so disjoint-shard
-  /// mutations do not invalidate them.
-  std::uint64_t mutation_epoch() const {
-    std::uint64_t folded = epoch_.load(std::memory_order_acquire);
-    for (const Shard& shard : shards_) {
-      folded += shard.epoch.load(std::memory_order_acquire);
-    }
-    return folded;
-  }
-
-  /// Bounded retry count of the consistent-read loop (named config; see
-  /// kDefaultConsistentReadRetries). 0 means "always fall back".
-  int consistent_read_retries() const {
-    return read_retries_.load(std::memory_order_relaxed);
-  }
-  void set_consistent_read_retries(int retries) {
-    read_retries_.store(retries < 0 ? 0 : retries,
-                        std::memory_order_relaxed);
-  }
-
   /// Plain-value snapshot of the transfer accounting.
-  TransferStats stats() const { return stats_.snapshot(); }
-  void reset_stats() { stats_.reset(); }
+  TransferStats stats() const;
+  void reset_stats();
 
   /// Number of evictions performed due to capacity pressure.
-  std::uint64_t eviction_count() const {
-    return evictions_.load(std::memory_order_acquire);
-  }
+  std::uint64_t eviction_count() const;
 
  private:
   struct RegionState {
@@ -200,84 +120,32 @@ class DataDirectory {
     bool removed = false;  ///< unregistered (tombstone; ids never reused)
   };
 
-  struct Shard {
-    mutable versa::Mutex mutex{lock_order::kLockRankDataShard};
-    std::deque<RegionState> regions VERSA_GUARDED_BY(mutex);
-    /// Per-shard mutation epoch: bumped once when a mutator announces
-    /// itself on this shard and once when it finishes, so equal samples
-    /// with no active writer bracket a mutation-free interval.
-    std::atomic<std::uint64_t> epoch{0};
-    /// Mutators currently announced on this shard (parallel acquires can
-    /// overlap; consistent readers treat any active writer as "retry").
-    std::atomic<std::uint32_t> writers{0};
-  };
-
   const Machine& machine_;
 
-  /// Writer mutex (class `data`, rank 13): exclusive mutators and the
-  /// consistent-read fallback hold it exclusively; parallel acquires hold
-  /// it shared. Shard mutexes (rank 14) nest inside either mode.
-  mutable versa::SharedMutex mutex_{lock_order::kLockRankData};
-  std::array<Shard, kShardCount> shards_;
+  mutable versa::Mutex mutex_{lock_order::kLockRankData};
+  /// Indexed by region id; tombstones stay so ids are never reused.
+  std::deque<RegionState> regions_ VERSA_GUARDED_BY(mutex_);
+  /// Per-space bytes of valid copies (indexed by SpaceId).
+  std::vector<std::uint64_t> used_ VERSA_GUARDED_BY(mutex_);
+  TransferStats stats_ VERSA_GUARDED_BY(mutex_);
+  std::uint64_t tick_ VERSA_GUARDED_BY(mutex_) = 0;
+  std::uint64_t evictions_ VERSA_GUARDED_BY(mutex_) = 0;
+  std::size_t live_regions_ VERSA_GUARDED_BY(mutex_) = 0;
 
-  /// Legacy global seqlock epoch: odd while an *exclusive* mutator is
-  /// publishing, even otherwise. Parallel acquires do not touch it —
-  /// their footprint lives in the shard epochs.
-  std::atomic<std::uint64_t> epoch_{0};
-  /// Number of region ids handed out (tombstones included).
-  std::atomic<std::size_t> region_limit_{0};
-  /// Per-space bytes of valid copies (relaxed mirrors; mutated under the
-  /// owning region's shard lock, read lock-free by used_bytes()).
-  std::vector<std::atomic<std::uint64_t>> used_;
-  /// Mutable: the const consistent-read path counts its writer-mutex
-  /// fallbacks (accounting only, internally synchronized).
-  mutable AtomicTransferStats stats_;
-  std::atomic<std::uint64_t> tick_{0};
-  std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::size_t> live_regions_{0};
-  std::atomic<int> read_retries_{kDefaultConsistentReadRetries};
-
-  Shard& shard_of(RegionId id) { return shards_[id % kShardCount]; }
-  const Shard& shard_of(RegionId id) const { return shards_[id % kShardCount]; }
-  static std::size_t slot_of(RegionId id) { return id / kShardCount; }
-
-  RegionState& state_at(Shard& shard, RegionId id)
-      VERSA_REQUIRES(shard.mutex);
-  const RegionState& state_at(const Shard& shard, RegionId id) const
-      VERSA_REQUIRES(shard.mutex);
+  RegionState& state_at(RegionId id) VERSA_REQUIRES(mutex_);
+  const RegionState& state_at(RegionId id) const VERSA_REQUIRES(mutex_);
 
   /// Pick the source space for a copy into `to` (prefers host).
   SpaceId choose_source(const RegionState& rs, SpaceId to) const;
 
-  void add_valid(RegionState& rs, SpaceId space);
-  void drop_valid(RegionState& rs, SpaceId space);
-  void emit_copy(RegionState& rs, SpaceId from, SpaceId to, TransferList& out);
-
-  /// Announce a mutation on every shard in `mask` / retract the
-  /// announcement. Begin marks must all land before the first region is
-  /// touched so multi-shard mutations stay atomic to consistent readers.
-  void mark_shards_begin(std::uint64_t mask);
-  void mark_shards_end(std::uint64_t mask);
-
-  /// The two acquire paths (see class comment).
-  void acquire_exclusive(const AccessList& accesses, SpaceId space,
-                         TransferList& out);
-  void acquire_parallel(const AccessList& accesses, SpaceId space,
-                        TransferList& out);
-
-  /// Evict LRU unpinned copies from `space` until `needed` bytes fit.
-  /// Called with the writer mutex held exclusively; takes shard locks
-  /// (and marks victim shards) internally.
-  void make_room(SpaceId space, std::uint64_t needed, TransferList& out)
+  void add_valid(RegionState& rs, SpaceId space) VERSA_REQUIRES(mutex_);
+  void drop_valid(RegionState& rs, SpaceId space) VERSA_REQUIRES(mutex_);
+  void emit_copy(RegionState& rs, SpaceId from, SpaceId to, TransferList& out)
       VERSA_REQUIRES(mutex_);
 
-  /// Run `fn` (which reads regions under their shard locks) against one
-  /// consistent directory state: revalidate the global epoch plus the
-  /// shards `accesses` touches, retrying up to consistent_read_retries()
-  /// times, then exclude all mutators via an exclusive hold of the writer
-  /// mutex (counted in consistent_fallback_count).
-  template <typename Fn>
-  auto read_consistent(const AccessList& accesses, Fn&& fn) const;
+  /// Evict LRU unpinned copies from `space` until `needed` bytes fit.
+  void make_room(SpaceId space, std::uint64_t needed, TransferList& out)
+      VERSA_REQUIRES(mutex_);
 };
 
 }  // namespace versa

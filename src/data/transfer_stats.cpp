@@ -55,49 +55,6 @@ TransferStats& TransferStats::operator+=(const TransferStats& other) {
   return *this;
 }
 
-void AtomicTransferStats::record(TransferCategory category,
-                                 std::uint64_t bytes) {
-  switch (category) {
-    case TransferCategory::kInput:
-      input_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-      input_count_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case TransferCategory::kOutput:
-      output_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-      output_count_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case TransferCategory::kDevice:
-      device_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-      device_count_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case TransferCategory::kLocal:
-      break;
-  }
-}
-
-TransferStats AtomicTransferStats::snapshot() const {
-  TransferStats out;
-  out.input_bytes = input_bytes_.load(std::memory_order_relaxed);
-  out.output_bytes = output_bytes_.load(std::memory_order_relaxed);
-  out.device_bytes = device_bytes_.load(std::memory_order_relaxed);
-  out.input_count = input_count_.load(std::memory_order_relaxed);
-  out.output_count = output_count_.load(std::memory_order_relaxed);
-  out.device_count = device_count_.load(std::memory_order_relaxed);
-  out.consistent_fallback_count =
-      consistent_fallbacks_.load(std::memory_order_relaxed);
-  return out;
-}
-
-void AtomicTransferStats::reset() {
-  input_bytes_.store(0, std::memory_order_relaxed);
-  output_bytes_.store(0, std::memory_order_relaxed);
-  device_bytes_.store(0, std::memory_order_relaxed);
-  input_count_.store(0, std::memory_order_relaxed);
-  output_count_.store(0, std::memory_order_relaxed);
-  device_count_.store(0, std::memory_order_relaxed);
-  consistent_fallbacks_.store(0, std::memory_order_relaxed);
-}
-
 std::string TransferStats::summary() const {
   std::string out = "in=" + format_bytes(static_cast<double>(input_bytes));
   out += " out=" + format_bytes(static_cast<double>(output_bytes));

@@ -4,7 +4,6 @@
 //   Device Tx — GPU memory -> GPU memory (two-GPU runs).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -31,9 +30,9 @@ struct TransferStats {
   std::uint64_t input_count = 0;
   std::uint64_t output_count = 0;
   std::uint64_t device_count = 0;
-  /// Consistent reads that exhausted their bounded seqlock retries and fell
-  /// back to the directory writer mutex (the non-starvation escape hatch;
-  /// sustained values signal write pressure worth investigating).
+  /// Always 0: the directory answers every query under its one mutex, so
+  /// no read ever falls back. Kept for the benchmark harness, which
+  /// reports it as `data.consistent_fallbacks`.
   std::uint64_t consistent_fallback_count = 0;
 
   void record(TransferCategory category, std::uint64_t bytes);
@@ -49,36 +48,6 @@ struct TransferStats {
 
   /// "in=1.50 GB out=340 MB dev=0 B" — for logs and reports.
   std::string summary() const;
-};
-
-/// Lock-free mirror of TransferStats for the concurrent data path: the
-/// directory records transfers from any thread without a stats lock, and
-/// readers snapshot a plain TransferStats at any time. Per-counter
-/// relaxed atomics — a snapshot taken during a record() may see the byte
-/// counter bumped before the count (or vice versa); totals are exact once
-/// the writers quiesce, which is what the reports read.
-class AtomicTransferStats {
- public:
-  void record(TransferCategory category, std::uint64_t bytes);
-
-  /// Count one writer-mutex fallback of the consistent-read path.
-  void record_consistent_fallback() {
-    consistent_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Plain-value snapshot for reporting (`Runtime::transfer_stats()`).
-  TransferStats snapshot() const;
-
-  void reset();
-
- private:
-  std::atomic<std::uint64_t> input_bytes_{0};
-  std::atomic<std::uint64_t> output_bytes_{0};
-  std::atomic<std::uint64_t> device_bytes_{0};
-  std::atomic<std::uint64_t> input_count_{0};
-  std::atomic<std::uint64_t> output_count_{0};
-  std::atomic<std::uint64_t> device_count_{0};
-  std::atomic<std::uint64_t> consistent_fallbacks_{0};
 };
 
 }  // namespace versa

@@ -43,10 +43,10 @@ class ExecutorPort {
   /// methods need the runtime lock is part of the Scheduler contract.
   virtual Scheduler& port_scheduler() = 0;
   virtual TaskGraph& port_graph() VERSA_REQUIRES(port_mutex()) = 0;
-  /// The directory is internally synchronized (sharded `data`/`data.shard`
-  /// locks) — deliberately NOT annotated with the runtime capability, so
-  /// lookups, transfer_cost pricing, and prefetch acquires compile without
-  /// the runtime lock (the concurrent data path, DESIGN.md §9).
+  /// The directory is internally synchronized (its own `data` lock) —
+  /// deliberately NOT annotated with the runtime capability, so lookups,
+  /// transfer_cost pricing, and worker-side staging compile without the
+  /// runtime lock (DESIGN.md §9).
   virtual DataDirectory& port_directory() = 0;
   virtual const VersionRegistry& port_registry() = 0;
   virtual const Machine& port_machine() = 0;
@@ -84,9 +84,9 @@ class Executor {
   /// A scheduler placed `task` on `worker`'s queue (prefetch hook).
   /// Called with the runtime lock held; `task` is a stable reference into
   /// the task graph (deque storage, never moved). Implementations must not
-  /// block: the sim backend acquires synchronously (deterministic virtual
-  /// time), the thread backend records a prefetch intent and stages the
-  /// data off the runtime lock later.
+  /// block: the sim backend acquires synchronously (modelled prefetch in
+  /// deterministic virtual time), the thread backend only wakes its
+  /// workers — the one that runs the task stages its data.
   virtual void task_queued(Task& task, WorkerId worker) = 0;
 
   /// Ready work may exist for idle workers (pull-style schedulers).

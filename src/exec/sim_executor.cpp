@@ -26,11 +26,11 @@ SimExecutor::SimExecutor(const Machine& machine, SimExecutorConfig config)
 void SimExecutor::attach(ExecutorPort& port) { Executor::attach(port); }
 
 void SimExecutor::acquire_for(Task& task, SpaceId space) {
-  if (task.acquired_space.load() == space) return;
+  if (task.acquired_space == space) return;
   TransferList ops;
   port_->port_directory().acquire(task.accesses, space, ops);
   task.transfers_ready_time = engine_.enqueue(ops, queue_.now());
-  task.acquired_space.store(space);
+  task.acquired_space = space;
   horizon_ = std::max(horizon_, task.transfers_ready_time);
 }
 

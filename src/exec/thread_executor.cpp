@@ -13,7 +13,6 @@ ThreadExecutor::ThreadExecutor(const Machine& machine,
       config_(config),
       epoch_(std::chrono::steady_clock::now()) {
   VERSA_CHECK(config.time_scale > 0.0);
-  prefetch_inflight_bytes_.resize(machine.space_count(), 0);
 }
 
 ThreadExecutor::~ThreadExecutor() {
@@ -26,14 +25,10 @@ ThreadExecutor::~ThreadExecutor() {
 
 void ThreadExecutor::attach(ExecutorPort& port) {
   Executor::attach(port);
-  threads_.reserve(machine_.worker_count() + 1);
+  threads_.reserve(machine_.worker_count());
   for (WorkerId w = 0; w < machine_.worker_count(); ++w) {
     threads_.emplace_back([this, w] { worker_loop(w); });
   }
-  // Dedicated prefetch thread: drains intents the moment a placement
-  // lands instead of waiting for a worker to reach the top of run_one, so
-  // staging overlaps the predecessor's execution (DESIGN.md §13).
-  threads_.emplace_back([this] { prefetch_loop(); });
 }
 
 Time ThreadExecutor::now() const {
@@ -61,139 +56,11 @@ void ThreadExecutor::wait_wake(std::uint64_t seen) {
   }
 }
 
-void ThreadExecutor::task_queued(Task& task, WorkerId worker) {
-  // Called under the runtime lock. Do NOT touch the directory here — that
-  // would serialize every transfer behind the producer path. Record the
-  // intent (rank 10 -> 44 nests in documented order) and let the prefetch
-  // thread (or a worker's dequeue fallback) stage the data off the
-  // runtime lock in drain_prefetch().
-  prefetch_inflight_.fetch_add(1, std::memory_order_acq_rel);
-  {
-    versa::LockGuard lock(prefetch_mutex_);
-    prefetch_.push_back(PrefetchIntent{&task, worker});
-    prefetch_pending_.store(true, std::memory_order_release);
-  }
-  // Queues live in the scheduler; the push is already visible, so bumping
-  // the epoch here closes the pop-then-sleep race (and wakes the prefetch
-  // thread to drain the intent at placement time).
+void ThreadExecutor::task_queued(Task&, WorkerId) {
+  // Called under the runtime lock. Data is staged by the executing worker
+  // in run_one; the queues live in the scheduler and the push is already
+  // visible, so bumping the epoch here closes the pop-then-sleep race.
   bump_wake();
-}
-
-void ThreadExecutor::record_prefetch_event(core::TraceEventKind kind,
-                                           const Task& task, WorkerId worker,
-                                           std::uint64_t bytes) {
-  core::DecisionTrace& trace = port_->port_scheduler().decision_trace();
-  if (!trace.enabled()) return;
-  core::TraceEvent event;
-  event.time = now();
-  event.task = task.id;
-  event.type = task.type;
-  event.version = task.chosen_version;
-  event.worker = worker;
-  event.kind = kind;
-  event.tenant = task.tenant;
-  event.group = bytes;
-  trace.record(event);
-}
-
-void ThreadExecutor::release_prefetch_charge(TaskId task) {
-  bool released = false;
-  {
-    versa::LockGuard lock(prefetch_mutex_);
-    auto it = prefetch_charges_.find(task);
-    if (it != prefetch_charges_.end()) {
-      prefetch_inflight_bytes_[it->second.space] -= it->second.bytes;
-      prefetch_charges_.erase(it);
-      released = true;
-    }
-  }
-  // Freed budget: wake the prefetch thread so deferred intents retry.
-  if (released) bump_wake();
-}
-
-void ThreadExecutor::drain_prefetch(DrainSite site) {
-  if (!prefetch_pending_.load(std::memory_order_acquire)) return;
-  std::vector<PrefetchIntent> intents;
-  {
-    versa::LockGuard lock(prefetch_mutex_);
-    intents.swap(prefetch_);
-    prefetch_pending_.store(false, std::memory_order_release);
-  }
-  if (intents.empty()) return;
-  std::vector<PrefetchIntent> deferred;
-  std::size_t resolved = 0;
-  for (const PrefetchIntent& intent : intents) {
-    Task* task = intent.task;
-    const SpaceId space = machine_.worker(intent.worker).space;
-    // Stale first (covers deferred intents whose task meanwhile started):
-    // someone already staged this task — never prefetch over it.
-    if (task->acquired_space.load() != kInvalidSpace) {
-      record_prefetch_event(core::TraceEventKind::kPrefetchStale, *task,
-                            intent.worker, 0);
-      ++resolved;
-      continue;
-    }
-    const std::uint64_t bytes = task->data_set_size;
-    if (config_.prefetch_budget != 0) {
-      versa::LockGuard lock(prefetch_mutex_);
-      const std::uint64_t inflight = prefetch_inflight_bytes_[space];
-      // Defer while over budget; an oversized intent is admitted when the
-      // space is otherwise idle so one huge task cannot wedge the drain.
-      if (inflight != 0 && inflight + bytes > config_.prefetch_budget) {
-        deferred.push_back(intent);
-        continue;
-      }
-      prefetch_inflight_bytes_[space] += bytes;
-      prefetch_charges_.emplace(task->id, PrefetchCharge{space, bytes});
-    }
-    SpaceId expected = kInvalidSpace;
-    if (task->acquired_space.claim(expected, space)) {
-      // Won the claim: stage the data with no lock held but the
-      // directory's own (internally synchronized) classes.
-      TransferList ops;  // accounting only — data lives in host storage
-      port_->port_directory().acquire(task->accesses, space, ops);
-      std::uint64_t staged = 0;
-      for (const TransferOp& op : ops) staged += op.bytes;
-      record_prefetch_event(site == DrainSite::kPlacement
-                                ? core::TraceEventKind::kPrefetchPlaced
-                                : core::TraceEventKind::kPrefetchDequeue,
-                            *task, intent.worker, staged);
-    } else {
-      // Lost the claim to the executing worker between the checks: the
-      // charge never covered in-flight data, return it immediately.
-      release_prefetch_charge(task->id);
-      record_prefetch_event(core::TraceEventKind::kPrefetchStale, *task,
-                            intent.worker, 0);
-    }
-    ++resolved;
-  }
-  if (!deferred.empty()) {
-    // Keep prefetch_inflight_ elevated for deferred intents — wait_all
-    // must not return while a placement-time stage is still possible. The
-    // next drain (woken by release_prefetch_charge or a completion)
-    // re-evaluates them; once the task has started they resolve as stale.
-    versa::LockGuard lock(prefetch_mutex_);
-    for (const PrefetchIntent& intent : deferred) {
-      prefetch_.push_back(intent);
-    }
-    prefetch_pending_.store(true, std::memory_order_release);
-  }
-  if (resolved != 0) {
-    prefetch_inflight_.fetch_sub(resolved, std::memory_order_acq_rel);
-    // Waiters (wait_all) also settle on prefetch_inflight_ == 0.
-    bump_wake();
-  }
-}
-
-void ThreadExecutor::prefetch_loop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    const std::uint64_t seen = wake_snapshot();
-    drain_prefetch(DrainSite::kPlacement);
-    // Intents buffered after the snapshot bump the epoch past `seen`, so
-    // this wait cannot miss them; deferred re-buffering above does not
-    // bump, so an over-budget backlog does not busy-spin.
-    wait_wake(seen);
-  }
 }
 
 void ThreadExecutor::work_available() { bump_wake(); }
@@ -209,11 +76,6 @@ thread_local TaskId tls_current_task = kInvalidTask;
 TaskId ThreadExecutor::current_task() const { return tls_current_task; }
 
 bool ThreadExecutor::run_one(WorkerId worker) {
-  // Stage any buffered prefetch intents first (dequeue-time fallback for
-  // the prefetch thread) — lock-free, so the data path makes progress
-  // even while another worker holds the runtime lock.
-  drain_prefetch(DrainSite::kDequeue);
-
   // Fast path: dequeue already-placed work (own queue, then steals)
   // without the runtime lock.
   TaskId id = port_->port_scheduler().try_pop_queued(worker);
@@ -240,26 +102,12 @@ bool ThreadExecutor::run_one(WorkerId worker) {
     data_set_size = task->data_set_size;
   }
 
-  // Off the runtime lock: stage the data. The CAS on acquired_space
-  // arbitrates against the prefetch path — exactly one side performs the
-  // acquire for a given space.
-  const SpaceId space = machine_.worker(worker).space;
-  SpaceId expected = kInvalidSpace;
-  if (task->acquired_space.claim(expected, space)) {
-    TransferList ops;  // accounting only — data lives in host storage
-    port_->port_directory().acquire(task->accesses, space, ops);
-  } else if (expected != space) {
-    // A steal re-homed the task after its data was staged for the
-    // originally assigned worker's space: re-acquire for ours. No
-    // concurrent acquirer exists any more (the prefetch side only ever
-    // claims from kInvalidSpace), so a plain store publishes it.
-    TransferList ops;
-    port_->port_directory().acquire(task->accesses, space, ops);
-    task->acquired_space.store(space);
-  }
-  // The task is now staged and about to run: its prefetch budget charge
-  // (if a drain issued one) no longer represents in-flight data.
-  release_prefetch_charge(id);
+  // Off the runtime lock: stage the data into the executing worker's
+  // space, once. The task is running, so its graph cannot retire (and
+  // its regions cannot be unregistered) until after this acquire.
+  TransferList ops;  // accounting only — data lives in host storage
+  port_->port_directory().acquire(task->accesses,
+                                  machine_.worker(worker).space, ops);
   // Resolve argument pointers (region descriptors are immutable, the
   // directory lookup synchronizes itself); the body then runs without
   // touching shared runtime structures.
@@ -339,13 +187,7 @@ void ThreadExecutor::wait_all() {
     const std::uint64_t seen = wake_snapshot();
     {
       versa::RecursiveLockGuard lock(port_->port_mutex());
-      // Settle on zero in-flight prefetch intents too: a taskwait's
-      // transfer accounting (and the flush that follows it) must observe
-      // every staged copy.
-      if (port_->port_graph().all_finished() &&
-          prefetch_inflight_.load(std::memory_order_acquire) == 0) {
-        return;
-      }
+      if (port_->port_graph().all_finished()) return;
     }
     wait_wake(seen);
   }

@@ -11,11 +11,13 @@
 // Scheduler::try_pop_queued, i.e. popping the worker's own shard or
 // stealing — runs WITHOUT the runtime lock; workers take it only for the
 // graph transitions around a task (state flip, completion report) and
-// for the pop_task fallback of policies with no lock-free path. The data
-// path is off the runtime lock too: directory acquires (both the
-// prefetch-intent drain and the executing worker's staging) and argument
-// resolution run on the directory's own data/data.shard classes, with
-// Task::acquired_space CAS-arbitrating which side stages each task.
+// for the pop_task fallback of policies with no lock-free path. The
+// executing worker stages the task's data once, right after marking it
+// running: the directory acquire (bookkeeping only — the data stays in
+// host storage) and argument resolution run off the runtime lock on the
+// directory's own `data` class. Staging before the body means every
+// acquire lands before the task's completion, so nothing can touch the
+// directory after its graph retires (DESIGN.md §13).
 // Sleeping and waking go through a dedicated wake mutex (class
 // kLockRankExecWake, the innermost lock) and an epoch counter: a worker
 // samples the epoch before it tries to pop and sleeps only if the epoch
@@ -29,11 +31,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/executor.h"
-#include "sched/core/decision_trace.h"
 #include "util/annotated_sync.h"
 
 namespace versa {
@@ -43,11 +43,6 @@ struct ThreadExecutorConfig {
   /// tasks without a cost model run at native speed either way.
   bool emulate_costs = false;
   double time_scale = 1.0;
-  /// Bytes of placement-time prefetch allowed in flight per memory space
-  /// (0 = unlimited). Intents over budget stay buffered until a charged
-  /// task starts running; a single intent larger than the whole budget is
-  /// admitted when the space is otherwise idle, so it cannot wedge.
-  std::uint64_t prefetch_budget = 0;
 };
 
 class ThreadExecutor final : public Executor {
@@ -81,64 +76,6 @@ class ThreadExecutor final : public Executor {
   std::uint64_t wake_epoch_ VERSA_GUARDED_BY(wake_mutex_) = 0;
   std::condition_variable_any wake_cv_;
   std::atomic<bool> stop_{false};
-
-  /// Prefetch intents: the scheduler's push (under the runtime lock)
-  /// records "stage task T's data for worker W" here. A dedicated
-  /// prefetch thread drains the buffer the moment a placement lands
-  /// (woken by the same wake epoch the workers use), so staging starts at
-  /// *placement* time and overlaps the predecessor task; workers still
-  /// drain at the top of run_one as the dequeue-time fallback. Either
-  /// drain performs the directory acquires with NO runtime involvement —
-  /// the directory is internally synchronized and Task::acquired_space
-  /// CAS-arbitrates against the executing worker (the concurrent data
-  /// path, DESIGN.md §9 and §13).
-  struct PrefetchIntent {
-    Task* task = nullptr;  ///< stable: the graph stores tasks in a deque
-    WorkerId worker = kInvalidWorker;
-  };
-  versa::Mutex prefetch_mutex_{lock_order::kLockRankExecPrefetch};
-  std::vector<PrefetchIntent> prefetch_ VERSA_GUARDED_BY(prefetch_mutex_);
-  /// Fast "anything buffered?" flag so idle run_one calls skip the lock.
-  std::atomic<bool> prefetch_pending_{false};
-  /// Intents enqueued but not yet fully staged; wait_all settles on zero
-  /// so transfer accounting is complete when a taskwait returns.
-  std::atomic<std::uint64_t> prefetch_inflight_{0};
-
-  /// Budget accounting (config_.prefetch_budget != 0): bytes charged per
-  /// space for claims issued by a drain, released when the charged task
-  /// starts running (or immediately, if the claim was lost). The charge
-  /// is keyed by task so the releasing worker need not know which drain
-  /// charged it; insertion happens *before* the claim attempt so a won
-  /// claim is always covered, and erasure is idempotent because both the
-  /// claim-loser and the task-starting worker may try it.
-  struct PrefetchCharge {
-    SpaceId space = kInvalidSpace;
-    std::uint64_t bytes = 0;
-  };
-  std::unordered_map<TaskId, PrefetchCharge> prefetch_charges_
-      VERSA_GUARDED_BY(prefetch_mutex_);
-  /// Per-space bytes currently charged (indexed by SpaceId).
-  std::vector<std::uint64_t> prefetch_inflight_bytes_
-      VERSA_GUARDED_BY(prefetch_mutex_);
-
-  /// Which drain path claimed an intent (trace attribution).
-  enum class DrainSite : std::uint8_t { kPlacement, kDequeue };
-
-  /// Swap the intent buffer out and stage each claimed task's data;
-  /// over-budget intents are re-buffered for a later drain. Called
-  /// lock-free from the prefetch thread and from worker threads.
-  void drain_prefetch(DrainSite site);
-
-  /// Release the budget charge of `task` if one is outstanding (idempotent)
-  /// and wake the prefetch thread so deferred intents retry.
-  void release_prefetch_charge(TaskId task);
-
-  /// Record a prefetch trace event (free when tracing is off).
-  void record_prefetch_event(core::TraceEventKind kind, const Task& task,
-                             WorkerId worker, std::uint64_t bytes);
-
-  /// Placement-time drain loop of the dedicated prefetch thread.
-  void prefetch_loop();
 
   std::uint64_t wake_snapshot();
   void bump_wake();

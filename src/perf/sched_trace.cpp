@@ -69,9 +69,6 @@ std::string sched_trace_counters_json(const core::DecisionTrace& trace,
       case core::TraceEventKind::kSplit:
       case core::TraceEventKind::kFuse:
       case core::TraceEventKind::kReversal:
-      case core::TraceEventKind::kPrefetchPlaced:
-      case core::TraceEventKind::kPrefetchDequeue:
-      case core::TraceEventKind::kPrefetchStale:
         std::snprintf(buffer, sizeof(buffer),
                       "{\"name\":\"%s\",\"cat\":\"sched\",\"ph\":\"i\","
                       "\"s\":\"t\",\"ts\":%.3f,\"pid\":2,\"tid\":%u,"
@@ -97,10 +94,9 @@ bool write_sched_trace(const std::string& path,
 
 std::string sched_trace_csv(const core::DecisionTrace& trace,
                             const std::string& policy) {
-  // v4 keeps the v3 column set but adds the prefetch event kinds
-  // (prefetch / prefetch-pop / prefetch-stale, with `group` carrying the
-  // staged bytes). versa_trace_report still accepts v1/v2/v3 files.
-  std::string out = "# versa-sched-trace v4\n";
+  // v5 keeps the v3 column set; the v4 prefetch event kinds are gone.
+  // versa_trace_report still accepts v1/v2/v3 files.
+  std::string out = "# versa-sched-trace v5\n";
   out += "# policy=" + policy + "\n";
   char buffer[320];
   std::snprintf(buffer, sizeof(buffer),

@@ -33,10 +33,7 @@ bool parse_kind(const std::string& text, core::TraceEventKind& kind) {
         core::TraceEventKind::kLearningPlacement,
         core::TraceEventKind::kSteal, core::TraceEventKind::kFailure,
         core::TraceEventKind::kComplete, core::TraceEventKind::kSplit,
-        core::TraceEventKind::kFuse, core::TraceEventKind::kReversal,
-        core::TraceEventKind::kPrefetchPlaced,
-        core::TraceEventKind::kPrefetchDequeue,
-        core::TraceEventKind::kPrefetchStale}) {
+        core::TraceEventKind::kFuse, core::TraceEventKind::kReversal}) {
     if (text == core::to_string(candidate)) {
       kind = candidate;
       return true;
@@ -210,28 +207,7 @@ TraceReport analyze_sched_trace(const SchedTraceDump& dump) {
         ++report.reversals;
         ++report.per_group[{e.type, e.group}].reversals;
         break;
-      case core::TraceEventKind::kPrefetchPlaced:
-        ++report.prefetch_placed;
-        report.prefetch_bytes += e.group;
-        break;
-      case core::TraceEventKind::kPrefetchDequeue:
-        ++report.prefetch_dequeue;
-        report.prefetch_bytes += e.group;
-        break;
-      case core::TraceEventKind::kPrefetchStale:
-        ++report.prefetch_stale;
-        break;
     }
-  }
-  const std::uint64_t prefetch_total =
-      report.prefetch_placed + report.prefetch_dequeue + report.prefetch_stale;
-  if (prefetch_total > 0) {
-    report.prefetch_placement_share =
-        static_cast<double>(report.prefetch_placed) /
-        static_cast<double>(prefetch_total);
-    report.prefetch_claim_share =
-        static_cast<double>(report.prefetch_placed + report.prefetch_dequeue) /
-        static_cast<double>(prefetch_total);
   }
   // Per-tenant churn and completion throughput over the retained window.
   const double span = dump.events.empty()
@@ -381,26 +357,6 @@ std::string render_trace_report(const SchedTraceDump& dump,
                      std::to_string(counts.tasks_fused)});
     }
     out += table.to_string();
-  }
-  // Prefetch effectiveness: rendered only when the run emitted prefetch
-  // events (v1-v3 CSVs and sim-backend runs render exactly as before).
-  const std::uint64_t prefetch_total =
-      report.prefetch_placed + report.prefetch_dequeue + report.prefetch_stale;
-  if (prefetch_total > 0) {
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "prefetch: %llu placement-time + %llu dequeue-fallback claims, "
-        "%llu stale (%.1f%% placed at placement, %.1f%% claimed overall)\n",
-        static_cast<unsigned long long>(report.prefetch_placed),
-        static_cast<unsigned long long>(report.prefetch_dequeue),
-        static_cast<unsigned long long>(report.prefetch_stale),
-        report.prefetch_placement_share * 100.0,
-        report.prefetch_claim_share * 100.0);
-    out += buffer;
-    std::snprintf(buffer, sizeof(buffer),
-                  "prefetch bytes overlapped: %llu staged ahead of dispatch\n",
-                  static_cast<unsigned long long>(report.prefetch_bytes));
-    out += buffer;
   }
   return out;
 }

@@ -91,7 +91,7 @@ struct TraceReport {
   };
   std::map<TaskTypeId, TypeBreakdown> per_type;
 
-  /// Granularity-controller totals (v3 dumps; all zero before PR 7 CSVs).
+  /// Granularity-controller totals (v3+ dumps; all zero on v1/v2 CSVs).
   std::uint64_t splits = 0;
   std::uint64_t fuses = 0;
   std::uint64_t reversals = 0;
@@ -110,22 +110,6 @@ struct TraceReport {
   };
   std::map<std::pair<TaskTypeId, std::uint64_t>, GranularityBreakdown>
       per_group;
-
-  /// Prefetch effectiveness (v4 dumps; all zero on earlier CSVs). An
-  /// intent is *placed* when the dedicated prefetch thread claimed it at
-  /// placement time, *dequeue* when a worker's fallback drain claimed it,
-  /// and *stale* when the executing worker won the staging race first —
-  /// the share of placed intents is what the placement-time path buys.
-  std::uint64_t prefetch_placed = 0;
-  std::uint64_t prefetch_dequeue = 0;
-  std::uint64_t prefetch_stale = 0;
-  /// Bytes the claimed prefetch acquires actually copied — data staged
-  /// ahead of (and overlapped with) the consuming task's dispatch.
-  std::uint64_t prefetch_bytes = 0;
-  /// placed / (placed + dequeue + stale); 0 when no prefetch events.
-  double prefetch_placement_share = 0.0;
-  /// (placed + dequeue) / (placed + dequeue + stale).
-  double prefetch_claim_share = 0.0;
 };
 
 TraceReport analyze_sched_trace(const SchedTraceDump& dump);

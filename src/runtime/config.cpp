@@ -56,24 +56,6 @@ RuntimeConfig apply_env_overrides(RuntimeConfig config) {
       VERSA_LOG(kWarn) << "ignoring invalid VERSA_SANITIZE=" << mode;
     }
   }
-  if (const char* budget = std::getenv("VERSA_PREFETCH_BUDGET")) {
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(budget, &end, 10);
-    if (end != budget && *end == '\0') {
-      config.prefetch_budget = value;
-    } else {
-      VERSA_LOG(kWarn) << "ignoring invalid VERSA_PREFETCH_BUDGET=" << budget;
-    }
-  }
-  if (const char* retries = std::getenv("VERSA_READ_RETRIES")) {
-    char* end = nullptr;
-    const long value = std::strtol(retries, &end, 10);
-    if (end != retries && *end == '\0' && value >= 0) {
-      config.consistent_read_retries = static_cast<int>(value);
-    } else {
-      VERSA_LOG(kWarn) << "ignoring invalid VERSA_READ_RETRIES=" << retries;
-    }
-  }
   return config;
 }
 

@@ -5,7 +5,7 @@
 //   VERSA_SCHEDULER        — scheduler name (fifo / dep-aware / affinity /
 //                            versioning / versioning-locality)
 //   VERSA_LAMBDA           — learning-phase threshold λ
-//   VERSA_PREFETCH         — 0/1, transfer overlap + prefetch
+//   VERSA_PREFETCH         — 0/1, transfer overlap + prefetch (sim backend)
 //   VERSA_SEED             — simulation RNG seed
 //   VERSA_PROFILE_LOAD     — warm-start profile path (store/hints/XML)
 //   VERSA_PROFILE_SAVE     — persist the learned profile on shutdown
@@ -14,11 +14,6 @@
 //   VERSA_SCHED_TRACE      — 0/1, record the scheduler decision trace
 //   VERSA_GRANULARITY      — off | auto | N, adaptive task granularity
 //   VERSA_SANITIZE         — off | spec | race, dependence-spec sanitizer
-//   VERSA_PREFETCH_BUDGET  — bytes of in-flight placement-time prefetch
-//                            allowed per memory space (0 = unlimited)
-//   VERSA_READ_RETRIES     — bounded seqlock retries of the directory's
-//                            consistent-read path before the writer-mutex
-//                            fallback
 #pragma once
 
 #include <cstdint>
@@ -41,22 +36,11 @@ struct RuntimeConfig {
   ProfileConfig profile;
   Backend backend = Backend::kSim;
 
-  /// Overlap data transfers with computation and prefetch task data as
-  /// soon as tasks are assigned (§V-A enables both for all schedulers).
+  /// Sim backend: overlap modelled data transfers with computation and
+  /// prefetch task data as soon as tasks are assigned (§V-A enables both
+  /// for all schedulers). The thread backend ignores it: its workers stage
+  /// a task's data (bookkeeping only) right before running it.
   bool prefetch = true;
-
-  /// Thread backend: bytes of placement-time prefetch allowed in flight
-  /// per memory space before further intents wait for running tasks to
-  /// start (0 = unlimited). Bounds how far ahead of execution the
-  /// dedicated prefetch thread stages data; intents over budget fall back
-  /// to the dequeue-time drain. Ignored by the sim backend (its prefetch
-  /// is virtual-time-modelled).
-  std::uint64_t prefetch_budget = 0;
-
-  /// Bounded retry count of DataDirectory::read_consistent before it
-  /// falls back to the writer mutex (counted in the transfer stats).
-  /// Plumbed into DataDirectory::set_consistent_read_retries.
-  int consistent_read_retries = 8;
 
   sim::NoiseConfig noise;
   std::uint64_t seed = 42;

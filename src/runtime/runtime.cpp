@@ -1,7 +1,6 @@
 #include "runtime/runtime.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/check.h"
 #include "common/log.h"
@@ -13,6 +12,19 @@
 #include "sched/versioning_scheduler.h"
 
 namespace versa {
+namespace {
+
+/// True if `accesses[i]` is the first access to its region: counts each
+/// region once (paper footnote 2) without allocating — access lists are
+/// a handful of clauses, so the quadratic scan beats a set.
+bool first_access_to_region(const AccessList& accesses, std::size_t i) {
+  for (std::size_t j = 0; j < i; ++j) {
+    if (accesses[j].region == accesses[i].region) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 Runtime::Runtime(const Machine& machine, RuntimeConfig config)
     : machine_(machine),
@@ -55,12 +67,10 @@ Runtime::Runtime(const Machine& machine, RuntimeConfig config)
       ThreadExecutorConfig thread_config;
       thread_config.emulate_costs = config_.emulate_costs;
       thread_config.time_scale = config_.emulation_time_scale;
-      thread_config.prefetch_budget = config_.prefetch_budget;
       executor_ = std::make_unique<ThreadExecutor>(machine_, thread_config);
       break;
     }
   }
-  directory_.set_consistent_read_retries(config_.consistent_read_retries);
   executor_->attach(*this);
   VERSA_LOG(kInfo) << "runtime up: " << machine_.summary() << ", scheduler="
                    << scheduler_->name();
@@ -192,9 +202,9 @@ TaskId Runtime::submit(TaskTypeId type, AccessList accesses,
 
   // Resolve open-ended lengths and compute the data-set size with every
   // region counted once (paper footnote 2).
-  std::set<RegionId> seen;
   std::uint64_t data_set_size = 0;
-  for (Access& access : accesses) {
+  for (std::size_t i = 0; i < accesses.size(); ++i) {
+    Access& access = accesses[i];
     const RegionDesc& desc = directory_.region(access.region);
     if (access.length == 0) {
       VERSA_CHECK_MSG(access.offset < desc.size, "access offset out of range");
@@ -202,9 +212,7 @@ TaskId Runtime::submit(TaskTypeId type, AccessList accesses,
     }
     VERSA_CHECK_MSG(access.offset + access.length <= desc.size,
                     "access range exceeds region");
-    if (seen.insert(access.region).second) {
-      data_set_size += desc.size;
-    }
+    if (first_access_to_region(accesses, i)) data_set_size += desc.size;
   }
 
   // Adaptive granularity hook: may re-tile the submission into children
@@ -367,9 +375,9 @@ bool Runtime::granular_submit(TaskTypeId type, AccessList& accesses,
 
       std::vector<TaskId> ready;
       for (AccessList& part : parts) {
-        std::set<RegionId> seen;
         std::uint64_t child_size = 0;
-        for (const Access& access : part) {
+        for (std::size_t i = 0; i < part.size(); ++i) {
+          const Access& access = part[i];
           const RegionDesc& desc = directory_.region(access.region);
           VERSA_CHECK_MSG(
               access.length > 0 && access.offset < desc.size &&
@@ -379,7 +387,7 @@ bool Runtime::granular_submit(TaskTypeId type, AccessList& accesses,
           // region once), not the full region sizes: different tilings
           // must land in different profile groups for the controller to
           // learn from both.
-          if (seen.insert(access.region).second) child_size += access.length;
+          if (first_access_to_region(part, i)) child_size += access.length;
         }
         Task& child = graph_.create_task(recipe->child_type, std::move(part),
                                          child_size, std::string(),
@@ -428,9 +436,9 @@ void Runtime::flush_fuse_window() {
   lists.reserve(members.size());
   for (TaskId id : members) lists.push_back(graph_.task(id).accesses);
   AccessList fused = recipe->fuse(lists);
-  std::set<RegionId> seen;
   std::uint64_t fused_size = 0;
-  for (Access& access : fused) {
+  for (std::size_t i = 0; i < fused.size(); ++i) {
+    Access& access = fused[i];
     const RegionDesc& desc = directory_.region(access.region);
     if (access.length == 0) {
       VERSA_CHECK_MSG(access.offset < desc.size,
@@ -439,7 +447,7 @@ void Runtime::flush_fuse_window() {
     }
     VERSA_CHECK_MSG(access.offset + access.length <= desc.size,
                     "fuse recipe produced an out-of-range access");
-    if (seen.insert(access.region).second) fused_size += desc.size;
+    if (first_access_to_region(fused, i)) fused_size += desc.size;
   }
 
   const Time stamp = now();
@@ -657,8 +665,7 @@ std::string Runtime::export_profile_text() const {
 }
 
 void Runtime::task_assigned(TaskId task, WorkerId worker) {
-  // Hand the executor a stable task reference (deque storage): the thread
-  // backend keeps it in its prefetch-intent buffer past this call.
+  // Hand the executor a stable task reference (deque storage).
   executor_->task_queued(graph_.task(task), worker);
 }
 

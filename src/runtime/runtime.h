@@ -24,9 +24,9 @@
 // aggregates are runtime-lock serialized through the REQUIRES annotations
 // on the ExecutorPort accessors; the scalar result fields are
 // GUARDED_BY(mutex_) directly. The directory is the deliberate exception:
-// it synchronizes itself (sharded data/data.shard classes), so lookups,
-// transfer_cost pricing, and prefetch acquires run WITHOUT the runtime
-// lock — its accessors carry no runtime capability.
+// it synchronizes itself (one mutex of class `data`), so lookups,
+// transfer_cost pricing, and the thread backend's worker-side staging run
+// WITHOUT the runtime lock — its accessors carry no runtime capability.
 #pragma once
 
 #include <memory>

@@ -11,35 +11,23 @@ void AffinityScheduler::task_ready(Task& task) {
   const std::vector<WorkerId> candidates = compatible_workers(main);
   VERSA_CHECK_MSG(!candidates.empty(), "no compatible worker for task");
 
-  // The candidate scan reads directory residency, which worker-thread
-  // prefetch acquires can move mid-scan (the directory is off the runtime
-  // lock). Re-validate against the per-shard epochs of exactly the shards
-  // this task's accesses touch (shard_epoch) with one bounded retry, so
-  // the committed placement priced a residency state that actually
-  // existed during the scan — and acquires over *other* shards no longer
-  // force the re-price. Under the sim backend the epochs never move here,
-  // so the loop runs once and the figures stay deterministic.
-  const std::uint64_t shard_mask = DataDirectory::shard_mask(task.accesses);
+  // Residency can move under the scan (thread-backend workers stage off
+  // the runtime lock); each query is consistent on its own, and the
+  // placement is a heuristic either way.
   WorkerId best = kInvalidWorker;
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    const std::uint64_t epoch_before =
-        ctx_->directory().shard_epoch(shard_mask);
-    best = kInvalidWorker;
-    std::uint64_t best_missing = 0;
-    std::size_t best_queue = 0;
-    for (WorkerId w : candidates) {
-      const SpaceId space = ctx_->machine().worker(w).space;
-      const std::uint64_t missing =
-          ctx_->directory().bytes_missing(task.accesses, space);
-      const std::size_t queue = queue_length(w);
-      if (best == kInvalidWorker || missing < best_missing ||
-          (missing == best_missing && queue < best_queue)) {
-        best = w;
-        best_missing = missing;
-        best_queue = queue;
-      }
+  std::uint64_t best_missing = 0;
+  std::size_t best_queue = 0;
+  for (WorkerId w : candidates) {
+    const SpaceId space = ctx_->machine().worker(w).space;
+    const std::uint64_t missing =
+        ctx_->directory().bytes_missing(task.accesses, space);
+    const std::size_t queue = queue_length(w);
+    if (best == kInvalidWorker || missing < best_missing ||
+        (missing == best_missing && queue < best_queue)) {
+      best = w;
+      best_missing = missing;
+      best_queue = queue;
     }
-    if (ctx_->directory().shard_epoch(shard_mask) == epoch_before) break;
   }
   PushInfo info;
   info.candidates = static_cast<std::uint32_t>(candidates.size());

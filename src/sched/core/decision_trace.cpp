@@ -22,12 +22,6 @@ const char* to_string(TraceEventKind kind) {
       return "fuse";
     case TraceEventKind::kReversal:
       return "revert";
-    case TraceEventKind::kPrefetchPlaced:
-      return "prefetch";
-    case TraceEventKind::kPrefetchDequeue:
-      return "prefetch-pop";
-    case TraceEventKind::kPrefetchStale:
-      return "prefetch-stale";
   }
   return "?";
 }

@@ -33,9 +33,6 @@ enum class TraceEventKind : std::uint8_t {
   kSplit,              ///< granularity controller re-tiled a submission
   kFuse,               ///< granularity controller coalesced siblings
   kReversal,           ///< controller CUSUM reversed a split/fuse group
-  kPrefetchPlaced,     ///< prefetch intent claimed at placement time
-  kPrefetchDequeue,    ///< prefetch intent claimed by the dequeue fallback
-  kPrefetchStale,      ///< prefetch intent dropped (task already staged)
 };
 
 const char* to_string(TraceEventKind kind);
@@ -62,10 +59,8 @@ struct TraceEvent {
   TenantId tenant = kDefaultTenant;
   /// Granularity events (kSplit/kFuse/kReversal): the data-set-size group
   /// key the decision was bucketed by, and the child-task count (children
-  /// created by a split; original submissions folded by a fuse). Prefetch
-  /// events (kPrefetch*) reuse `group` for the bytes the staged acquire
-  /// copied (0 for kPrefetchStale or when everything was already
-  /// resident). Zero on every other kind. Appended after tenant so
+  /// created by a split; original submissions folded by a fuse). Zero on
+  /// every other kind. Appended after tenant so
   /// existing aggregate initializers keep their field order.
   std::uint64_t group = 0;
   std::uint32_t children = 0;

@@ -8,8 +8,8 @@ LocalityVersioningScheduler::LocalityVersioningScheduler(ProfileConfig config)
 Duration LocalityVersioningScheduler::placement_penalty(
     const Task& task, WorkerId worker) const {
   // One consistent directory read: transfer_cost prices the missing bytes
-  // over the host->space link inside a single epoch-validated snapshot,
-  // byte-identical to the historical bytes_missing + link arithmetic.
+  // over the host->space link, byte-identical to the historical
+  // bytes_missing + link arithmetic.
   return ctx_->directory().transfer_cost(
       task.accesses, ctx_->machine().worker(worker).space);
 }

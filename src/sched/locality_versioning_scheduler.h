@@ -20,10 +20,6 @@ class LocalityVersioningScheduler final : public VersioningScheduler {
 
  protected:
   Duration placement_penalty(const Task& task, WorkerId worker) const override;
-
-  /// The penalty prices directory residency, so the earliest-executor walk
-  /// re-validates against DataDirectory::shard_epoch() over the task's shards.
-  bool placement_penalty_uses_directory() const override { return true; }
 };
 
 }  // namespace versa

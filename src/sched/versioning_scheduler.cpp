@@ -186,37 +186,13 @@ void VersioningScheduler::assign_earliest_executor(Task& task) {
   Duration best_penalty = 0.0;
   std::uint32_t candidates = 0;
 
-  // Directory-reading penalties race with prefetch acquires on worker
-  // threads (the directory synchronizes itself, off the runtime lock):
-  // residency can move between pricing a candidate and committing the
-  // placement. Sample the per-shard epochs of the shards this task's
-  // accesses touch (shard_epoch) around the evaluation and re-price once
-  // if they moved — the placement is then either consistent with a
-  // directory state that existed during the walk, or (second attempt) a
-  // best-effort estimate, which is all a heuristic penalty ever was.
-  // Acquires over shards outside the task's footprint no longer trigger
-  // the re-price. Under the sim backend the epochs cannot move mid-walk
-  // (single threaded), so the loop runs exactly once and stays
-  // deterministic.
-  const bool epoch_sensitive = placement_penalty_uses_directory();
-  const std::uint64_t shard_mask =
-      epoch_sensitive ? DataDirectory::shard_mask(task.accesses) : 0;
+  // Placement penalties are computed before the account critical section:
+  // the locality subclass reads the data directory (lock class data, rank
+  // 13), which must not be acquired under the account lock (rank 20).
   const std::size_t worker_count = ctx_->machine().worker_count();
   std::vector<Duration> penalties(worker_count, 0.0);
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    const std::uint64_t epoch_before =
-        epoch_sensitive ? ctx_->directory().shard_epoch(shard_mask) : 0;
-    // Placement penalties are computed before the account critical
-    // section: the locality subclass reads the data directory (lock class
-    // data/data.shard, ranks 13/14), which must not be acquired under the
-    // account lock (rank 20).
-    for (WorkerId w = 0; w < worker_count; ++w) {
-      penalties[w] = placement_penalty(task, w);
-    }
-    if (!epoch_sensitive ||
-        ctx_->directory().shard_epoch(shard_mask) == epoch_before) {
-      break;
-    }
+  for (WorkerId w = 0; w < worker_count; ++w) {
+    penalties[w] = placement_penalty(task, w);
   }
 
   {

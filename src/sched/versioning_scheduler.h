@@ -84,15 +84,6 @@ class VersioningScheduler : public QueueScheduler {
   /// (zero here; the locality-aware subclass adds a transfer estimate).
   virtual Duration placement_penalty(const Task& task, WorkerId worker) const;
 
-  /// True when placement_penalty reads the data directory. The directory
-  /// is no longer runtime-lock serialized, so prefetch acquires on worker
-  /// threads can move region residency *while* a placement walk is
-  /// pricing candidates; assign_earliest_executor then re-validates the
-  /// decision against DataDirectory::shard_epoch() over the task's shards (one bounded
-  /// retry). Policies whose penalty is directory-free skip the epoch
-  /// sampling entirely.
-  virtual bool placement_penalty_uses_directory() const { return false; }
-
   /// All runnable versions (device has >= 1 worker) recorded >= λ times?
   /// Shared with subclasses that replace the reliable-phase mapping rule.
   bool reliable_runnable(TaskTypeId type, std::uint64_t size) const;

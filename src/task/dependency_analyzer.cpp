@@ -20,30 +20,16 @@ void DependencyAnalyzer::split_at(IntervalMap& map, std::uint64_t pos) {
   map.emplace(pos, std::move(right));
 }
 
-// The dynamic lock set (one mutex per shard the access list touches, in
-// ascending shard-index order) is beyond what the static analysis can
-// follow; the runtime rank checker still validates every acquisition.
 void DependencyAnalyzer::add_task(TaskId task, const AccessList& accesses,
-                                  std::vector<TaskId>& preds)
-    VERSA_NO_THREAD_SAFETY_ANALYSIS {
-  // Collect the shards this task touches and lock them in ascending shard
-  // index. All shard mutexes share the (reentrant) analyzer.shard class,
-  // and every thread uses the same order, so the nesting cannot deadlock.
-  std::array<bool, kShardCount> touched{};
+                                  std::vector<TaskId>& preds) {
+  versa::LockGuard lock(mutex_);
+  const std::size_t preds_begin = preds.size();
   for (const Access& access : accesses) {
     VERSA_CHECK_MSG(access.length > 0,
                     "access length must be resolved before analysis");
-    touched[access.region % kShardCount] = true;
-  }
-  for (std::size_t i = 0; i < kShardCount; ++i) {
-    if (touched[i]) shards_[i].mutex.lock();
-  }
-
-  const std::size_t preds_begin = preds.size();
-  for (const Access& access : accesses) {
     const std::uint64_t lo = access.offset;
     const std::uint64_t hi = access.offset + access.length;
-    IntervalMap& map = shard_of(access.region).regions[access.region];
+    IntervalMap& map = regions_[access.region];
     split_at(map, lo);
     split_at(map, hi);
 
@@ -109,32 +95,23 @@ void DependencyAnalyzer::add_task(TaskId task, const AccessList& accesses,
   std::sort(preds.begin() + preds_begin, preds.end());
   preds.erase(std::unique(preds.begin() + preds_begin, preds.end()),
               preds.end());
-
-  for (std::size_t i = kShardCount; i-- > 0;) {
-    if (touched[i]) shards_[i].mutex.unlock();
-  }
 }
 
 void DependencyAnalyzer::clear_region(RegionId region) {
-  Shard& shard = shard_of(region);
-  versa::LockGuard lock(shard.mutex);
-  shard.regions.erase(region);
+  versa::LockGuard lock(mutex_);
+  regions_.erase(region);
 }
 
 void DependencyAnalyzer::reset() {
-  for (Shard& shard : shards_) {
-    versa::LockGuard lock(shard.mutex);
-    shard.regions.clear();
-  }
+  versa::LockGuard lock(mutex_);
+  regions_.clear();
 }
 
 std::size_t DependencyAnalyzer::interval_count() const {
+  versa::LockGuard lock(mutex_);
   std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    versa::LockGuard lock(shard.mutex);
-    for (const auto& [region, map] : shard.regions) {
-      total += map.size();
-    }
+  for (const auto& [region, map] : regions_) {
+    total += map.size();
   }
   return total;
 }

@@ -10,21 +10,13 @@
 // dependences ("[BS*BS]C" on different tiles, overlapping slices, ...) are
 // tracked precisely at byte granularity.
 //
-// Concurrency: interval state is partitioned into kShardCount shards by
-// `region % kShardCount` — the same striping the DataDirectory uses — so
-// producers registering tasks over disjoint regions take only their shard
-// mutexes (class analyzer.shard, rank 16, below sched.submit) and proceed
-// in parallel. A task whose accesses span several shards locks them in
-// ascending shard-index order (the class is marked reentrant so the
-// rank checker accepts the same-class nesting; the fixed order rules out
-// deadlock). Program order still matters *per region chain*: two tasks
-// whose accesses overlap must have their add_task calls ordered by the
-// caller (the runtime serializes same-graph submission), but tasks over
-// disjoint regions may register concurrently — the predecessor sets then
-// equal those of any serial interleaving.
+// Concurrency: all interval state sits behind one mutex (class `analyzer`,
+// rank 16). The runtime already serializes submission under its own lock,
+// so a finer split could never overlap anything end to end (DESIGN.md
+// §13). Program order still matters per region chain: two tasks whose
+// accesses overlap must have their add_task calls ordered by the caller.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -37,14 +29,9 @@ namespace versa {
 
 class DependencyAnalyzer {
  public:
-  /// Shard fan-out; mirrors DataDirectory::kShardCount so a region maps to
-  /// the same stripe in both structures.
-  static constexpr std::size_t kShardCount = 8;
-
   /// Record `task`'s accesses (lengths must be resolved, i.e. non-zero)
   /// and append its distinct predecessor task ids to `preds`.
-  /// Tasks on overlapping regions must be submitted in program order;
-  /// tasks on disjoint regions may call this concurrently.
+  /// Tasks on overlapping regions must be submitted in program order.
   void add_task(TaskId task, const AccessList& accesses,
                 std::vector<TaskId>& preds);
 
@@ -67,18 +54,8 @@ class DependencyAnalyzer {
   /// are disjoint and non-empty; bytes never accessed have no interval.
   using IntervalMap = std::map<std::uint64_t, Interval>;
 
-  struct Shard {
-    Shard() : mutex(lock_order::kLockRankAnalyzerShard) {}
-    mutable versa::Mutex mutex;
-    std::map<RegionId, IntervalMap> regions VERSA_GUARDED_BY(mutex);
-  };
-
-  Shard& shard_of(RegionId region) { return shards_[region % kShardCount]; }
-  const Shard& shard_of(RegionId region) const {
-    return shards_[region % kShardCount];
-  }
-
-  std::array<Shard, kShardCount> shards_;
+  mutable versa::Mutex mutex_{lock_order::kLockRankAnalyzer};
+  std::map<RegionId, IntervalMap> regions_ VERSA_GUARDED_BY(mutex_);
 
   /// Split the interval containing `pos` (if any) so that `pos` becomes a
   /// boundary. Leaves the map equivalent.

@@ -6,7 +6,6 @@
 // exposes the accessed regions (and their host storage, when present).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -114,41 +113,6 @@ class AccessWitness {
 /// models in simulation).
 using TaskFn = std::function<void(TaskContext&)>;
 
-/// Atomic wrapper around the space a task's directory acquire ran against.
-/// The thread backend's prefetch path and the executing worker race to
-/// stage a task's data off the runtime lock; claim() (a strong CAS)
-/// arbitrates so exactly one of them performs each acquire. Copy/move
-/// transfer the plain value — tasks are only moved during single-threaded
-/// graph construction, before any executor can race on them.
-class AcquiredSpace {
- public:
-  AcquiredSpace() = default;
-  AcquiredSpace(const AcquiredSpace& other) : space_(other.load()) {}
-  AcquiredSpace& operator=(const AcquiredSpace& other) {
-    store(other.load());
-    return *this;
-  }
-
-  SpaceId load(std::memory_order order = std::memory_order_acquire) const {
-    return space_.load(order);
-  }
-  void store(SpaceId space,
-             std::memory_order order = std::memory_order_release) {
-    space_.store(space, order);
-  }
-
-  /// Claim the acquire for `desired`: succeeds iff the current value is
-  /// `expected` (updated to the observed value on failure).
-  bool claim(SpaceId& expected, SpaceId desired) {
-    return space_.compare_exchange_strong(expected, desired,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire);
-  }
-
- private:
-  std::atomic<SpaceId> space_{kInvalidSpace};
-};
-
 struct Task {
   TaskId id = kInvalidTask;
   TaskTypeId type = kInvalidTaskType;
@@ -217,12 +181,10 @@ struct Task {
 
   /// Completion time of this task's prefetched transfers (sim backend).
   Time transfers_ready_time = 0.0;
-  /// Space the directory acquire ran against (kInvalidSpace = not yet).
-  /// Work stealing re-homes a task; the executor re-acquires if this does
-  /// not match the executing worker's space. Atomic: the thread backend's
-  /// prefetch thread and the executing worker CAS-claim it off the
-  /// runtime lock (see AcquiredSpace).
-  AcquiredSpace acquired_space;
+  /// Space the sim backend's directory acquire ran against (kInvalidSpace
+  /// = not yet). Work stealing re-homes a task; the sim re-acquires if
+  /// this does not match the executing worker's space.
+  SpaceId acquired_space = kInvalidSpace;
 
   /// Execution-time estimate the scheduler charged to the assigned worker's
   /// busy time; subtracted back on completion (versioning scheduler).

@@ -8,6 +8,7 @@
 // in our API, the same access list shape, supplied per task instance.
 #pragma once
 
+#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,7 +68,10 @@ class VersionRegistry {
   };
 
   std::vector<TypeInfo> types_;
-  std::vector<TaskVersion> versions_;
+  /// Deque: a thread-backend worker looks a version up under the runtime
+  /// lock and runs it after releasing that lock, so registering another
+  /// version meanwhile must not move existing ones.
+  std::deque<TaskVersion> versions_;
 };
 
 }  // namespace versa

@@ -26,7 +26,6 @@
 
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 
 #include "util/lock_order.h"
 
@@ -43,10 +42,6 @@
 #define VERSA_PT_GUARDED_BY(x) VERSA_TSA_ATTR__(pt_guarded_by(x))
 #define VERSA_ACQUIRE(...) VERSA_TSA_ATTR__(acquire_capability(__VA_ARGS__))
 #define VERSA_RELEASE(...) VERSA_TSA_ATTR__(release_capability(__VA_ARGS__))
-#define VERSA_ACQUIRE_SHARED(...) \
-  VERSA_TSA_ATTR__(acquire_shared_capability(__VA_ARGS__))
-#define VERSA_RELEASE_SHARED(...) \
-  VERSA_TSA_ATTR__(release_shared_capability(__VA_ARGS__))
 #define VERSA_TRY_ACQUIRE(...) \
   VERSA_TSA_ATTR__(try_acquire_capability(__VA_ARGS__))
 #define VERSA_REQUIRES(...) VERSA_TSA_ATTR__(requires_capability(__VA_ARGS__))
@@ -124,64 +119,6 @@ class VERSA_CAPABILITY("mutex") RecursiveMutex {
   const lock_order::LockClass* cls_;
 };
 
-/// Reader-writer mutex with a named lock class. Exclusive holders get the
-/// full capability; shared holders get the read-side capability (the
-/// analysis permits only const access to fields GUARDED_BY it). The
-/// lock-order checker records shared and exclusive acquisitions alike —
-/// rank discipline is about *what a thread waits on*, which is identical
-/// for both modes.
-class VERSA_CAPABILITY("mutex") SharedMutex {
- public:
-  using native_type = std::shared_mutex;
-
-  explicit SharedMutex(const lock_order::LockClass& cls) : cls_(&cls) {}
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() VERSA_ACQUIRE() {
-    lock_order::on_acquire(*cls_);
-    m_.lock();
-  }
-  void unlock() VERSA_RELEASE() {
-    m_.unlock();
-    lock_order::on_release(*cls_);
-  }
-  void lock_shared() VERSA_ACQUIRE_SHARED() {
-    lock_order::on_acquire(*cls_);
-    m_.lock_shared();
-  }
-  void unlock_shared() VERSA_RELEASE_SHARED() {
-    m_.unlock_shared();
-    lock_order::on_release(*cls_);
-  }
-
-  void assert_held() const VERSA_ASSERT_CAPABILITY(this) {
-    lock_order::assert_holds(*cls_);
-  }
-
-  const lock_order::LockClass& lock_class() const { return *cls_; }
-  native_type& native_handle() { return m_; }
-
- private:
-  native_type m_;
-  const lock_order::LockClass* cls_;
-};
-
-/// Scoped shared (reader) lock on a SharedMutex.
-class VERSA_SCOPED_CAPABILITY SharedLockGuard {
- public:
-  explicit SharedLockGuard(SharedMutex& m) VERSA_ACQUIRE_SHARED(m) : m_(m) {
-    m_.lock_shared();
-  }
-  ~SharedLockGuard() VERSA_RELEASE() { m_.unlock_shared(); }
-
-  SharedLockGuard(const SharedLockGuard&) = delete;
-  SharedLockGuard& operator=(const SharedLockGuard&) = delete;
-
- private:
-  SharedMutex& m_;
-};
-
 /// Scoped lock (std::lock_guard analogue) for either wrapper.
 template <typename MutexT>
 class VERSA_SCOPED_CAPABILITY BasicLockGuard {
@@ -227,7 +164,6 @@ class VERSA_SCOPED_CAPABILITY BasicUniqueLock {
 
 using LockGuard = BasicLockGuard<Mutex>;
 using RecursiveLockGuard = BasicLockGuard<RecursiveMutex>;
-using SharedMutexExclusiveGuard = BasicLockGuard<SharedMutex>;
 using UniqueLock = BasicUniqueLock<Mutex>;
 using RecursiveUniqueLock = BasicUniqueLock<RecursiveMutex>;
 

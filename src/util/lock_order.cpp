@@ -15,17 +15,12 @@ const LockClass kLockRankRuntime = {"runtime", 10, /*reentrant=*/true};
 const LockClass kLockRankSanitizerShard = {"sanitizer.shard", 11};
 const LockClass kLockRankSanitizerClock = {"sanitizer.clock", 12};
 const LockClass kLockRankData = {"data", 13};
-const LockClass kLockRankDataShard = {"data.shard", 14};
 const LockClass kLockRankSanitizerState = {"sanitizer.state", 15};
-// Reentrant: a task spanning several analyzer shards acquires them in
-// ascending shard-index order; the checker sees same-class nesting.
-const LockClass kLockRankAnalyzerShard = {"analyzer.shard", 16,
-                                          /*reentrant=*/true};
+const LockClass kLockRankAnalyzer = {"analyzer", 16};
 const LockClass kLockRankSubmit = {"sched.submit", 17};
 const LockClass kLockRankAccount = {"sched.account", 20};
 const LockClass kLockRankQueue = {"sched.queue", 30};
 const LockClass kLockRankTrace = {"trace", 40};
-const LockClass kLockRankExecPrefetch = {"exec.prefetch", 44};
 const LockClass kLockRankExecWake = {"exec.wake", 50};
 
 namespace {

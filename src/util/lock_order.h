@@ -40,15 +40,13 @@ extern const LockClass kLockRankProfileCache; ///< rank 8: SharedProfileCache
 extern const LockClass kLockRankRuntime;      ///< rank 10: Runtime::mutex_
 extern const LockClass kLockRankSanitizerShard; ///< rank 11: AccessSanitizer shadow-map shards
 extern const LockClass kLockRankSanitizerClock; ///< rank 12: AccessSanitizer clock table
-extern const LockClass kLockRankData;         ///< rank 13: DataDirectory writer / TransferEngine state
-extern const LockClass kLockRankDataShard;    ///< rank 14: DataDirectory region shards
+extern const LockClass kLockRankData;         ///< rank 13: DataDirectory / TransferEngine state
 extern const LockClass kLockRankSanitizerState; ///< rank 15: AccessSanitizer witness/violation state
-extern const LockClass kLockRankAnalyzerShard; ///< rank 16: DependencyAnalyzer region shards (reentrant: multi-shard tasks lock ascending shard index)
+extern const LockClass kLockRankAnalyzer;     ///< rank 16: DependencyAnalyzer interval maps
 extern const LockClass kLockRankSubmit;       ///< rank 17: per-worker submission buffers
 extern const LockClass kLockRankAccount;      ///< rank 20: QueueScheduler account/index
 extern const LockClass kLockRankQueue;        ///< rank 30: per-worker queue shards
 extern const LockClass kLockRankTrace;        ///< rank 40: DecisionTrace ring
-extern const LockClass kLockRankExecPrefetch; ///< rank 44: ThreadExecutor prefetch intents
 extern const LockClass kLockRankExecWake;     ///< rank 50: ThreadExecutor wake epoch
 
 /// Record an acquisition of `cls` by the calling thread, reporting a

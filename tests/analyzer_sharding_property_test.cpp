@@ -1,15 +1,14 @@
-// Property tests for the sharded DependencyAnalyzer (CI thread-sanitizer
-// job, run there with VERSA_LOCK_ORDER=1): producers registering tasks
-// over disjoint region sets from concurrent threads must compute exactly
-// the predecessor sets a single-threaded serial replay computes, with the
-// lock-order checker enforced (multi-shard tasks lock analyzer.shard
-// mutexes in ascending index order; the counting handler fails the test
-// on any inversion).
+// Property tests for the DependencyAnalyzer under concurrent producers (CI
+// thread-sanitizer job, run there with VERSA_LOCK_ORDER=1): producers
+// registering tasks over disjoint region sets from concurrent threads must
+// compute exactly the predecessor sets a single-threaded serial replay
+// computes, with the lock-order checker enforced (the counting handler
+// fails the test on any inversion of the `analyzer` class).
 //
 // Two layers are pinned down:
 //  * Unit — 20 random programs, each registered by 4 concurrent producer
-//    threads (disjoint region ownership, shard sets overlapping across
-//    producers), compared task-by-task against a serial oracle replay.
+//    threads (disjoint region ownership), compared task-by-task against
+//    a serial oracle replay.
 //  * End-to-end — a dependence-heavy chain program runs through the full
 //    Runtime on BOTH backends; a reordered pair anywhere would break the
 //    non-commutative arithmetic the chains compute.
@@ -46,7 +45,7 @@ class LockOrderGuard {
   }
   ~LockOrderGuard() {
     EXPECT_EQ(g_violations.load(std::memory_order_relaxed), 0)
-        << "lock-order violations in the sharded analyzer";
+        << "lock-order violations in the analyzer";
     lock_order::set_violation_handler(previous_);
     lock_order::set_enforced(was_enforced_);
   }
@@ -68,9 +67,8 @@ struct ProgramTask {
 };
 
 /// Random program for producer `p`: tasks over the producer's private
-/// region set {p*K .. p*K+K-1}. Consecutive producers' regions land on
-/// overlapping *shards* (region % 8), so the concurrent run contends on
-/// shard mutexes even though the region chains are disjoint.
+/// region set {p*K .. p*K+K-1}. The region chains are disjoint, so the
+/// producers contend only on the analyzer mutex.
 std::vector<ProgramTask> make_program(std::uint64_t seed, int p) {
   Rng rng(seed * 131u + static_cast<std::uint64_t>(p));
   std::vector<ProgramTask> program;
@@ -156,7 +154,7 @@ TEST(AnalyzerSharding, ClearRegionAndResetDropOnlyTheirState) {
   LockOrderGuard lock_order_guard;
   DependencyAnalyzer analyzer;
   std::vector<TaskId> preds;
-  // Two regions on different shards, one task each.
+  // Two regions, one task each.
   analyzer.add_task(1, {Access{0, AccessMode::kInOut, 0, 64}}, preds);
   analyzer.add_task(2, {Access{3, AccessMode::kInOut, 0, 64}}, preds);
   EXPECT_EQ(analyzer.interval_count(), 2u);
@@ -170,10 +168,9 @@ TEST(AnalyzerSharding, ClearRegionAndResetDropOnlyTheirState) {
   EXPECT_EQ(analyzer.interval_count(), 0u);
 }
 
-/// End-to-end dependence order through the sharded analyzer on one
-/// backend: 16 independent chains of non-commutative updates (x -> 2x+1)
-/// whose regions spread over every analyzer shard, plus cross-chain
-/// readers between links. Any pair executed out of dependence order
+/// End-to-end dependence order through the analyzer on one backend: 16
+/// independent chains of non-commutative updates (x -> 2x+1), plus
+/// cross-chain readers between links. Any pair executed out of dependence order
 /// produces a wrong chain value.
 void run_chain_program(Backend backend) {
   const Machine machine = make_smp_machine(4);
@@ -203,7 +200,7 @@ void run_chain_program(Backend backend) {
     for (int c = 0; c < kChains; ++c) {
       rt.submit(step, {Access::inout(regions[static_cast<std::size_t>(c)])});
       // Cross-chain reader: depends on this chain's latest link and the
-      // neighbour chain's, widening tasks across shard boundaries.
+      // neighbour chain's, widening tasks across chains.
       rt.submit(observe,
                 {Access::in(regions[static_cast<std::size_t>(c)]),
                  Access::in(regions[static_cast<std::size_t>(

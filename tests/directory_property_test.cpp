@@ -172,7 +172,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DirectoryPropertyTest,
 // after some *prefix* of the plan — and because both pair members are
 // acquired together, every prefix state prices the pair as 0 or its full
 // size. Observing half the pair means a read linearized inside an
-// acquire, which the epoch protocol forbids. The final state must equal
+// acquire, which the directory mutex forbids. The final state must equal
 // the serial oracle replay of the full plan, pinning down that the
 // concurrent run linearized to the plan order itself.
 class DirectoryLinearizationTest
@@ -263,109 +263,6 @@ TEST_P(DirectoryLinearizationTest, ReadsLinearizeAgainstPairedAcquires) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DirectoryLinearizationTest,
                          ::testing::Values(11u, 22u, 33u));
-
-// Per-shard epoch protocol: uncapped spaces route acquires through the
-// parallel mutator path (shared directory lock + shard marks only), so
-// two writers over disjoint cross-shard pairs commit truly concurrently.
-// Readers must still never see half a pair, each writer's shard set must
-// advance its shard_epoch() aggregate, and — the per-shard payoff — a
-// mutator must NOT move the epochs of shards it never touched (the old
-// global counter moved for everyone).
-class DirectoryShardEpochTest : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(DirectoryShardEpochTest, ParallelMutatorsAdvanceOnlyTheirShards) {
-  Machine::Builder builder;
-  const SpaceId g0 = builder.add_space("g0", 0);  // capacity 0 = parallel path
-  const SpaceId g1 = builder.add_space("g1", 0);
-  const DeviceId d0 = builder.add_device(DeviceKind::kCuda, g0, "a", 1);
-  const DeviceId d1 = builder.add_device(DeviceKind::kCuda, g1, "b", 1);
-  builder.add_worker(d0);
-  builder.add_worker(d1);
-  builder.add_bidi_link(kHostSpace, g0, 1e9, 0.0);
-  builder.add_bidi_link(kHostSpace, g1, 1e9, 0.0);
-  builder.add_bidi_link(g0, g1, 1e9, 0.0);
-  const Machine machine = builder.build();
-
-  DataDirectory directory(machine);
-  constexpr std::uint64_t kBytes = 512;
-  // Sequential registration gives region ids 0..3, i.e. shards 0..3: each
-  // writer's pair spans two shards and the two pairs' shard sets are
-  // disjoint.
-  const RegionId a0 = directory.register_region("a0", kBytes);
-  const RegionId a1 = directory.register_region("a1", kBytes);
-  const RegionId b0 = directory.register_region("b0", kBytes);
-  const RegionId b1 = directory.register_region("b1", kBytes);
-  const AccessList pair_a = {Access::inout(a0), Access::inout(b0)};
-  const AccessList pair_b = {Access::inout(a1), Access::inout(b1)};
-  const std::uint64_t mask_a = DataDirectory::shard_mask(pair_a);
-  const std::uint64_t mask_b = DataDirectory::shard_mask(pair_b);
-  ASSERT_EQ(mask_a & mask_b, 0u) << "pairs must live on disjoint shards";
-
-  // Isolation: a serial acquire over pair A moves A's shard aggregate and
-  // leaves B's untouched.
-  {
-    const std::uint64_t before_a = directory.shard_epoch(mask_a);
-    const std::uint64_t before_b = directory.shard_epoch(mask_b);
-    TransferList ops;
-    directory.acquire(pair_a, g0, ops);
-    EXPECT_GT(directory.shard_epoch(mask_a), before_a);
-    EXPECT_EQ(directory.shard_epoch(mask_b), before_b);
-  }
-
-  const std::uint64_t epoch_a_start = directory.shard_epoch(mask_a);
-  const std::uint64_t epoch_b_start = directory.shard_epoch(mask_b);
-  const std::uint64_t folded_start = directory.mutation_epoch();
-
-  constexpr int kSteps = 300;
-  std::atomic<bool> stop{false};
-  std::atomic<long> torn{0};
-  std::vector<std::thread> threads;
-  for (int w = 0; w < 2; ++w) {
-    const AccessList& accesses = w == 0 ? pair_a : pair_b;
-    threads.emplace_back([&directory, &accesses, w, seed = GetParam()] {
-      Rng writer_rng(seed * 7u + static_cast<std::uint64_t>(w));
-      for (int i = 0; i < kSteps; ++i) {
-        const SpaceId space = writer_rng.next_below(2) == 0 ? 1 : 2;
-        TransferList ops;
-        directory.acquire(accesses, space, ops);
-      }
-    });
-  }
-  threads.emplace_back([&] {
-    Rng reader_rng(GetParam() ^ 0x5a5au);
-    while (!stop.load(std::memory_order_acquire)) {
-      const AccessList& probe = reader_rng.next_below(2) == 0 ? pair_a
-                                                              : pair_b;
-      const SpaceId s =
-          static_cast<SpaceId>(reader_rng.next_below(machine.space_count()));
-      const std::uint64_t valid = directory.bytes_valid(probe, s);
-      if (valid != 0 && valid != 2 * kBytes) {
-        torn.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  });
-  threads[0].join();
-  threads[1].join();
-  stop.store(true, std::memory_order_release);
-  threads[2].join();
-
-  EXPECT_EQ(torn.load(), 0);
-  // Both writers' shard sets moved; the folded legacy counter is the sum
-  // of the per-shard movement (no exclusive mutator ran concurrently).
-  const std::uint64_t delta_a = directory.shard_epoch(mask_a) - epoch_a_start;
-  const std::uint64_t delta_b = directory.shard_epoch(mask_b) - epoch_b_start;
-  EXPECT_GE(delta_a, 2u * kSteps);  // begin+end mark per acquire, at least
-  EXPECT_GE(delta_b, 2u * kSteps);
-  EXPECT_EQ(directory.mutation_epoch() - folded_start, delta_a + delta_b);
-  // Every shard neither pair touches never moved.
-  const std::uint64_t untouched = ~(mask_a | mask_b) &
-                                  ((1u << DataDirectory::kShardCount) - 1u);
-  EXPECT_EQ(directory.shard_epoch(untouched), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DirectoryShardEpochTest,
-                         ::testing::Values(7u, 77u, 777u));
 
 }  // namespace
 }  // namespace versa

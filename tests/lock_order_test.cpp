@@ -123,18 +123,39 @@ TEST_F(LockOrderTest, NonReentrantSelfNestingIsReported) {
 }
 
 TEST_F(LockOrderTest, RepoHierarchyAcquiresInDocumentedOrder) {
-  // The documented repo order: runtime -> account -> queue -> trace -> wake.
+  // The documented repo order (DESIGN.md §9), all 14 classes, outermost
+  // first: nesting every one of them in rank order is clean, and only the
+  // runtime class may re-enter itself.
+  Mutex tenant(lock_order::kLockRankTenant);
+  Mutex service_graph(lock_order::kLockRankServiceGraph);
+  Mutex profile(lock_order::kLockRankProfileCache);
   RecursiveMutex runtime(lock_order::kLockRankRuntime);
+  Mutex sanitizer_shard(lock_order::kLockRankSanitizerShard);
+  Mutex sanitizer_clock(lock_order::kLockRankSanitizerClock);
+  Mutex data(lock_order::kLockRankData);
+  Mutex sanitizer_state(lock_order::kLockRankSanitizerState);
+  Mutex analyzer(lock_order::kLockRankAnalyzer);
+  Mutex submit(lock_order::kLockRankSubmit);
   Mutex account(lock_order::kLockRankAccount);
   Mutex queue(lock_order::kLockRankQueue);
   Mutex trace(lock_order::kLockRankTrace);
   Mutex wake(lock_order::kLockRankExecWake);
-  RecursiveLockGuard l0(runtime);
-  RecursiveLockGuard l0again(runtime);  // the runtime lock is recursive
-  LockGuard l1(account);
-  LockGuard l2(queue);
-  LockGuard l3(trace);
-  LockGuard l4(wake);
+  LockGuard l0(tenant);
+  LockGuard l1(service_graph);
+  LockGuard l2(profile);
+  RecursiveLockGuard l3(runtime);
+  RecursiveLockGuard l3again(runtime);  // the runtime lock is recursive
+  LockGuard l4(sanitizer_shard);
+  LockGuard l5(sanitizer_clock);
+  LockGuard l6(data);
+  LockGuard l7(sanitizer_state);
+  LockGuard l8(analyzer);
+  LockGuard l9(submit);
+  LockGuard l10(account);
+  LockGuard l11(queue);
+  LockGuard l12(trace);
+  LockGuard l13(wake);
+  EXPECT_EQ(lock_order::held_depth(), 15u);
   EXPECT_TRUE(g_captured.empty()) << g_captured;
 }
 

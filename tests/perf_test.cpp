@@ -273,7 +273,7 @@ TEST(TraceReport, V3GranularityColumnsRoundTripAndAggregate) {
   trace.record(e);
 
   const std::string csv = sched_trace_csv(trace, "versioning");
-  EXPECT_NE(csv.find("# versa-sched-trace v4"), std::string::npos);
+  EXPECT_NE(csv.find("# versa-sched-trace v5"), std::string::npos);
   std::istringstream in(csv);
   SchedTraceDump dump;
   std::string error;
@@ -307,69 +307,8 @@ TEST(TraceReport, V3GranularityColumnsRoundTripAndAggregate) {
   EXPECT_NE(rendered.find("4096"), std::string::npos);
 }
 
-TEST(TraceReport, V4PrefetchKindsRoundTripAndReport) {
-  // Placement-time/dequeue-fallback/stale prefetch events carry the staged
-  // byte count in `group`; the analyzer folds them into the effectiveness
-  // counters and the renderer shows a prefetch section.
-  core::DecisionTrace trace;
-  trace.enable(16);
-  core::TraceEvent e;
-  e.time = 1.0;
-  e.task = 1;
-  e.type = 5;
-  e.worker = 0;
-  e.kind = core::TraceEventKind::kPrefetchPlaced;
-  e.group = 4096;
-  trace.record(e);
-  e.time = 2.0;
-  e.task = 2;
-  e.kind = core::TraceEventKind::kPrefetchPlaced;
-  e.group = 1024;
-  trace.record(e);
-  e.time = 3.0;
-  e.task = 3;
-  e.kind = core::TraceEventKind::kPrefetchDequeue;
-  e.group = 512;
-  trace.record(e);
-  e.time = 4.0;
-  e.task = 4;
-  e.kind = core::TraceEventKind::kPrefetchStale;
-  e.group = 0;
-  trace.record(e);
-
-  const std::string csv = sched_trace_csv(trace, "versioning");
-  EXPECT_NE(csv.find(",prefetch,"), std::string::npos);
-  EXPECT_NE(csv.find(",prefetch-pop,"), std::string::npos);
-  EXPECT_NE(csv.find(",prefetch-stale,"), std::string::npos);
-  std::istringstream in(csv);
-  SchedTraceDump dump;
-  std::string error;
-  ASSERT_TRUE(parse_sched_trace_csv(in, dump, error)) << error;
-  ASSERT_EQ(dump.events.size(), 4u);
-  EXPECT_EQ(dump.events[0].kind, core::TraceEventKind::kPrefetchPlaced);
-  EXPECT_EQ(dump.events[0].group, 4096u);
-  EXPECT_EQ(dump.events[2].kind, core::TraceEventKind::kPrefetchDequeue);
-  EXPECT_EQ(dump.events[3].kind, core::TraceEventKind::kPrefetchStale);
-
-  const TraceReport report = analyze_sched_trace(dump);
-  EXPECT_EQ(report.prefetch_placed, 2u);
-  EXPECT_EQ(report.prefetch_dequeue, 1u);
-  EXPECT_EQ(report.prefetch_stale, 1u);
-  EXPECT_EQ(report.prefetch_bytes, 4096u + 1024u + 512u);
-  EXPECT_DOUBLE_EQ(report.prefetch_placement_share, 0.5);
-  EXPECT_DOUBLE_EQ(report.prefetch_claim_share, 0.75);
-
-  const std::string rendered = render_trace_report(dump, report);
-  EXPECT_NE(
-      rendered.find("prefetch: 2 placement-time + 1 dequeue-fallback claims"),
-      std::string::npos);
-  EXPECT_NE(rendered.find("prefetch bytes overlapped: 5632"),
-            std::string::npos);
-}
-
 TEST(TraceReport, LegacyV3FilesStillParse) {
-  // v3 files (13 fields, granularity columns, no prefetch kinds) must keep
-  // parsing with the prefetch counters zeroed and no prefetch section.
+  // v3 files already wrote today's 13-column layout, so they parse as is.
   const std::string v3 =
       "# versa-sched-trace v3\n"
       "# policy=versioning\n"
@@ -384,12 +323,10 @@ TEST(TraceReport, LegacyV3FilesStillParse) {
   EXPECT_TRUE(dump.has_granularity_columns);
   ASSERT_EQ(dump.events.size(), 1u);
   EXPECT_EQ(dump.events[0].kind, core::TraceEventKind::kSplit);
+  EXPECT_EQ(dump.events[0].group, 4096u);
+  EXPECT_EQ(dump.events[0].children, 4u);
   const TraceReport report = analyze_sched_trace(dump);
-  EXPECT_EQ(report.prefetch_placed + report.prefetch_dequeue +
-                report.prefetch_stale,
-            0u);
-  const std::string rendered = render_trace_report(dump, report);
-  EXPECT_EQ(rendered.find("prefetch:"), std::string::npos);
+  EXPECT_EQ(report.splits, 1u);
 }
 
 TEST(TraceReport, LegacyV1AndV2FilesStillParse) {
@@ -466,7 +403,7 @@ TEST(TraceReport, ParserRejectsMalformedInput) {
 }
 
 TEST(TraceReport, TruncatedRowsAreRejectedAtEveryPrefix) {
-  // Chop a valid v4 row after the header at every byte length: the parser
+  // Chop a valid v5 row after the header at every byte length: the parser
   // must reject every strict prefix — with exactly three survivors: the
   // full row, and the two prefixes that end exactly on the v1 (10-field)
   // and v2 (11-field) boundaries, which ARE valid older-version rows (the
@@ -474,7 +411,7 @@ TEST(TraceReport, TruncatedRowsAreRejectedAtEveryPrefix) {
   const std::string header =
       "time,kind,task,type,version,worker,busy,estimate,penalty,candidates,"
       "tenant,group,children\n";
-  const std::string row = "1.5,prefetch,7,2,3,1,0.5,0.25,0.125,6,0,4096,0";
+  const std::string row = "1.5,split,7,2,3,1,0.5,0.25,0.125,6,0,4096,4";
   std::vector<std::size_t> comma_at;
   for (std::size_t i = 0; i < row.size(); ++i) {
     if (row[i] == ',') comma_at.push_back(i);
@@ -513,7 +450,7 @@ TEST(TraceReport, UnknownKindVariantsAreRejected) {
   // whitespace must all fail — the kind match is exact.
   for (const std::string kind :
        {"Place", "PLACE", "pla", "placed", "steal ", " steal", "complete",
-        "prefetch-", "done2", ""}) {
+        "prefetch", "prefetch-", "done2", ""}) {
     std::istringstream in(header + "1.0," + kind + ",1,2,3,0,0.0,0.0,0.0,1\n");
     SchedTraceDump dump;
     std::string error;
@@ -523,11 +460,11 @@ TEST(TraceReport, UnknownKindVariantsAreRejected) {
 }
 
 TEST(TraceReport, MixedVersionRowsInOneFileParse) {
-  // A concatenation of v1 (10 fields), v2 (11) and v4 (13) rows under one
+  // A concatenation of v1 (10 fields), v2 (11) and v5 (13) rows under one
   // header: each row parses with its own defaults, and the dump flags
   // every column set that appeared anywhere in the file.
   std::istringstream in(
-      "# versa-sched-trace v4\n"
+      "# versa-sched-trace v5\n"
       "# policy=versioning\n"
       "time,kind,task,type,version,worker,busy,estimate,penalty,candidates,"
       "tenant,group,children\n"
@@ -546,7 +483,7 @@ TEST(TraceReport, MixedVersionRowsInOneFileParse) {
   // v2 row: tenant carried, granularity defaulted.
   EXPECT_EQ(dump.events[1].tenant, 4u);
   EXPECT_EQ(dump.events[1].children, 0u);
-  // v4 row: everything carried.
+  // v5 row: everything carried.
   EXPECT_EQ(dump.events[2].group, 65536u);
   EXPECT_EQ(dump.events[2].children, 4u);
   const TraceReport report = analyze_sched_trace(dump);
@@ -556,7 +493,7 @@ TEST(TraceReport, MixedVersionRowsInOneFileParse) {
 }
 
 TEST(TraceReport, TwelveFieldRowsAreRejected) {
-  // 12 fields sits between the known widths (11 and 13): a v3/v4 row that
+  // 12 fields sits between the known widths (11 and 13): a 13-field row that
   // lost one column must fail loudly, not parse with a shifted field.
   std::istringstream in(
       "time,kind,task,type,version,worker,busy,estimate,penalty,candidates,"
@@ -574,7 +511,7 @@ TEST(TraceReport, DeterministicMutationFuzzNeverCrashes) {
   // parse or fail with a diagnostic — no crashes, no hangs, and a failed
   // parse always names a line. The seed is fixed so a regression replays.
   const std::string valid =
-      "# versa-sched-trace v4\n"
+      "# versa-sched-trace v5\n"
       "# policy=fifo\n"
       "# recorded=4 dropped=0 capacity=8\n"
       "time,kind,task,type,version,worker,busy,estimate,penalty,candidates,"
@@ -582,7 +519,7 @@ TEST(TraceReport, DeterministicMutationFuzzNeverCrashes) {
       "1.0,learn,1,0,1,0,0.5,0.25,0.125,3,0,0,0\n"
       "2.0,place,2,1,2,1,0.5,0.25,0.125,3,0,0,0\n"
       "3.0,done,1,0,1,0,0.0,0.0,0.0,0,0,0,0\n"
-      "4.0,prefetch-pop,2,1,2,1,0.0,0.0,0.0,0,0,512,0\n";
+      "4.0,split,2,1,2,1,0.0,0.0,0.0,0,0,512,2\n";
   const std::string alphabet = "0123456789,.-azZ \n#";
   Rng rng(20260809);
   int parsed_count = 0;

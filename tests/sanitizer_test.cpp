@@ -4,9 +4,11 @@
 // CSV round-trips, and end-to-end catches on both backends.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "apps/matmul.h"
@@ -302,8 +304,14 @@ TEST(SanitizerRuntime, OffAllocatesNothing) {
 
 struct BackendCase {
   Backend backend;
+  // gtest names each instance after a byte dump of its parameter. Spelling
+  // the padding out as zeroed bytes keeps that name the same from build to
+  // build instead of exposing whatever the allocator left there.
+  std::uint8_t zero_padding[8 - sizeof(Backend)] = {};
   const char* name;
 };
+static_assert(std::has_unique_object_representations_v<BackendCase>,
+              "BackendCase must have no padding bytes");
 
 class SanitizerBackendTest : public ::testing::TestWithParam<BackendCase> {};
 
@@ -438,9 +446,9 @@ TEST_P(SanitizerBackendTest, UnwitnessedBodiesAreSkipped) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, SanitizerBackendTest,
-                         ::testing::Values(BackendCase{Backend::kSim, "sim"},
-                                           BackendCase{Backend::kThreads,
-                                                       "threads"}),
+                         ::testing::Values(
+                             BackendCase{Backend::kSim, {}, "sim"},
+                             BackendCase{Backend::kThreads, {}, "threads"}),
                          [](const auto& info) {
                            return std::string(info.param.name);
                          });

@@ -13,6 +13,10 @@
 // with weights 1:2:3 all fully backlogged behind a small dispatch window;
 // over a mid-stream sample of task starts, every tenant's share must stay
 // within 2x of its weight share.
+//
+// PerGraphRegionsRetireOnlyAfterTheirAcquires churns per-graph regions
+// through register/submit/wait/unregister so that data staging races
+// graph retirement (the directory aborts on an unregistered region).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -129,6 +133,91 @@ INSTANTIATE_TEST_SUITE_P(Backends, ServiceStormTest,
                            return info.param == Backend::kSim ? "sim"
                                                               : "threads";
                          });
+
+// Per-graph region churn on the thread backend, shaped like the
+// `service-churn` benchmark workload: 2 SMP workers, 2 client threads, and
+// graphs whose regions are registered by submit and unregistered the
+// moment wait returns. Every directory acquire of a graph's tasks must
+// land before the graph retires: an acquire that trails the task it
+// stages (or outlives its graph) aborts on the unregistered region.
+// Spinning bystander threads oversubscribe the host so runtime threads
+// get preempted mid-protocol, which is what opens such a window.
+TEST(ServiceChurn, PerGraphRegionsRetireOnlyAfterTheirAcquires) {
+  constexpr int kClients = 2;
+  constexpr int kRoundsPerClient = 2000;
+  constexpr int kBystanders = 4;
+
+  const Machine machine = make_smp_machine(2);
+  VersaServiceConfig config;
+  config.runtime.backend = Backend::kThreads;
+  VersaService svc(machine, config);
+  std::atomic<std::uint64_t> executed{0};
+  const TaskTypeId type = svc.runtime().declare_task("churn");
+  svc.runtime().add_version(type, DeviceKind::kSmp, "smp",
+                            [&executed](TaskContext&) {
+                              executed.fetch_add(1, std::memory_order_relaxed);
+                            });
+
+  // A 4-task inout chain on one region, and a fan-out/fan-in over six.
+  const GraphSpec chain = chain_spec(type, 4);
+  GraphSpec fan;
+  fan.regions.push_back({"src", 1024});
+  for (int i = 0; i < 4; ++i) {
+    fan.regions.push_back({"part" + std::to_string(i), 1024});
+  }
+  fan.regions.push_back({"sink", 1024});
+  fan.tasks.push_back({type, {{0, AccessMode::kOut}}, 0, {}});
+  for (std::size_t i = 1; i <= 4; ++i) {
+    fan.tasks.push_back(
+        {type, {{0, AccessMode::kIn}, {i, AccessMode::kOut}}, 0, {}});
+  }
+  fan.tasks.push_back({type,
+                       {{1, AccessMode::kIn},
+                        {2, AccessMode::kIn},
+                        {3, AccessMode::kIn},
+                        {4, AccessMode::kIn},
+                        {5, AccessMode::kOut}},
+                       0,
+                       {}});
+
+  std::vector<Session> sessions;
+  for (int c = 0; c < kClients; ++c) {
+    sessions.push_back(svc.open_session("tenant" + std::to_string(c), {}));
+  }
+  std::atomic<bool> done{false};
+  std::vector<std::thread> bystanders;
+  for (int b = 0; b < kBystanders; ++b) {
+    bystanders.emplace_back([&done] {
+      while (!done.load(std::memory_order_relaxed)) {
+      }
+    });
+  }
+  std::atomic<std::uint64_t> admitted_tasks{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      Session& session = sessions[static_cast<std::size_t>(c)];
+      for (int r = 0; r < kRoundsPerClient; ++r) {
+        const GraphSpec& spec = (r + c) % 2 == 0 ? chain : fan;
+        const SubmitResult result = session.submit(spec);
+        ASSERT_TRUE(result.admitted()) << result.rejected.detail;
+        admitted_tasks.fetch_add(spec.tasks.size(), std::memory_order_relaxed);
+        session.wait(result.graph);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  done.store(true, std::memory_order_relaxed);
+  for (std::thread& t : bystanders) t.join();
+
+  EXPECT_EQ(executed.load(), admitted_tasks.load());
+  EXPECT_EQ(svc.runtime().data_directory().live_region_count(), 0u);
+  for (Session& session : sessions) {
+    const TenantStats stats = session.stats();
+    EXPECT_EQ(stats.completed_graphs, stats.admitted_graphs);
+    EXPECT_EQ(stats.in_flight_tasks, 0u);
+  }
+}
 
 TEST(ServiceFairShare, FairShareHoldsUnderBacklog) {
   constexpr int kGraphsPerTenant = 40;

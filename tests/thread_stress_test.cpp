@@ -200,14 +200,13 @@ void count_violation(const char* /*report*/) {
   g_lock_order_violations.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// Prefetch storm on a heterogeneous node: SMP + GPU workers, so queued
-/// tasks trigger the executor's prefetch-intent path and the directory
-/// stages real cross-space transfers off the runtime lock, concurrently
-/// with the executing workers' own acquires (the Task::acquired_space
-/// CAS arbitration). Run with the lock-order checker enforced: any
-/// acquisition inverting the documented ranks fails the test, TSan or no
-/// TSan.
-void run_prefetch_storm(const std::string& scheduler) {
+/// Concurrent worker acquires on a heterogeneous node: SMP + GPU workers,
+/// so each executing worker stages real cross-space transfers into its own
+/// space off the runtime lock, concurrently with the other workers' acquires
+/// and with placement-time directory pricing. Run with the lock-order
+/// checker enforced: any acquisition inverting the documented ranks fails
+/// the test, TSan or no TSan.
+void run_worker_acquire_storm(const std::string& scheduler) {
   const bool was_enforced = lock_order::enforced();
   lock_order::ViolationHandler previous =
       lock_order::set_violation_handler(count_violation);
@@ -221,11 +220,11 @@ void run_prefetch_storm(const std::string& scheduler) {
     Runtime rt(machine, config);
 
     std::atomic<long> executed{0};
-    const TaskTypeId type = rt.declare_task("prefetch_storm");
+    const TaskTypeId type = rt.declare_task("acquire_storm");
     // SMP version first = main version, so the baseline policies (which
     // ignore `implements`) stay runnable; the versioning family also
     // samples the CUDA version, spreading the storm across both memory
-    // spaces and keeping the prefetch drain staging device copies.
+    // spaces so GPU workers stage device copies.
     rt.add_version(type, DeviceKind::kSmp, "smp", [&](TaskContext&) {
       executed.fetch_add(1, std::memory_order_relaxed);
     });
@@ -250,8 +249,8 @@ void run_prefetch_storm(const std::string& scheduler) {
       producers.emplace_back([&, p] {
         for (int i = 0; i < kPerProducer; ++i) {
           // Rotate over the producer's regions: short dependence chains,
-          // so readiness trickles and the prefetch buffer drains while
-          // later placements are still being recorded.
+          // so readiness trickles and workers stage data while later
+          // placements are still pricing the same regions.
           const std::size_t base =
               static_cast<std::size_t>(p) * kRegionsPerProducer;
           const RegionId rw = regions[base + static_cast<std::size_t>(
@@ -296,78 +295,18 @@ void run_prefetch_storm(const std::string& scheduler) {
     }
   }
   EXPECT_EQ(g_lock_order_violations.load(std::memory_order_relaxed), 0)
-      << "lock-order violation under the " << scheduler << " prefetch storm";
+      << "lock-order violation under the " << scheduler
+      << " worker acquire storm";
   lock_order::set_violation_handler(previous);
   lock_order::set_enforced(was_enforced);
 }
 
-TEST(ThreadStress, PrefetchStormAllBusyTrackingPoliciesWithTransfers) {
+TEST(ThreadStress, ConcurrentWorkerAcquiresAcrossSmpAndGpuSpaces) {
   for (const char* policy : {"dep-aware", "affinity", "versioning",
                              "versioning-locality", "sufferage"}) {
     SCOPED_TRACE(policy);
-    run_prefetch_storm(policy);
+    run_worker_acquire_storm(policy);
   }
-}
-
-TEST(ThreadStress, PrefetchEmitsTraceEventsAndBudgetReconciles) {
-  // End-to-end check that the thread backend's prefetch path emits the v4
-  // trace kinds: with the decision trace on and a tight in-flight budget,
-  // cross-space traffic must record prefetch claims (placement-time or
-  // dequeue-fallback) and/or stale resolutions, and every claimed intent
-  // must be accounted exactly once (claims + stale == intents staged).
-  const Machine machine = make_minotauro_node(2, 2);
-  RuntimeConfig config;
-  config.backend = Backend::kThreads;
-  config.scheduler = "versioning";
-  config.sched_trace = true;
-  config.prefetch_budget = 64 * 1024;  // tight: forces the deferral path too
-  Runtime rt(machine, config);
-
-  std::atomic<long> executed{0};
-  const TaskTypeId type = rt.declare_task("prefetch_trace");
-  rt.add_version(type, DeviceKind::kSmp, "smp", [&](TaskContext&) {
-    executed.fetch_add(1, std::memory_order_relaxed);
-  });
-  rt.add_version(type, DeviceKind::kCuda, "cuda", [&](TaskContext&) {
-    executed.fetch_add(1, std::memory_order_relaxed);
-  });
-
-  std::vector<RegionId> regions;
-  for (int r = 0; r < 8; ++r) {
-    regions.push_back(rt.register_data("t" + std::to_string(r), 16 * 1024));
-  }
-  constexpr int kTasks = 160;
-  for (int i = 0; i < kTasks; ++i) {
-    const RegionId rw = regions[static_cast<std::size_t>(i) % regions.size()];
-    const RegionId ro =
-        regions[static_cast<std::size_t>(i + 3) % regions.size()];
-    rt.submit(type, {Access::inout(rw), Access::in(ro)});
-  }
-  rt.taskwait();
-  EXPECT_EQ(executed.load(), kTasks);
-
-  std::uint64_t placed = 0;
-  std::uint64_t dequeued = 0;
-  std::uint64_t stale = 0;
-  for (const core::TraceEvent& e : rt.scheduler().decision_trace().events()) {
-    switch (e.kind) {
-      case core::TraceEventKind::kPrefetchPlaced:
-        ++placed;
-        break;
-      case core::TraceEventKind::kPrefetchDequeue:
-        ++dequeued;
-        break;
-      case core::TraceEventKind::kPrefetchStale:
-        ++stale;
-        break;
-      default:
-        break;
-    }
-  }
-  // The storm crosses memory spaces, so the intent path must have fired
-  // and resolved every intent exactly one way.
-  EXPECT_GT(placed + dequeued + stale, 0u)
-      << "no prefetch trace events recorded";
 }
 
 TEST(ThreadStress, RepeatedRoundsReuseOneRuntime) {

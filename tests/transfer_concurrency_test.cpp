@@ -1,8 +1,8 @@
 // Concurrency tests for the off-runtime-lock data path, written for the
 // CI thread-sanitizer job (run there with VERSA_LOCK_ORDER=1): producer
 // threads mutate the coherence directory through acquire() while reader
-// threads price placements through the consistent-read queries, with the
-// lock-order checker enforced and a counting violation handler installed.
+// threads price placements through its queries, with the lock-order
+// checker enforced and a counting violation handler installed.
 //
 // Three guarantees are pinned down, beyond surviving TSan:
 //  * Consistency — a reader can never observe half of an acquire. Each
@@ -169,7 +169,7 @@ TEST(TransferConcurrency, ProducersAndReadersSeeConsistentSnapshots) {
           torn_missing.fetch_add(1, std::memory_order_relaxed);
         }
         // transfer_cost prices the missing bytes over the host->space
-        // link inside ONE consistent read; since the consistent missing
+        // link inside ONE directory read; since the consistent missing
         // count is 0 or kPairBytes, the cost must be 0 or the full-pair
         // price — a half-pair price is a torn snapshot. (Each query is
         // its own linearization point, so cost is checked against its own
@@ -181,8 +181,7 @@ TEST(TransferConcurrency, ProducersAndReadersSeeConsistentSnapshots) {
             (cost < 0.99 * full_pair || cost > 1.01 * full_pair)) {
           bad_cost.fetch_add(1, std::memory_order_relaxed);
         }
-        // Single-region reads take only the shard lock; exercise them in
-        // the same mix.
+        // Single-region reads; exercise them in the same mix.
         (void)directory.is_valid_in(pair.first, space);
         (void)directory.dirty_space(pair.second);
         reads_done.fetch_add(1, std::memory_order_relaxed);
@@ -229,67 +228,6 @@ TEST(TransferConcurrency, ProducersAndReadersSeeConsistentSnapshots) {
   EXPECT_EQ(concurrent.input_count, reference.input_count);
   EXPECT_EQ(concurrent.output_count, reference.output_count);
   EXPECT_EQ(concurrent.device_count, reference.device_count);
-}
-
-TEST(TransferConcurrency, WriterMutexFallbackIsCountedAndDoesNotStarve) {
-  LockOrderGuard lock_order_guard;
-  const Machine machine = make_two_gpu_machine();
-  DataDirectory directory(machine);
-
-  // Retries = 0 forces EVERY consistent read straight to the writer-mutex
-  // fallback. The fallback takes the directory mutex exclusively, which
-  // excludes the (shared-holding) parallel acquirers — so each read holds
-  // a stable snapshot and is guaranteed to terminate even under a
-  // continuous mutator barrage. The test pins both halves: the fallback
-  // is *counted* (transfer stats) and *non-starving* (all reads finish
-  // and still see untorn pair aggregates).
-  directory.set_consistent_read_retries(0);
-  ASSERT_EQ(directory.consistent_read_retries(), 0);
-
-  constexpr std::uint64_t kRegionBytes = 1 << 12;
-  constexpr std::uint64_t kPairBytes = 2 * kRegionBytes;
-  const RegionId a = directory.register_region("a", kRegionBytes);
-  const RegionId b = directory.register_region("b", kRegionBytes);
-  const std::vector<PlanStep> plan = make_plan(9000, 400,
-                                               machine.space_count());
-
-  std::atomic<long> torn{0};
-  std::atomic<long> reads_done{0};
-  std::thread producer([&] {
-    for (const PlanStep& step : plan) {
-      apply_step(directory, a, b, step);
-    }
-  });
-  constexpr int kReaders = 2;
-  constexpr int kReadsPerReader = 200;
-  std::vector<std::thread> readers;
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&, r] {
-      Rng rng(40u + static_cast<std::uint64_t>(r));
-      const AccessList probe = {Access::in(a), Access::in(b)};
-      // A fixed read count (not a stop flag): if the fallback could
-      // starve, this loop would hang and the test would time out.
-      for (int i = 0; i < kReadsPerReader; ++i) {
-        const SpaceId space =
-            static_cast<SpaceId>(rng.next_below(machine.space_count()));
-        const std::uint64_t valid = directory.bytes_valid(probe, space);
-        if (valid != 0 && valid != kPairBytes) {
-          torn.fetch_add(1, std::memory_order_relaxed);
-        }
-        reads_done.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  producer.join();
-  for (auto& t : readers) {
-    t.join();
-  }
-
-  EXPECT_EQ(torn.load(), 0);
-  EXPECT_EQ(reads_done.load(), kReaders * kReadsPerReader);
-  // Every read exhausted its (zero) retry budget before falling back.
-  EXPECT_GE(directory.stats().consistent_fallback_count,
-            static_cast<std::uint64_t>(kReaders * kReadsPerReader));
 }
 
 TEST(TransferConcurrency, ConcurrentFlushersAndAcquirersStayCoherent) {

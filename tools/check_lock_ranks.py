@@ -8,9 +8,8 @@ This lint makes that structural:
 
   1. Collects the registered classes: `extern const LockClass kLockRank*`
      declarations in src/util/lock_order.h.
-  2. Finds every `versa::Mutex` / `versa::RecursiveMutex` /
-     `versa::SharedMutex` variable declaration in src/**/*.{h,cpp} and
-     requires it to be constructed from a registered
+  2. Finds every `versa::Mutex` / `versa::RecursiveMutex` variable
+     declaration in src/**/*.{h,cpp} and requires it to be constructed from a registered
      `lock_order::kLockRank*` — either inline
      (`versa::Mutex mu_{lock_order::kLockRankFoo};`) or in a constructor
      initializer list (`: mu_(lock_order::kLockRankFoo)`) found anywhere
@@ -24,13 +23,13 @@ This lint makes that structural:
      deadlocks (neither rank is strictly above the other).
 
 Declarations are matched in both initializer spellings — brace
-(`versa::SharedMutex mu_{lock_order::kLockRankFoo};`) and parenthesis
-(`versa::SharedMutex mu(lock_order::kLockRankFoo);`) — so a
+(`versa::Mutex mu_{lock_order::kLockRankFoo};`) and parenthesis
+(`versa::Mutex mu(lock_order::kLockRankFoo);`) — so a
 namespace-scope paren-initialized mutex cannot silently skip the check.
 
 Exits 1 listing every offender; the CI build step runs this before
 compiling anything. `--self-test` runs the lint's own fixture suite
-(declarations that must pass and must fail, covering all three mutex
+(declarations that must pass and must fail, covering both mutex
 types and both initializer spellings) and exits nonzero if the lint has
 lost coverage.
 """
@@ -55,7 +54,7 @@ RAW_MUTEX_ALLOWLIST = {
 # declaration (no initializer) must find its rank in a constructor
 # initializer list, or it is flagged.
 DECL_RE = re.compile(
-    r"^\s*(?:mutable\s+)?(?:versa::)?(?:Recursive|Shared)?Mutex\s+"
+    r"^\s*(?:mutable\s+)?(?:versa::)?(?:Recursive)?Mutex\s+"
     r"(?P<name>[A-Za-z_]\w*)\s*(?P<init>\{[^}]*\}|\([^)]*\))?\s*;",
 )
 RANK_USE_RE = re.compile(r"lock_order::(?P<cls>kLockRank\w+)")
@@ -200,7 +199,7 @@ def raw_mutex_errors(rel, text):
 # ranks, expected error substring or None). The synthetic class set is
 # {kLockRankAlpha}; kLockRankBogus is deliberately unregistered. Every
 # mutex type × initializer spelling that must stay covered is pinned here
-# — if a regex change reopens the paren-init (or SharedMutex) hole, the
+# — if a regex change reopens the paren-init hole, the
 # "must flag" fixtures stop failing and the self-test exits 1.
 SELF_TEST_CLASSES = {"kLockRankAlpha"}
 SELF_TEST_FIXTURES = [
@@ -208,8 +207,8 @@ SELF_TEST_FIXTURES = [
      "versa::Mutex mu_{lock_order::kLockRankAlpha};", {}, None),
     ("paren-init Mutex with registered rank passes",
      "versa::Mutex mu_(lock_order::kLockRankAlpha);", {}, None),
-    ("paren-init SharedMutex with registered rank passes",
-     "versa::SharedMutex mu(lock_order::kLockRankAlpha);", {}, None),
+    ("paren-init RecursiveMutex with registered rank passes",
+     "versa::RecursiveMutex mu(lock_order::kLockRankAlpha);", {}, None),
     ("brace-init RecursiveMutex with registered rank passes",
      "mutable versa::RecursiveMutex mu_{lock_order::kLockRankAlpha};",
      {}, None),
@@ -217,17 +216,14 @@ SELF_TEST_FIXTURES = [
      "versa::Mutex mu_;", {"mu_": {"kLockRankAlpha"}}, None),
     ("reference declarations are ignored",
      "versa::Mutex& other = peer.mu;", {}, None),
-    ("default-constructed SharedMutex is flagged",
-     "versa::SharedMutex mu_;", {},
-     "not constructed from a registered"),
     ("default-constructed Mutex is flagged",
      "versa::Mutex mu_;", {},
      "not constructed from a registered"),
     ("brace-init with unregistered rank is flagged",
      "versa::Mutex mu_{lock_order::kLockRankBogus};", {},
      "unregistered lock class kLockRankBogus"),
-    ("paren-init SharedMutex with unregistered rank is flagged",
-     "versa::SharedMutex mu(lock_order::kLockRankBogus);", {},
+    ("paren-init Mutex with unregistered rank is flagged",
+     "versa::Mutex mu(lock_order::kLockRankBogus);", {},
      "unregistered lock class kLockRankBogus"),
     ("ctor-initializer with unregistered rank is flagged",
      "versa::Mutex mu_;", {"mu_": {"kLockRankBogus"}},
