@@ -1,6 +1,6 @@
 // Ablation — external profile hints (§VII future work #3): a first run
-// writes its learned TaskVersionSet tables to a hints file; a second run
-// loads them and starts every group in the reliable phase. The delta is
+// writes its learned TaskVersionSet tables to the profile store; a second
+// run loads them and starts every group in the reliable phase. The delta is
 // the learning-phase cost, which the paper calls out as the versioning
 // scheduler's main overhead on short runs (Cholesky, §V-B2).
 #include <cstdio>
@@ -26,8 +26,8 @@ Outcome run(std::size_t tasks, const std::string& load,
   config.backend = Backend::kSim;
   config.scheduler = "versioning";
   config.profile.lambda = 3;
-  config.hints_load_path = load;
-  config.hints_save_path = save;
+  config.profile_load_path = load;
+  config.profile_save_path = save;
 
   Outcome outcome{};
   {
@@ -58,7 +58,7 @@ int main() {
 
   TablePrinter table({"tasks", "cold: elapsed / smp runs",
                       "hinted: elapsed / smp runs"});
-  const std::string hints = "/tmp/versa_abl_hints.txt";
+  const std::string hints = "/tmp/versa_abl_hints.profile";
   for (const std::size_t tasks : {10u, 30u, 100u, 300u}) {
     std::remove(hints.c_str());
     const Outcome cold = run(tasks, "", hints);

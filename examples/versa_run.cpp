@@ -51,8 +51,6 @@ struct Options {
   std::string machine_file;
   std::string trace_path;
   std::string sched_trace_path;
-  std::string hints_load;
-  std::string hints_save;
   std::string profile_load;
   std::string profile_save;
   bool drift = false;
@@ -98,8 +96,8 @@ void print_usage() {
       "                                 Chrome-trace JSON to <path>; a\n"
       "                                 .csv suffix writes the full event\n"
       "                                 dump for versa_trace_report\n"
-      "  --hints-load/--hints-save <p>  legacy profile hints files\n"
       "  --profile-load <path>          warm-start from a profile store\n"
+      "                                 or a hand-written text hints file\n"
       "  --profile-save <path>          persist the learned profile\n"
       "  --drift                        drift-adaptive relearning\n");
 }
@@ -175,10 +173,6 @@ bool parse_args(int argc, char** argv, Options& options) {
       options.trace_path = value;
     } else if (flag == "--sched-trace") {
       options.sched_trace_path = value;
-    } else if (flag == "--hints-load") {
-      options.hints_load = value;
-    } else if (flag == "--hints-save") {
-      options.hints_save = value;
     } else if (flag == "--profile-load") {
       options.profile_load = value;
     } else if (flag == "--profile-save") {
@@ -228,8 +222,6 @@ int main(int argc, char** argv) {
   config.profile.lambda = options.lambda;
   config.seed = options.seed;
   config.prefetch = options.prefetch;
-  config.hints_load_path = options.hints_load;
-  config.hints_save_path = options.hints_save;
   config.profile_load_path = options.profile_load;
   config.profile_save_path = options.profile_save;
   config.profile.drift.enabled = options.drift;
@@ -336,7 +328,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (!options.profile_load.empty() || !options.hints_load.empty()) {
+  if (!options.profile_load.empty()) {
     std::printf("%s\n", profile_load_summary(rt.profile_load_result()).c_str());
   }
   if (const auto* versioning =

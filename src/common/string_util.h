@@ -1,4 +1,4 @@
-// Small string helpers shared by the hints-file parser and the reporters.
+// Small string helpers shared by the profile-store parser and the reporters.
 #pragma once
 
 #include <string>

@@ -95,7 +95,7 @@ bool write_sched_trace(const std::string& path,
 std::string sched_trace_csv(const core::DecisionTrace& trace,
                             const std::string& policy) {
   // v5 keeps the v3 column set; the v4 prefetch event kinds are gone.
-  // versa_trace_report still accepts v1/v2/v3 files.
+  // versa_trace_report reads exactly this 13-column layout.
   std::string out = "# versa-sched-trace v5\n";
   out += "# policy=" + policy + "\n";
   char buffer[320];

@@ -105,12 +105,10 @@ bool parse_sched_trace_csv(std::istream& in, SchedTraceDump& dump,
       continue;
     }
     const std::vector<std::string> fields = split_fields(line);
-    // 10 fields = v1 (no tenant column), 11 = v2 (tenant appended),
-    // 13 = v3 (granularity group + children appended).
-    if (fields.size() != 10 && fields.size() != 11 && fields.size() != 13) {
+    // The v5 layout (sched_trace_csv); v3 files share it.
+    if (fields.size() != 13) {
       error = "line " + std::to_string(line_number) +
-              ": expected 10, 11 or 13 fields, got " +
-              std::to_string(fields.size());
+              ": expected 13 fields, got " + std::to_string(fields.size());
       return false;
     }
     core::TraceEvent event;
@@ -129,15 +127,11 @@ bool parse_sched_trace_csv(std::istream& in, SchedTraceDump& dump,
         !parse_double(fields[6], event.busy_term) ||
         !parse_double(fields[7], event.mean_term) ||
         !parse_double(fields[8], event.penalty_term) ||
-        !parse_u64(fields[9], candidates) ||
-        (fields.size() >= 11 && !parse_u64(fields[10], tenant)) ||
-        (fields.size() == 13 && (!parse_u64(fields[11], group) ||
-                                 !parse_u64(fields[12], children)))) {
+        !parse_u64(fields[9], candidates) || !parse_u64(fields[10], tenant) ||
+        !parse_u64(fields[11], group) || !parse_u64(fields[12], children)) {
       error = "line " + std::to_string(line_number) + ": malformed field";
       return false;
     }
-    if (fields.size() >= 11) dump.has_tenant_column = true;
-    if (fields.size() == 13) dump.has_granularity_columns = true;
     event.task = task;
     event.type = static_cast<TaskTypeId>(type);
     event.version = static_cast<VersionId>(version);
@@ -285,15 +279,8 @@ std::string render_trace_report(const SchedTraceDump& dump,
     }
     out += table.to_string();
   }
-  // Per-tenant breakdown: shown when the dump carried the tenant column or
-  // any event is attributed beyond the default tenant (old v1 CSVs with
-  // only tenant 0 render exactly as before).
-  const bool multi_tenant =
-      dump.has_tenant_column ||
-      report.per_tenant.size() > 1 ||
-      (report.per_tenant.size() == 1 &&
-       report.per_tenant.begin()->first != kDefaultTenant);
-  if (multi_tenant && !report.per_tenant.empty()) {
+  // Per-tenant breakdown: every row carries the tenant column.
+  if (!report.per_tenant.empty()) {
     out += "per-tenant breakdown (completion throughput over the retained "
            "window):\n";
     TablePrinter table({"tenant", "placements", "steals", "completions",
@@ -337,8 +324,7 @@ std::string render_trace_report(const SchedTraceDump& dump,
     out += table.to_string();
   }
   // Per-group granularity breakdown: rendered only when the controller
-  // actually did something (v1/v2 CSVs and controller-off runs render
-  // exactly as before).
+  // actually did something (controller-off runs render exactly as before).
   if (!report.per_group.empty()) {
     std::snprintf(buffer, sizeof(buffer),
                   "granularity: %llu splits, %llu fuses, %llu reversals\n",

@@ -27,18 +27,13 @@ struct SchedTraceDump {
   std::uint64_t recorded = 0;    ///< events recorded (incl. overwritten)
   std::uint64_t dropped = 0;     ///< events overwritten by the ring
   std::size_t capacity = 0;      ///< ring capacity during the run
-  /// True when the file carried the v2 per-tenant column; v1 files parse
-  /// with every event attributed to kDefaultTenant.
-  bool has_tenant_column = false;
-  /// True when the file carried the v3 granularity columns (group,
-  /// children); v1/v2 files parse with both fields zero.
-  bool has_granularity_columns = false;
   std::vector<core::TraceEvent> events;  ///< retained rows, oldest first
 };
 
-/// Parse one CSV dump. Returns false (with a message in `error`) on a
-/// malformed header, a malformed row, or an unknown event kind; metadata
-/// lines it does not understand are ignored (forward compatibility).
+/// Parse one CSV dump in the 13-column layout sched_trace_csv writes (v5;
+/// v3 files share it). Returns false (with a message in `error`) on a
+/// malformed header, a row of any other width, a malformed field, or an
+/// unknown event kind; metadata lines it does not understand are ignored.
 bool parse_sched_trace_csv(std::istream& in, SchedTraceDump& dump,
                            std::string& error);
 
@@ -64,8 +59,7 @@ struct TraceReport {
   std::map<WorkerId, std::pair<std::uint64_t, std::uint64_t>> per_worker;
 
   /// Per-tenant breakdown (service mode). Populated for every tenant that
-  /// appears in the dump; rendered only when a non-default tenant shows up
-  /// or the dump carried the tenant column.
+  /// appears in the dump; rendered whenever the dump has any rows.
   struct TenantBreakdown {
     std::uint64_t placements = 0;  ///< reliable + learning
     std::uint64_t steals = 0;      ///< this tenant's tasks re-homed
@@ -91,7 +85,7 @@ struct TraceReport {
   };
   std::map<TaskTypeId, TypeBreakdown> per_type;
 
-  /// Granularity-controller totals (v3+ dumps; all zero on v1/v2 CSVs).
+  /// Granularity-controller totals (zero when the controller was off).
   std::uint64_t splits = 0;
   std::uint64_t fuses = 0;
   std::uint64_t reversals = 0;

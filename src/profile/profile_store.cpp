@@ -1,5 +1,6 @@
 #include "profile/profile_store.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -8,8 +9,6 @@
 
 #include "common/log.h"
 #include "common/string_util.h"
-#include "sched/hints_file.h"
-#include "sched/xml_hints.h"
 
 namespace versa {
 
@@ -18,7 +17,7 @@ namespace {
 constexpr std::string_view kMagic = "# versa profile-store v1";
 // Anything announcing itself as a profile store (any version) goes to the
 // strict store parser, so an unsupported version is a corrupt-file error
-// rather than being silently misread as legacy text hints.
+// rather than being silently misread as text hints.
 constexpr std::string_view kMagicPrefix = "# versa profile-store";
 
 std::uint64_t fnv1a(std::uint64_t hash, std::string_view text) {
@@ -36,11 +35,6 @@ std::string to_hex(std::uint64_t value) {
   std::snprintf(buffer, sizeof(buffer), "%016llx",
                 static_cast<unsigned long long>(value));
   return buffer;
-}
-
-bool ends_with(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
 }
 
 }  // namespace
@@ -186,76 +180,89 @@ ProfileLoadResult ProfileStore::import_store(std::string_view text,
   return result;
 }
 
+ProfileLoadResult ProfileStore::import_hints(std::string_view text,
+                                             ProfileTable& table) const {
+  // Hand-written `hint <task> <version> <group_key> <mean> <count>` lines.
+  // They carry no signature or checksum, so every line is validated and
+  // staged first: a malformed line leaves the table untouched.
+  struct Staged {
+    TaskTypeId type;
+    VersionId version;
+    std::uint64_t group_key;
+    double mean;
+    std::uint64_t count;
+  };
+  std::vector<Staged> staged;
+  ProfileLoadResult result;
+  for (const std::string& raw_line : split(text, '\n')) {
+    const std::string_view line = trim(raw_line);
+    if (line.empty() || line.front() == '#') continue;
+    std::istringstream in{std::string(line)};
+    std::string keyword, task_name, version_name;
+    unsigned long long group_key = 0, count = 0;
+    double mean = 0.0;
+    in >> keyword >> task_name >> version_name >> group_key >> mean >> count;
+    if (in.fail() || keyword != "hint" || mean < 0.0 || count == 0) {
+      result.status = ProfileLoadStatus::kCorrupt;
+      result.message = "malformed hints line: " + std::string(line);
+      return result;
+    }
+    const TaskTypeId type = registry_.find_task(task_name);
+    const VersionId version =
+        type == kInvalidTaskType ? kInvalidVersion
+                                 : registry_.find_version(type, version_name);
+    if (version == kInvalidVersion) {
+      ++result.skipped;  // stale hints must not be fatal
+      continue;
+    }
+    // Clamp the replayed count to λ: enough to mark the group reliable
+    // without letting a long-dead history dominate fresh measurements.
+    staged.push_back(Staged{type, version, group_key, mean,
+                            std::min<std::uint64_t>(count,
+                                                    table.config().lambda)});
+  }
+  for (const Staged& entry : staged) {
+    table.prime(entry.type, entry.version, entry.group_key, entry.mean,
+                entry.count);
+  }
+  result.status = ProfileLoadStatus::kOk;
+  result.applied = static_cast<int>(staged.size());
+  result.message = "text hints (unsigned)";
+  return result;
+}
+
 ProfileLoadResult ProfileStore::import_text(std::string_view text,
                                             ProfileTable& table) const {
-  const std::string_view head = trim(text.substr(0, 64));
-  if (starts_with(head, kMagicPrefix)) {
+  if (starts_with(trim(text.substr(0, 64)), kMagicPrefix)) {
     return import_store(text, table);
   }
-  ProfileLoadResult result;
   if (trim(text).empty()) {
+    ProfileLoadResult result;
     result.status = ProfileLoadStatus::kCorrupt;
     result.message = "empty file";
     return result;
   }
-  if (starts_with(head, "<")) {
-    std::string error;
-    const int applied = parse_xml_hints(text, registry_, table, &error);
-    if (applied < 0) {
-      result.status = ProfileLoadStatus::kCorrupt;
-      result.message = error;
-    } else {
-      result.status = ProfileLoadStatus::kOk;
-      result.applied = applied;
-      result.message = "xml hints (legacy, unsigned)";
-    }
-    return result;
-  }
-  const int applied = parse_hints(text, registry_, table);
-  if (applied < 0) {
-    result.status = ProfileLoadStatus::kCorrupt;
-    result.message = "malformed hints text";
-  } else {
-    result.status = ProfileLoadStatus::kOk;
-    result.applied = applied;
-    result.message = "text hints (legacy, unsigned)";
-  }
-  return result;
+  return import_hints(text, table);
 }
 
-bool ProfileStore::save(const std::string& path, const ProfileTable& table,
-                        Format format) const {
-  if (format == Format::kAuto) {
-    format = ends_with(path, ".xml")     ? Format::kXmlHints
-             : ends_with(path, ".txt")   ? Format::kTextHints
-             : ends_with(path, ".hints") ? Format::kTextHints
-                                         : Format::kStore;
+bool ProfileStore::save(const std::string& path,
+                        const ProfileTable& table) const {
+  // Atomic replace (temp + rename): a concurrent load() of the same path —
+  // the service-mode shared warm-start cache — sees either the old or the
+  // new store, never a torn half-write. The checksum would downgrade a
+  // torn read to a cold start anyway; the rename avoids even that.
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::trunc);
+    if (!out) return false;
+    out << serialize(table);
+    if (!out) return false;
   }
-  switch (format) {
-    case Format::kXmlHints:
-      return save_xml_hints(path, registry_, table);
-    case Format::kTextHints:
-      return save_hints(path, registry_, table);
-    default: {
-      // Atomic replace (temp + rename): a concurrent load() of the same
-      // path — the service-mode shared warm-start cache — sees either the
-      // old or the new store, never a torn half-write. The checksum would
-      // downgrade a torn read to a cold start anyway; the rename avoids
-      // even that.
-      const std::string tmp = path + ".tmp";
-      {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out) return false;
-        out << serialize(table);
-        if (!out) return false;
-      }
-      if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return false;
-      }
-      return true;
-    }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return false;
   }
+  return true;
 }
 
 ProfileLoadResult ProfileStore::load(const std::string& path,

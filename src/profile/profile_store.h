@@ -21,9 +21,17 @@
 // name resolution (stale entries for renamed tasks are skipped, counted as
 // misses). Nothing is applied to the table unless the whole file is sound.
 //
-// The store is also the single import path for the two legacy hint formats
-// (text hints_file.h, XML xml_hints.h): import_text sniffs the format, so
-// the three formats can never diverge in how they seed a profile table.
+// The store is the only profile format the runtime writes, and the one
+// module that reads profile files. Its loader sniffs the content: a native
+// store is validated as above; anything else must be a hand-written text
+// hints file (the §VII "written by the user" case):
+//
+//   # versa hints v1
+//   hint <task_name> <version_name> <group_key> <mean_seconds> <count>
+//
+// Text hints are unsigned, load as trusted input, and have their counts
+// clamped to λ. Any other content (XML, binary garbage) is kCorrupt and
+// leaves the table untouched.
 //
 // Thread-safety: immutable after construction (registry reference +
 // signature value); load()/save() touch only local state and the
@@ -62,10 +70,6 @@ struct ProfileLoadResult {
 
 class ProfileStore {
  public:
-  /// Serialization format of a save path. kAuto picks by extension:
-  /// ".xml" → XML hints, ".txt"/".hints" → text hints, else native store.
-  enum class Format : std::uint8_t { kAuto, kStore, kTextHints, kXmlHints };
-
   ProfileStore(const VersionRegistry& registry, MachineSignature signature);
 
   const MachineSignature& signature() const { return signature_; }
@@ -73,15 +77,15 @@ class ProfileStore {
   /// Native-format serialization of every table entry.
   std::string serialize(const ProfileTable& table) const;
 
-  /// Parse any of the three formats (sniffed from the content) into
-  /// `table`. Native-store text is signature- and checksum-validated; the
-  /// legacy hint formats carry no signature and load as trusted input.
+  /// Parse a native store or text hints (sniffed from the content) into
+  /// `table`. The store is signature- and checksum-validated; text hints
+  /// carry no signature. Nothing is applied unless the whole text is sound.
   ProfileLoadResult import_text(std::string_view text,
                                 ProfileTable& table) const;
 
-  /// File wrappers. save() returns false when the file cannot be written.
-  bool save(const std::string& path, const ProfileTable& table,
-            Format format = Format::kAuto) const;
+  /// File wrappers. save() always writes the native store and returns
+  /// false when the file cannot be written.
+  bool save(const std::string& path, const ProfileTable& table) const;
   ProfileLoadResult load(const std::string& path, ProfileTable& table) const;
 
  private:
@@ -89,6 +93,8 @@ class ProfileStore {
   MachineSignature signature_;
 
   ProfileLoadResult import_store(std::string_view text,
+                                 ProfileTable& table) const;
+  ProfileLoadResult import_hints(std::string_view text,
                                  ProfileTable& table) const;
 };
 

@@ -24,6 +24,8 @@ RuntimeConfig apply_env_overrides(RuntimeConfig config) {
   if (const char* seed = std::getenv("VERSA_SEED")) {
     config.seed = std::strtoull(seed, nullptr, 10);
   }
+  // A signed store or a hand-written text hints file: ProfileStore::load
+  // sniffs which.
   if (const char* path = std::getenv("VERSA_PROFILE_LOAD")) {
     config.profile_load_path = path;
   }

@@ -7,7 +7,7 @@
 //   VERSA_LAMBDA           — learning-phase threshold λ
 //   VERSA_PREFETCH         — 0/1, transfer overlap + prefetch (sim backend)
 //   VERSA_SEED             — simulation RNG seed
-//   VERSA_PROFILE_LOAD     — warm-start profile path (store/hints/XML)
+//   VERSA_PROFILE_LOAD     — warm-start profile path (store or text hints)
 //   VERSA_PROFILE_SAVE     — persist the learned profile on shutdown
 //   VERSA_DRIFT            — 0/1, drift-adaptive relearning
 //   VERSA_DRIFT_THRESHOLD  — CUSUM alarm threshold (normalized units)
@@ -63,21 +63,15 @@ struct RuntimeConfig {
   double emulation_time_scale = 1.0;
 
   /// Persistent profile store: loaded before the first task, saved at
-  /// runtime shutdown. Load sniffs the content format (native store, text
-  /// hints, XML hints); save picks the format from the extension (".xml",
-  /// ".txt"/".hints", else the signed native store). Empty = disabled.
+  /// runtime shutdown. Load sniffs the content (signed native store, or a
+  /// hand-written text hints file); save always writes the native store.
+  /// Empty = disabled.
   std::string profile_load_path;
   std::string profile_save_path;
 
   /// Extra salt mixed into the machine signature — set it to a digest of
   /// the host calibration so re-calibrated installs reject stale stores.
   std::string profile_signature_token;
-
-  /// Legacy hint files (§VII future work #3). Both route through the same
-  /// ProfileStore import path as profile_load_path; saves here keep the
-  /// historical format rule (".xml" → XML, anything else → text hints).
-  std::string hints_load_path;
-  std::string hints_save_path;
 
   /// Record the scheduling core's decision trace (ring of the last
   /// sched_trace_capacity events; see sched/core/decision_trace.h). Free

@@ -131,59 +131,31 @@ ProfileStore Runtime::make_profile_store() const {
 void Runtime::maybe_load_profile() {
   if (profile_loaded_) return;
   profile_loaded_ = true;
-  if (config_.profile_load_path.empty() && config_.hints_load_path.empty()) {
-    return;
-  }
+  if (config_.profile_load_path.empty()) return;
   auto* versioning = dynamic_cast<VersioningScheduler*>(scheduler_.get());
   if (versioning == nullptr) {
-    VERSA_LOG(kWarn) << "profile/hints file ignored: scheduler has no "
+    VERSA_LOG(kWarn) << "profile file ignored: scheduler has no "
                         "profile table";
     return;
   }
-  const ProfileStore store = make_profile_store();
-  // The legacy hints path is just another importer into the same store, so
-  // the two hint formats and the binary store cannot diverge in how they
-  // seed the profile table. When both paths are set, profile_load_path is
-  // primary and its result is the one reported.
-  bool primary = true;
-  for (const std::string* path :
-       {&config_.profile_load_path, &config_.hints_load_path}) {
-    if (!path->empty()) {
-      const ProfileLoadResult result =
-          store.load(*path, versioning->mutable_profile());
-      if (result.status == ProfileLoadStatus::kOk) {
-        VERSA_LOG(kInfo) << "profile " << *path << ": warm start, "
-                         << result.applied << " entries applied, "
-                         << result.skipped << " skipped (" << result.message
-                         << ")";
-      }
-      if (primary) profile_load_ = result;
-      primary = false;
-    }
+  profile_load_ = make_profile_store().load(config_.profile_load_path,
+                                            versioning->mutable_profile());
+  if (profile_load_.status == ProfileLoadStatus::kOk) {
+    VERSA_LOG(kInfo) << "profile " << config_.profile_load_path
+                     << ": warm start, " << profile_load_.applied
+                     << " entries applied, " << profile_load_.skipped
+                     << " skipped (" << profile_load_.message << ")";
   }
 }
 
 void Runtime::maybe_save_profile() {
-  if (config_.profile_save_path.empty() && config_.hints_save_path.empty()) {
-    return;
-  }
+  if (config_.profile_save_path.empty()) return;
   auto* versioning = dynamic_cast<VersioningScheduler*>(scheduler_.get());
   if (versioning == nullptr) return;
-  const ProfileStore store = make_profile_store();
-  if (!config_.profile_save_path.empty() &&
-      !store.save(config_.profile_save_path, versioning->profile())) {
+  if (!make_profile_store().save(config_.profile_save_path,
+                                 versioning->profile())) {
     VERSA_LOG(kWarn) << "could not save profile to "
                      << config_.profile_save_path;
-  }
-  if (!config_.hints_save_path.empty() &&
-      !store.save(config_.hints_save_path, versioning->profile(),
-                  config_.hints_save_path.size() >= 4 &&
-                          config_.hints_save_path.compare(
-                              config_.hints_save_path.size() - 4, 4,
-                              ".xml") == 0
-                      ? ProfileStore::Format::kXmlHints
-                      : ProfileStore::Format::kTextHints)) {
-    VERSA_LOG(kWarn) << "could not save hints to " << config_.hints_save_path;
   }
 }
 

@@ -133,7 +133,7 @@ class ProfileTable {
   /// Table I-style ASCII dump.
   std::string dump() const;
 
-  /// Iteration hook for the hints writer: (type, group_key, version,
+  /// Iteration hook for the profile-store writer: (type, group_key, version,
   /// mean, count) per entry.
   struct Entry {
     TaskTypeId type;

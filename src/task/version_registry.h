@@ -43,7 +43,7 @@ class VersionRegistry {
   TaskTypeId find_task(const std::string& name) const;  ///< kInvalidTaskType if absent
 
   /// Version of `type` named `name`; kInvalidVersion if absent. The lookup
-  /// every external-profile importer (hints, XML, store) resolves through.
+  /// the profile store's importers (native store, text hints) resolve through.
   VersionId find_version(TaskTypeId type, std::string_view name) const;
 
   /// All versions of a type, in registration order (main first).

@@ -165,11 +165,12 @@ GraphOracle oracle_for(const TaskBenchParams& params) {
 std::pair<std::uint32_t, std::uint32_t> GraphSpec::locate(
     std::uint64_t flat) const {
   VERSA_CHECK_MSG(flat < node_count, "taskbench: flat node id out of range");
-  std::uint32_t step = 0;
-  while (step + 1 < level_offset.size() && level_offset[step + 1] <= flat) {
-    ++step;
-  }
-  return {step, static_cast<std::uint32_t>(flat - level_offset[step])};
+  // The last level whose offset is <= flat (offsets are non-decreasing).
+  const std::size_t step =
+      std::upper_bound(level_offset.begin(), level_offset.end(), flat) -
+      level_offset.begin() - 1;
+  return {static_cast<std::uint32_t>(step),
+          static_cast<std::uint32_t>(flat - level_offset[step])};
 }
 
 std::string GraphSpec::canonical_text() const {

@@ -95,7 +95,7 @@ TEST(GranularityStress, ConcurrentSplitAndFuseReconcileExactly) {
   VersaServiceConfig config;
   config.runtime.backend = Backend::kThreads;
   config.runtime.scheduler = "versioning";
-  config.runtime.hints_load_path = write_hints();
+  config.runtime.profile_load_path = write_hints();
   ASSERT_TRUE(
       core::parse_granularity("auto", config.runtime.granularity));
   VersaService svc(machine, config);

@@ -436,7 +436,7 @@ TEST_F(GranularityFuse, FullWindowFlushesIntoOneFusedTask) {
   const Machine machine = make_smp_machine(2);
   RuntimeConfig config = sim_config("auto");
   // dss of each member: in(a_i, 100) + inout(c, 100) = 200.
-  config.hints_load_path = write_hints("hint t v 200 1e-5 3\n");
+  config.profile_load_path = write_hints("hint t v 200 1e-5 3\n");
   Runtime rt(machine, config);
   setup_runtime(rt);
 
@@ -470,7 +470,7 @@ TEST_F(GranularityFuse, FullWindowFlushesIntoOneFusedTask) {
 TEST_F(GranularityFuse, TaskwaitFlushesAPartialWindow) {
   const Machine machine = make_smp_machine(2);
   RuntimeConfig config = sim_config("auto");
-  config.hints_load_path = write_hints("hint t v 200 1e-5 3\n");
+  config.profile_load_path = write_hints("hint t v 200 1e-5 3\n");
   Runtime rt(machine, config);
   setup_runtime(rt);
 
@@ -490,7 +490,7 @@ TEST_F(GranularityFuse, TaskwaitFlushesAPartialWindow) {
 TEST_F(GranularityFuse, SingleMemberWindowRunsAsItself) {
   const Machine machine = make_smp_machine(2);
   RuntimeConfig config = sim_config("auto");
-  config.hints_load_path = write_hints("hint t v 200 1e-5 3\n");
+  config.profile_load_path = write_hints("hint t v 200 1e-5 3\n");
   Runtime rt(machine, config);
   setup_runtime(rt);
   const RegionId c = rt.register_data("c", 100);
@@ -506,7 +506,7 @@ TEST_F(GranularityFuse, SingleMemberWindowRunsAsItself) {
 TEST_F(GranularityFuse, IncompatibleSubmissionFlushesTheOpenWindow) {
   const Machine machine = make_smp_machine(2);
   RuntimeConfig config = sim_config("auto");
-  config.hints_load_path = write_hints("hint t v 200 1e-5 3\n");
+  config.profile_load_path = write_hints("hint t v 200 1e-5 3\n");
   Runtime rt(machine, config);
   setup_runtime(rt);
   const RegionId c0 = rt.register_data("c0", 100);
@@ -558,7 +558,7 @@ TEST(GranularityApps, MatmulStaysExactUnderAutoFusion) {
         << "hint matmul_tile cuda 24576 2e-5 3\n"
         << "hint matmul_tile cblas 24576 3e-5 3\n";
   }
-  config.hints_load_path = path;
+  config.profile_load_path = path;
   Runtime rt(machine, config);
   apps::MatmulParams params;
   params.n = 128;

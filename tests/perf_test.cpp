@@ -278,7 +278,6 @@ TEST(TraceReport, V3GranularityColumnsRoundTripAndAggregate) {
   SchedTraceDump dump;
   std::string error;
   ASSERT_TRUE(parse_sched_trace_csv(in, dump, error)) << error;
-  EXPECT_TRUE(dump.has_granularity_columns);
   ASSERT_EQ(dump.events.size(), 4u);
   EXPECT_EQ(dump.events[0].kind, core::TraceEventKind::kSplit);
   EXPECT_EQ(dump.events[0].group, 4096u);
@@ -320,54 +319,12 @@ TEST(TraceReport, LegacyV3FilesStillParse) {
   SchedTraceDump dump;
   std::string error;
   ASSERT_TRUE(parse_sched_trace_csv(in, dump, error)) << error;
-  EXPECT_TRUE(dump.has_granularity_columns);
   ASSERT_EQ(dump.events.size(), 1u);
   EXPECT_EQ(dump.events[0].kind, core::TraceEventKind::kSplit);
   EXPECT_EQ(dump.events[0].group, 4096u);
   EXPECT_EQ(dump.events[0].children, 4u);
   const TraceReport report = analyze_sched_trace(dump);
   EXPECT_EQ(report.splits, 1u);
-}
-
-TEST(TraceReport, LegacyV1AndV2FilesStillParse) {
-  // Pre-granularity CSVs: 10 fields (v1) and 11 fields (v2, tenant
-  // appended) must keep parsing, with the granularity fields zeroed and
-  // no granularity section in the rendered report.
-  const std::string v1 =
-      "# versa-sched-trace v1\n"
-      "# policy=versioning\n"
-      "# recorded=1 dropped=0 capacity=8\n"
-      "time,kind,task,type,version,worker,busy,estimate,penalty,candidates\n"
-      "1.0,place,7,2,3,1,0.5,0.25,0.125,6\n";
-  const std::string v2 =
-      "# versa-sched-trace v2\n"
-      "# policy=versioning\n"
-      "# recorded=1 dropped=0 capacity=8\n"
-      "time,kind,task,type,version,worker,busy,estimate,penalty,candidates,"
-      "tenant\n"
-      "1.0,place,7,2,3,1,0.5,0.25,0.125,6,4\n";
-  for (const std::string& text : {v1, v2}) {
-    std::istringstream in(text);
-    SchedTraceDump dump;
-    std::string error;
-    ASSERT_TRUE(parse_sched_trace_csv(in, dump, error)) << error;
-    EXPECT_FALSE(dump.has_granularity_columns);
-    ASSERT_EQ(dump.events.size(), 1u);
-    EXPECT_EQ(dump.events[0].group, 0u);
-    EXPECT_EQ(dump.events[0].children, 0u);
-    const TraceReport report = analyze_sched_trace(dump);
-    EXPECT_EQ(report.splits, 0u);
-    EXPECT_TRUE(report.per_group.empty());
-    const std::string rendered = render_trace_report(dump, report);
-    EXPECT_EQ(rendered.find("granularity:"), std::string::npos);
-  }
-  // The v2 tenant column still round-trips.
-  std::istringstream in(v2);
-  SchedTraceDump dump;
-  std::string error;
-  ASSERT_TRUE(parse_sched_trace_csv(in, dump, error)) << error;
-  EXPECT_TRUE(dump.has_tenant_column);
-  EXPECT_EQ(dump.events[0].tenant, 4u);
 }
 
 TEST(TraceReport, ParserRejectsMalformedInput) {
@@ -382,16 +339,18 @@ TEST(TraceReport, ParserRejectsMalformedInput) {
   {
     // Header but a row with the wrong field count.
     std::istringstream in(
-        "time,kind,task,type,version,worker,busy,estimate,penalty,candidates\n"
+        "time,kind,task,type,version,worker,busy,estimate,penalty,candidates,"
+        "tenant,group,children\n"
         "1.0,place,1,2,3\n");
     EXPECT_FALSE(parse_sched_trace_csv(in, dump, error));
-    EXPECT_NE(error.find("10, 11 or 13 fields"), std::string::npos);
+    EXPECT_NE(error.find("expected 13 fields"), std::string::npos);
   }
   {
     // Unknown event kind.
     std::istringstream in(
-        "time,kind,task,type,version,worker,busy,estimate,penalty,candidates\n"
-        "1.0,bogus,1,2,3,0,0.0,0.0,0.0,1\n");
+        "time,kind,task,type,version,worker,busy,estimate,penalty,candidates,"
+        "tenant,group,children\n"
+        "1.0,bogus,1,2,3,0,0.0,0.0,0.0,1,0,0,0\n");
     EXPECT_FALSE(parse_sched_trace_csv(in, dump, error));
     EXPECT_NE(error.find("malformed"), std::string::npos);
   }
@@ -404,21 +363,12 @@ TEST(TraceReport, ParserRejectsMalformedInput) {
 
 TEST(TraceReport, TruncatedRowsAreRejectedAtEveryPrefix) {
   // Chop a valid v5 row after the header at every byte length: the parser
-  // must reject every strict prefix — with exactly three survivors: the
-  // full row, and the two prefixes that end exactly on the v1 (10-field)
-  // and v2 (11-field) boundaries, which ARE valid older-version rows (the
-  // mixed-version support the format guarantees). Nothing may crash.
+  // must reject every non-empty strict prefix, including the ones that end
+  // exactly on a column boundary. Nothing may crash.
   const std::string header =
       "time,kind,task,type,version,worker,busy,estimate,penalty,candidates,"
       "tenant,group,children\n";
   const std::string row = "1.5,split,7,2,3,1,0.5,0.25,0.125,6,0,4096,4";
-  std::vector<std::size_t> comma_at;
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    if (row[i] == ',') comma_at.push_back(i);
-  }
-  ASSERT_EQ(comma_at.size(), 12u);
-  const std::size_t v1_boundary = comma_at[9];   // 10 fields before this
-  const std::size_t v2_boundary = comma_at[10];  // 11 fields before this
   for (std::size_t length = 0; length <= row.size(); ++length) {
     std::istringstream in(header + row.substr(0, length) + "\n");
     SchedTraceDump dump;
@@ -432,10 +382,6 @@ TEST(TraceReport, TruncatedRowsAreRejectedAtEveryPrefix) {
       // The empty line is skipped: a header-only file parses to no events.
       EXPECT_TRUE(parsed) << error;
       EXPECT_TRUE(dump.events.empty());
-    } else if (length == v1_boundary || length == v2_boundary) {
-      EXPECT_TRUE(parsed) << error << " (legacy boundary " << length << ")";
-      ASSERT_EQ(dump.events.size(), 1u);
-      EXPECT_EQ(dump.events[0].group, 0u);  // truncated columns defaulted
     } else {
       EXPECT_FALSE(parsed) << "prefix length " << length << " accepted";
       EXPECT_FALSE(error.empty());
@@ -445,13 +391,15 @@ TEST(TraceReport, TruncatedRowsAreRejectedAtEveryPrefix) {
 
 TEST(TraceReport, UnknownKindVariantsAreRejected) {
   const std::string header =
-      "time,kind,task,type,version,worker,busy,estimate,penalty,candidates\n";
+      "time,kind,task,type,version,worker,busy,estimate,penalty,candidates,"
+      "tenant,group,children\n";
   // Near-misses of real kinds: case changes, prefixes, extensions and
   // whitespace must all fail — the kind match is exact.
   for (const std::string kind :
        {"Place", "PLACE", "pla", "placed", "steal ", " steal", "complete",
         "prefetch", "prefetch-", "done2", ""}) {
-    std::istringstream in(header + "1.0," + kind + ",1,2,3,0,0.0,0.0,0.0,1\n");
+    std::istringstream in(header + "1.0," + kind +
+                          ",1,2,3,0,0.0,0.0,0.0,1,0,0,0\n");
     SchedTraceDump dump;
     std::string error;
     EXPECT_FALSE(parse_sched_trace_csv(in, dump, error)) << "'" << kind << "'";
@@ -459,51 +407,31 @@ TEST(TraceReport, UnknownKindVariantsAreRejected) {
   }
 }
 
-TEST(TraceReport, MixedVersionRowsInOneFileParse) {
-  // A concatenation of v1 (10 fields), v2 (11) and v5 (13) rows under one
-  // header: each row parses with its own defaults, and the dump flags
-  // every column set that appeared anywhere in the file.
-  std::istringstream in(
-      "# versa-sched-trace v5\n"
-      "# policy=versioning\n"
-      "time,kind,task,type,version,worker,busy,estimate,penalty,candidates,"
-      "tenant,group,children\n"
-      "1.0,place,1,2,3,1,0.5,0.25,0.125,6\n"
-      "2.0,steal,1,2,3,0,0.0,0.0,0.0,1,4\n"
-      "3.0,split,9,2,0,0,0.0,0.0,0.0,0,0,65536,4\n");
-  SchedTraceDump dump;
-  std::string error;
-  ASSERT_TRUE(parse_sched_trace_csv(in, dump, error)) << error;
-  ASSERT_EQ(dump.events.size(), 3u);
-  EXPECT_TRUE(dump.has_tenant_column);
-  EXPECT_TRUE(dump.has_granularity_columns);
-  // v1 row: default tenant, zero granularity fields.
-  EXPECT_EQ(dump.events[0].tenant, kDefaultTenant);
-  EXPECT_EQ(dump.events[0].group, 0u);
-  // v2 row: tenant carried, granularity defaulted.
-  EXPECT_EQ(dump.events[1].tenant, 4u);
-  EXPECT_EQ(dump.events[1].children, 0u);
-  // v5 row: everything carried.
-  EXPECT_EQ(dump.events[2].group, 65536u);
-  EXPECT_EQ(dump.events[2].children, 4u);
-  const TraceReport report = analyze_sched_trace(dump);
-  EXPECT_EQ(report.placements, 1u);
-  EXPECT_EQ(report.steals, 1u);
-  EXPECT_EQ(report.splits, 1u);
-}
-
 TEST(TraceReport, TwelveFieldRowsAreRejected) {
-  // 12 fields sits between the known widths (11 and 13): a 13-field row that
-  // lost one column must fail loudly, not parse with a shifted field.
-  std::istringstream in(
+  // Only the 13-field v5 layout parses. A row that lost or gained columns
+  // — including the retired 10-field v1 and 11-field v2 widths — must fail
+  // loudly with its line number and width, not parse with shifted fields.
+  const std::string header =
       "time,kind,task,type,version,worker,busy,estimate,penalty,candidates,"
-      "tenant,group,children\n"
-      "1.0,place,1,2,3,1,0.5,0.25,0.125,6,0,4096\n");
-  SchedTraceDump dump;
-  std::string error;
-  EXPECT_FALSE(parse_sched_trace_csv(in, dump, error));
-  EXPECT_NE(error.find("got 12"), std::string::npos);
-  EXPECT_NE(error.find("line 2"), std::string::npos);
+      "tenant,group,children\n";
+  const std::string full = "1.0,place,1,2,3,1,0.5,0.25,0.125,6,0,4096,4";
+  std::vector<std::size_t> comma_at;
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    if (full[i] == ',') comma_at.push_back(i);
+  }
+  ASSERT_EQ(comma_at.size(), 12u);
+  for (const std::size_t width : {10u, 11u, 12u, 14u}) {
+    const std::string row =
+        width == 14 ? full + ",0" : full.substr(0, comma_at[width - 1]);
+    // The bad row sits on line 3, after one valid row.
+    std::istringstream in(header + full + "\n" + row + "\n");
+    SchedTraceDump dump;
+    std::string error;
+    EXPECT_FALSE(parse_sched_trace_csv(in, dump, error)) << width;
+    EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+    EXPECT_NE(error.find("got " + std::to_string(width)), std::string::npos)
+        << error;
+  }
 }
 
 TEST(TraceReport, DeterministicMutationFuzzNeverCrashes) {
@@ -564,13 +492,14 @@ TEST(TraceReport, PerTypeBreakdownRenderedForMultiTypeDumps) {
   // Two task types with placements: the per-type section appears with one
   // row per type. One type: section absent (old reports unchanged).
   const std::string header =
-      "time,kind,task,type,version,worker,busy,estimate,penalty,candidates\n";
+      "time,kind,task,type,version,worker,busy,estimate,penalty,candidates,"
+      "tenant,group,children\n";
   std::istringstream multi(
       header +
-      "1.0,place,1,0,1,0,0.0,0.0,0.0,1\n"
-      "2.0,learn,2,5,2,1,0.0,0.0,0.0,1\n"
-      "3.0,done,1,0,1,0,0.0,0.0,0.0,0\n"
-      "4.0,steal,2,5,2,0,0.0,0.0,0.0,0\n");
+      "1.0,place,1,0,1,0,0.0,0.0,0.0,1,0,0,0\n"
+      "2.0,learn,2,5,2,1,0.0,0.0,0.0,1,0,0,0\n"
+      "3.0,done,1,0,1,0,0.0,0.0,0.0,0,0,0,0\n"
+      "4.0,steal,2,5,2,0,0.0,0.0,0.0,0,0,0,0\n");
   SchedTraceDump dump;
   std::string error;
   ASSERT_TRUE(parse_sched_trace_csv(multi, dump, error)) << error;
@@ -585,7 +514,8 @@ TEST(TraceReport, PerTypeBreakdownRenderedForMultiTypeDumps) {
   const std::string rendered = render_trace_report(dump, report);
   EXPECT_NE(rendered.find("per-type breakdown:"), std::string::npos);
 
-  std::istringstream single(header + "1.0,place,1,0,1,0,0.0,0.0,0.0,1\n");
+  std::istringstream single(header +
+                            "1.0,place,1,0,1,0,0.0,0.0,0.0,1,0,0,0\n");
   ASSERT_TRUE(parse_sched_trace_csv(single, dump, error)) << error;
   const TraceReport single_report = analyze_sched_trace(dump);
   EXPECT_EQ(render_trace_report(dump, single_report).find("per-type"),
@@ -596,10 +526,11 @@ TEST(TraceReport, EmptyTraceAnalyzesToZeros) {
   // A dump with a header and no rows (enabled trace, nothing recorded) is
   // valid and must not divide by zero.
   std::istringstream in(
-      "# versa-sched-trace v1\n"
+      "# versa-sched-trace v5\n"
       "# policy=fifo\n"
       "# recorded=0 dropped=0 capacity=8\n"
-      "time,kind,task,type,version,worker,busy,estimate,penalty,candidates\n");
+      "time,kind,task,type,version,worker,busy,estimate,penalty,candidates,"
+      "tenant,group,children\n");
   SchedTraceDump dump;
   std::string error;
   ASSERT_TRUE(parse_sched_trace_csv(in, dump, error)) << error;

@@ -1,7 +1,7 @@
 // Tests for the persistent profile subsystem (src/profile/): machine
 // signatures, store save/load round-trips (property test over random
-// tables), signature-mismatch rejection, corrupt-file fallback, legacy
-// hint-format import through the unified store path, and the CUSUM drift
+// tables), signature-mismatch rejection, corrupt-file fallback, hand-written
+// text hints through the same loader, and the CUSUM drift
 // detector (no false trigger under calibrated lognormal noise; prompt
 // trigger after a 2x cost shift).
 #include <gtest/gtest.h>
@@ -17,8 +17,6 @@
 #include "profile/drift_detector.h"
 #include "profile/machine_signature.h"
 #include "profile/profile_store.h"
-#include "sched/hints_file.h"
-#include "sched/xml_hints.h"
 
 namespace versa {
 namespace {
@@ -227,69 +225,111 @@ TEST(ProfileStore, UnknownNamesCountAsMisses) {
   EXPECT_EQ(target.count(matmul, gpu, 4096), 1u);
 }
 
-// --- unified import path for the legacy hint formats --------------------
+// --- hand-written text hints through the same loader --------------------
 
-TEST(ProfileStore, ImportsLegacyTextAndXmlHintsThroughSamePath) {
+TEST(ProfileStore, ImportsHandWrittenTextHintsClampedToLambda) {
   Fixture fx;
   ProfileConfig config;
   config.lambda = 3;
-  ProfileTable source(fx.registry, config);
-  for (int i = 0; i < 5; ++i) source.record(fx.matmul, fx.mm_gpu, 4096, 5e-3);
-
   const ProfileStore store(fx.registry, test_signature());
 
-  ProfileTable from_text(fx.registry, config);
-  const ProfileLoadResult text_result = store.import_text(
-      serialize_hints(fx.registry, source), from_text);
-  EXPECT_EQ(text_result.status, ProfileLoadStatus::kOk);
-  EXPECT_EQ(text_result.applied, 1);
-
-  ProfileTable from_xml(fx.registry, config);
-  const ProfileLoadResult xml_result = store.import_text(
-      serialize_xml_hints(fx.registry, source), from_xml);
-  EXPECT_EQ(xml_result.status, ProfileLoadStatus::kOk);
-  EXPECT_EQ(xml_result.applied, 1);
-
-  // Both legacy importers seed identically (count clamped to λ).
-  EXPECT_EQ(from_text.count(fx.matmul, fx.mm_gpu, 4096),
-            from_xml.count(fx.matmul, fx.mm_gpu, 4096));
-  EXPECT_DOUBLE_EQ(*from_text.mean(fx.matmul, fx.mm_gpu, 4096),
-                   *from_xml.mean(fx.matmul, fx.mm_gpu, 4096));
+  ProfileTable table(fx.registry, config);
+  const ProfileLoadResult result = store.import_text(
+      "# versa hints v1\n"
+      "hint matmul_tile cublas 4096 5e-3 40\n"
+      "hint matmul_tile cblas 4096 0.31 2\n",
+      table);
+  EXPECT_EQ(result.status, ProfileLoadStatus::kOk) << result.message;
+  EXPECT_EQ(result.applied, 2);
+  EXPECT_EQ(result.skipped, 0);
+  EXPECT_TRUE(result.warm());
+  EXPECT_NEAR(*table.mean(fx.matmul, fx.mm_gpu, 4096), 5e-3, 1e-12);
+  // A long history is clamped to λ; a short one is kept as written.
+  EXPECT_EQ(table.count(fx.matmul, fx.mm_gpu, 4096), 3u);
+  EXPECT_EQ(table.count(fx.matmul, fx.mm_smp, 4096), 2u);
+  EXPECT_FALSE(table.reliable(fx.matmul, 4096));
 
   ProfileTable bad(fx.registry, config);
   EXPECT_EQ(store.import_text("hint broken line", bad).status,
             ProfileLoadStatus::kCorrupt);
 }
 
-TEST(ProfileStore, SaveFormatFollowsExtension) {
+TEST(ProfileStore, XmlAndGarbageFilesLoadAsCorrupt) {
+  // Formats the loader no longer reads must cold-start with a typed
+  // status, never half-apply: the table keeps exactly what it had.
   Fixture fx;
-  ProfileTable source(fx.registry, {});
-  source.record(fx.matmul, fx.mm_gpu, 4096, 5e-3);
   const ProfileStore store(fx.registry, test_signature());
-
-  auto first_line = [](const std::string& path) {
-    std::ifstream in(path);
-    std::string line;
-    std::getline(in, line);
-    return line;
-  };
-
   const std::string dir = testing::TempDir();
-  ASSERT_TRUE(store.save(dir + "/p.profile", source));
-  EXPECT_NE(first_line(dir + "/p.profile").find("profile-store"),
-            std::string::npos);
-  ASSERT_TRUE(store.save(dir + "/p.txt", source));
-  EXPECT_NE(first_line(dir + "/p.txt").find("versa hints"), std::string::npos);
-  ASSERT_TRUE(store.save(dir + "/p.xml", source));
-  EXPECT_NE(first_line(dir + "/p.xml").find("<?xml"), std::string::npos);
-
-  // Every format loads back through the same sniffing entry point.
-  for (const char* name : {"/p.profile", "/p.txt", "/p.xml"}) {
-    ProfileTable loaded(fx.registry, {});
-    EXPECT_EQ(store.load(dir + name, loaded).status, ProfileLoadStatus::kOk)
-        << name;
-    EXPECT_NEAR(*loaded.mean(fx.matmul, fx.mm_gpu, 4096), 5e-3, 1e-12);
+  const struct {
+    const char* name;
+    const char* body;
+  } files[] = {
+      {"/hints.xml",
+       "<?xml version=\"1.0\"?>\n<hints>\n  <task name=\"matmul_tile\">\n"
+       "    <group size=\"4096\">\n"
+       "      <version name=\"cublas\" mean=\"5e-3\" count=\"4\"/>\n"
+       "    </group>\n  </task>\n</hints>\n"},
+      {"/garbage.bin", "\x7f" "ELF\x02\x01\x01 not a profile\n"},
+      // A sound hint followed by a broken one: nothing is applied.
+      {"/half.hints", "hint matmul_tile cublas 4096 5e-3 4\nhint potrf\n"},
+  };
+  for (const auto& file : files) {
+    const std::string path = dir + file.name;
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << file.body;
+    }
+    ProfileTable table(fx.registry, {});
+    table.record(fx.potrf, fx.po_gpu, 512, 7e-3);
+    const ProfileLoadResult result = store.load(path, table);
+    EXPECT_EQ(result.status, ProfileLoadStatus::kCorrupt) << file.name;
+    EXPECT_EQ(result.applied, 0) << file.name;
+    EXPECT_FALSE(result.warm()) << file.name;
+    EXPECT_EQ(table.group_count(), 1u) << file.name;
+    EXPECT_EQ(table.count(fx.potrf, fx.po_gpu, 512), 1u) << file.name;
+    EXPECT_EQ(table.count(fx.matmul, fx.mm_gpu, 4096), 0u) << file.name;
+    std::remove(path.c_str());
   }
+}
+
+// The text-hints rules, driven through the store's loader.
+
+TEST(Hints, UnknownNamesAreSkippedNotFatal) {
+  VersionRegistry reg;
+  const TaskTypeId t = reg.declare_task("known");
+  reg.add_version(t, DeviceKind::kSmp, "v", nullptr, nullptr);
+  const ProfileStore store(reg, test_signature());
+  ProfileTable table(reg, {});
+  for (const char* text :
+       {"hint ghost v 100 1.0 2\n", "hint known ghost 100 1.0 2\n"}) {
+    const ProfileLoadResult result = store.import_text(text, table);
+    EXPECT_EQ(result.status, ProfileLoadStatus::kOk) << text;
+    EXPECT_EQ(result.applied, 0) << text;
+    EXPECT_EQ(result.skipped, 1) << text;
+  }
+  EXPECT_EQ(table.group_count(), 0u);
+}
+
+TEST(Hints, MalformedInputReturnsError) {
+  VersionRegistry reg;
+  const ProfileStore store(reg, test_signature());
+  ProfileTable table(reg, {});
+  for (const char* text : {"hint too few\n", "nothint a b 1 1.0 1\n",
+                           "hint a b 1 -5.0 1\n"}) {
+    EXPECT_EQ(store.import_text(text, table).status,
+              ProfileLoadStatus::kCorrupt)
+        << text;
+  }
+}
+
+TEST(Hints, CommentsAndBlanksIgnored) {
+  VersionRegistry reg;
+  const ProfileStore store(reg, test_signature());
+  ProfileTable table(reg, {});
+  const ProfileLoadResult result =
+      store.import_text("# comment\n\n   \n", table);
+  EXPECT_EQ(result.status, ProfileLoadStatus::kOk);
+  EXPECT_EQ(result.applied, 0);
 }
 
 // --- concurrent store access (service mode shares one cache file) --------

@@ -1,14 +1,13 @@
 // Unit tests for the scheduling layer: profile tables (Table I semantics),
 // the plugin factory, the baseline policies, and the versioning scheduler's
 // two phases — learning (round-robin to λ) and reliable (earliest
-// executor, Figure 5) — plus hints files and the locality extension.
+// executor, Figure 5) — plus the locality extension.
 #include <gtest/gtest.h>
 
 #include "machine/presets.h"
 #include "sched/affinity_scheduler.h"
 #include "sched/dep_aware_scheduler.h"
 #include "sched/fifo_scheduler.h"
-#include "sched/hints_file.h"
 #include "sched/locality_versioning_scheduler.h"
 #include "sched/profile_table.h"
 #include "sched/scheduler_factory.h"
@@ -577,64 +576,6 @@ TEST(LocalityVersioning, PenaltyBreaksTieTowardDataHolder) {
   sched.task_ready(task);
   EXPECT_EQ(task.assigned_worker, holder);
   EXPECT_EQ(task.chosen_version, gpu);
-}
-
-// --- hints files -------------------------------------------------------------
-
-TEST(Hints, RoundTripThroughText) {
-  VersionRegistry reg;
-  const TaskTypeId t = reg.declare_task("matmul");
-  const VersionId v = reg.add_version(t, DeviceKind::kCuda, "cublas", nullptr,
-                                      nullptr);
-  ProfileConfig config;
-  config.lambda = 3;
-  ProfileTable source(reg, config);
-  for (int i = 0; i < 5; ++i) source.record(t, v, 4096, 2e-3);
-
-  const std::string text = serialize_hints(reg, source);
-  ProfileTable target(reg, config);
-  EXPECT_EQ(parse_hints(text, reg, target), 1);
-  EXPECT_NEAR(*target.mean(t, v, 4096), 2e-3, 1e-12);
-  // Count is clamped to λ.
-  EXPECT_EQ(target.count(t, v, 4096), 3u);
-}
-
-TEST(Hints, UnknownNamesAreSkippedNotFatal) {
-  VersionRegistry reg;
-  const TaskTypeId t = reg.declare_task("known");
-  reg.add_version(t, DeviceKind::kSmp, "v", nullptr, nullptr);
-  ProfileTable table(reg, {});
-  EXPECT_EQ(parse_hints("hint ghost v 100 1.0 2\n", reg, table), 0);
-  EXPECT_EQ(parse_hints("hint known ghost 100 1.0 2\n", reg, table), 0);
-}
-
-TEST(Hints, MalformedInputReturnsError) {
-  VersionRegistry reg;
-  ProfileTable table(reg, {});
-  EXPECT_EQ(parse_hints("hint too few\n", reg, table), -1);
-  EXPECT_EQ(parse_hints("nothint a b 1 1.0 1\n", reg, table), -1);
-  EXPECT_EQ(parse_hints("hint a b 1 -5.0 1\n", reg, table), -1);
-}
-
-TEST(Hints, CommentsAndBlanksIgnored) {
-  VersionRegistry reg;
-  ProfileTable table(reg, {});
-  EXPECT_EQ(parse_hints("# comment\n\n   \n", reg, table), 0);
-}
-
-TEST(Hints, FileRoundTrip) {
-  VersionRegistry reg;
-  const TaskTypeId t = reg.declare_task("t");
-  const VersionId v = reg.add_version(t, DeviceKind::kSmp, "v", nullptr, nullptr);
-  ProfileTable source(reg, {});
-  source.record(t, v, 100, 1.5);
-
-  const std::string path = testing::TempDir() + "/versa_hints_test.txt";
-  ASSERT_TRUE(save_hints(path, reg, source));
-  ProfileTable target(reg, {});
-  EXPECT_GE(load_hints(path, reg, target), 1);
-  EXPECT_NEAR(*target.mean(t, v, 100), 1.5, 1e-12);
-  EXPECT_EQ(load_hints("/nonexistent/path/hints.txt", reg, target), -1);
 }
 
 }  // namespace

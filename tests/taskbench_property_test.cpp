@@ -78,6 +78,34 @@ TEST(TaskbenchOracle, GeneratorMatchesClosedForm) {
   }
 }
 
+TEST(TaskbenchOracle, LocateAgreesWithLinearLevelWalk) {
+  // locate() binary-searches level_offset; the reference is the plain
+  // walk. Every flat id is checked, so each level's first and last node
+  // (the search boundaries) are covered for every family.
+  for (const GraphFamily family : all_families()) {
+    for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
+      TaskBenchParams params;
+      params.family = family;
+      params.width = 9;
+      params.steps = 6;
+      params.fan = 3;
+      params.seed = seed;
+      const GraphSpec spec = generate_graph(params);
+      for (std::uint64_t flat = 0; flat < spec.node_count; ++flat) {
+        std::uint32_t step = 0;
+        while (step + 1 < spec.level_offset.size() &&
+               spec.level_offset[step + 1] <= flat) {
+          ++step;
+        }
+        const auto [got_step, got_index] = spec.locate(flat);
+        ASSERT_EQ(got_step, step) << to_string(family) << " flat " << flat;
+        ASSERT_EQ(got_index, flat - spec.level_offset[step])
+            << to_string(family) << " flat " << flat;
+      }
+    }
+  }
+}
+
 TEST(TaskbenchOracle, ClosureContainsEdgesAndTransitivePairs) {
   TaskBenchParams params;
   params.family = GraphFamily::kChain;
