@@ -64,6 +64,41 @@ void BM_DependencyAnalysisRandomRanges(benchmark::State& state) {
 }
 BENCHMARK(BM_DependencyAnalysisRandomRanges)->Arg(1024);
 
+void BM_UnregisterAfterHistory(benchmark::State& state) {
+  // One dynamic-region cycle (register, submit a writer, taskwait_on,
+  // unregister) after `history` finished tasks. Retiring a region reads a
+  // per-region user count and the region's last writers, so ns per cycle
+  // must stay flat across the Args. The cycle waits with taskwait_on: the
+  // master-level taskwait flushes every region ever registered, which
+  // would grow with the iteration count instead of the task history.
+  const std::size_t history = static_cast<std::size_t>(state.range(0));
+  const Machine machine = make_smp_machine(2);
+  RuntimeConfig config;
+  config.backend = Backend::kSim;
+  config.scheduler = "dep-aware";
+  config.noise.kind = sim::NoiseKind::kNone;
+  Runtime rt(machine, config);
+  const TaskTypeId t = rt.declare_task("t");
+  rt.add_version(t, DeviceKind::kSmp, "v", nullptr, make_constant_cost(1e-6));
+  std::vector<RegionId> regions;
+  for (int i = 0; i < 16; ++i) {
+    regions.push_back(rt.register_data("h" + std::to_string(i), 64));
+  }
+  for (std::size_t i = 0; i < history; ++i) {
+    rt.submit(t, {Access::inout(regions[i % regions.size()])});
+  }
+  rt.taskwait();
+  for (auto _ : state) {
+    const RegionId region = rt.register_data("cycle", 64);
+    rt.submit(t, {Access::out(region)});
+    rt.taskwait_on(region);
+    rt.unregister_data(region);
+    benchmark::DoNotOptimize(region);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_UnregisterAfterHistory)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
+
 void BM_DirectoryAcquireMigrate(benchmark::State& state) {
   const Machine machine = make_minotauro_node(2, 2);
   DataDirectory directory(machine);

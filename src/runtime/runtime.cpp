@@ -12,19 +12,6 @@
 #include "sched/versioning_scheduler.h"
 
 namespace versa {
-namespace {
-
-/// True if `accesses[i]` is the first access to its region: counts each
-/// region once (paper footnote 2) without allocating — access lists are
-/// a handful of clauses, so the quadratic scan beats a set.
-bool first_access_to_region(const AccessList& accesses, std::size_t i) {
-  for (std::size_t j = 0; j < i; ++j) {
-    if (accesses[j].region == accesses[i].region) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 Runtime::Runtime(const Machine& machine, RuntimeConfig config)
     : machine_(machine),
@@ -105,18 +92,13 @@ RegionId Runtime::register_data(std::string name, std::uint64_t size,
 void Runtime::unregister_data(RegionId region) {
   versa::RecursiveLockGuard lock(mutex_);
   // Close any open fuse window first: its members are unregistered, and
-  // the liveness scan below must see their final (possibly fused) form.
+  // the user count below must see their final (possibly fused) form.
   flush_fuse_window();
   // Guard against use-after-free at the task level: no live task may still
-  // reference the region. (Linear scan: deregistration is a coarse event,
-  // typically after a taskwait.)
-  for (const Task& task : graph_.tasks()) {
-    if (task.state == TaskState::kFinished) continue;
-    for (const Access& access : task.accesses) {
-      VERSA_CHECK_MSG(access.region != region,
-                      "unregistering a region with unfinished tasks");
-    }
-  }
+  // reference the region. The graph keeps the count exact at every create,
+  // finish and fuse, so this check costs O(1) however long the run.
+  VERSA_CHECK_MSG(graph_.region_users(region) == 0,
+                  "unregistering a region with unfinished tasks");
   analyzer_.clear_region(region);
   if (sanitizer_ != nullptr) sanitizer_->on_region_unregistered(region);
   directory_.unregister_region(region);
@@ -441,7 +423,7 @@ void Runtime::flush_fuse_window() {
   host.origin_type = host.type;
   host.origin_size = host.data_set_size;
   host.type = recipe->fused_type;
-  host.accesses = std::move(fused);
+  graph_.replace_accesses(host, std::move(fused));
   host.data_set_size = fused_size;
   host.fused_count = static_cast<std::uint32_t>(members.size() - 1);
   trace_granularity(core::TraceEventKind::kFuse, host.id, host.tenant,
@@ -674,25 +656,19 @@ void Runtime::taskwait_noflush() {
 }
 
 void Runtime::taskwait_on(RegionId region) {
-  TaskId writer = kInvalidTask;
+  std::vector<TaskId> writers;
   {
     versa::RecursiveLockGuard lock(mutex_);
     if (granularity_ != nullptr) flush_fuse_window();
-    // Latest writer = the largest task id among interval writers; the
-    // analyzer does not expose it directly, so scan the graph tail. Tasks
-    // are few enough (and this call rare enough) for a linear scan.
-    for (const Task& task : graph_.tasks()) {
-      if (task.state == TaskState::kFinished) continue;
-      for (const Access& access : task.accesses) {
-        if (access.region == region && writes(access.mode)) {
-          writer = std::max(writer == kInvalidTask ? 0 : writer, task.id);
-        }
-      }
-    }
+    analyzer_.last_writers(region, writers);
+    writers.erase(std::remove_if(writers.begin(), writers.end(),
+                                 [&](TaskId id) {
+                                   return graph_.task(id).state ==
+                                          TaskState::kFinished;
+                                 }),
+                  writers.end());
   }
-  if (writer != kInvalidTask) {
-    executor_->wait_task(writer);
-  }
+  for (TaskId writer : writers) executor_->wait_task(writer);
   versa::RecursiveLockGuard lock(mutex_);
   TransferList ops;
   directory_.flush_region(region, ops);

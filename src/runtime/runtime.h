@@ -71,8 +71,10 @@ class Runtime final : public SchedulerContext, public ExecutorPort {
                          void* host_ptr = nullptr);
 
   /// Stop managing a region (dynamic workloads freeing blocks). Every
-  /// unfinished task touching it must have completed — call after a
-  /// taskwait covering its last use. Dirty device copies are discarded;
+  /// task touching it must have completed — call after a taskwait
+  /// covering its last use; aborts otherwise. The check reads the graph's
+  /// per-region count of unfinished users, so it costs O(1) regardless of
+  /// how many tasks ran before. Dirty device copies are discarded;
   /// taskwait_on(region) first if the host copy matters.
   void unregister_data(RegionId region);
 
@@ -153,8 +155,10 @@ class Runtime final : public SchedulerContext, public ExecutorPort {
   /// Barrier without flushing remote copies (taskwait noflush).
   void taskwait_noflush();
 
-  /// Block until the last writer of `region` finished, then flush just
-  /// that region (taskwait on(...)).
+  /// Block until every unfinished last writer of `region`'s bytes has
+  /// finished, then flush just that region (taskwait on(...)). Writers of
+  /// disjoint byte ranges are independent, so each one is waited for;
+  /// tasks on other regions keep running.
   void taskwait_on(RegionId region);
 
   // --- results ------------------------------------------------------------

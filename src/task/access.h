@@ -3,6 +3,7 @@
 // every dependence clause also implies the corresponding copy clause).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -46,6 +47,17 @@ struct Access {
 };
 
 using AccessList = std::vector<Access>;
+
+/// True if `accesses[i]` is the first access to its region: counts each
+/// region once (paper footnote 2) without allocating — access lists are
+/// a handful of clauses, so the quadratic scan beats a set.
+inline bool first_access_to_region(const AccessList& accesses,
+                                   std::size_t i) {
+  for (std::size_t j = 0; j < i; ++j) {
+    if (accesses[j].region == accesses[i].region) return false;
+  }
+  return true;
+}
 
 /// One byte span a task body actually touched, reported through the
 /// AccessWitness API (DESIGN.md §12). Unlike Access, `length` is always

@@ -97,6 +97,19 @@ void DependencyAnalyzer::add_task(TaskId task, const AccessList& accesses,
               preds.end());
 }
 
+void DependencyAnalyzer::last_writers(RegionId region,
+                                      std::vector<TaskId>& out) const {
+  versa::LockGuard lock(mutex_);
+  const auto found = regions_.find(region);
+  if (found == regions_.end()) return;
+  const std::size_t begin = out.size();
+  for (const auto& [start, node] : found->second) {
+    if (node.last_writer != kInvalidTask) out.push_back(node.last_writer);
+  }
+  std::sort(out.begin() + begin, out.end());
+  out.erase(std::unique(out.begin() + begin, out.end()), out.end());
+}
+
 void DependencyAnalyzer::clear_region(RegionId region) {
   versa::LockGuard lock(mutex_);
   regions_.erase(region);

@@ -35,6 +35,11 @@ class DependencyAnalyzer {
   void add_task(TaskId task, const AccessList& accesses,
                 std::vector<TaskId>& preds);
 
+  /// Append to `out` the distinct last writers of `region`'s intervals,
+  /// finished or not. Disjoint byte ranges can have independent writers,
+  /// so the region is current only once all of them have finished.
+  void last_writers(RegionId region, std::vector<TaskId>& out) const;
+
   /// Forget all tracking for a region (region deregistration).
   void clear_region(RegionId region);
 

@@ -21,6 +21,7 @@ Task& TaskGraph::create_task(TaskTypeId type, AccessList accesses,
   task.label = std::move(label);
   task.graph = graph;
   task.tenant = graphs_[graph].tenant;
+  add_users(task.accesses);
   tasks_.push_back(std::move(task));
   ++unfinished_;
   ++graphs_[graph].unfinished;
@@ -79,6 +80,7 @@ void TaskGraph::mark_finished(TaskId id, Time now,
   --unfinished_;
   VERSA_CHECK(graphs_[task.graph].unfinished > 0);
   --graphs_[task.graph].unfinished;
+  drop_users(task.accesses);
   for (TaskId succ_id : task.successors) {
     Task& succ = tasks_[succ_id];
     VERSA_CHECK(succ.remaining_deps > 0);
@@ -100,6 +102,37 @@ void TaskGraph::finish_stub(TaskId id, Time now) {
   --unfinished_;
   VERSA_CHECK(graphs_[task.graph].unfinished > 0);
   --graphs_[task.graph].unfinished;
+  drop_users(task.accesses);
+}
+
+void TaskGraph::replace_accesses(Task& task, AccessList accesses) {
+  VERSA_CHECK_MSG(task.state != TaskState::kFinished,
+                  "replacing the accesses of a finished task");
+  drop_users(task.accesses);
+  add_users(accesses);
+  task.accesses = std::move(accesses);
+}
+
+std::uint32_t TaskGraph::region_users(RegionId region) const {
+  return region < region_users_.size() ? region_users_[region] : 0;
+}
+
+void TaskGraph::add_users(const AccessList& accesses) {
+  for (std::size_t i = 0; i < accesses.size(); ++i) {
+    if (!first_access_to_region(accesses, i)) continue;
+    const RegionId region = accesses[i].region;
+    if (region >= region_users_.size()) region_users_.resize(region + 1, 0);
+    ++region_users_[region];
+  }
+}
+
+void TaskGraph::drop_users(const AccessList& accesses) {
+  for (std::size_t i = 0; i < accesses.size(); ++i) {
+    if (!first_access_to_region(accesses, i)) continue;
+    const RegionId region = accesses[i].region;
+    VERSA_CHECK(region < region_users_.size() && region_users_[region] > 0);
+    --region_users_[region];
+  }
 }
 
 Task& TaskGraph::task(TaskId id) {
@@ -116,6 +149,7 @@ void TaskGraph::reset() {
   tasks_.clear();
   graphs_.clear();
   graphs_.push_back(GraphInfo{});
+  region_users_.clear();
   unfinished_ = 0;
   edges_ = 0;
 }

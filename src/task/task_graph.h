@@ -2,8 +2,10 @@
 //
 // The graph owns every submitted Task for the lifetime of a run (ids are
 // indices), counts unsatisfied predecessors, and releases successors on
-// completion. Concurrency control lives one level up, in Runtime — the
-// graph itself is single-threaded by contract.
+// completion. It also counts, per region, the unfinished tasks that name
+// it, so retiring a region never scans the task history. Concurrency
+// control lives one level up, in Runtime — the graph itself is
+// single-threaded by contract.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +22,9 @@ class TaskGraph {
   TaskGraph();
 
   /// Create a task in kCreated state. Accesses must have resolved lengths.
-  /// The task joins `graph` (an id from open_graph(), or kDefaultGraph).
+  /// The task joins `graph` (an id from open_graph(), or kDefaultGraph)
+  /// and counts as a user of each distinct region it accesses until it
+  /// finishes.
   Task& create_task(TaskTypeId type, AccessList accesses,
                     std::uint64_t data_set_size, std::string label,
                     GraphId graph = kDefaultGraph);
@@ -51,6 +55,15 @@ class TaskGraph {
   /// kFinished and the graph counters settle as if it had run.
   void finish_stub(TaskId id, Time now);
 
+  /// Swap an unfinished task's access list (the fuse path folds sibling
+  /// clauses into the host), moving its region-user counts along.
+  void replace_accesses(Task& task, AccessList accesses);
+
+  /// Unfinished tasks whose access list names `region` (each task once).
+  /// Split shells count until their last child finishes; fused-away
+  /// members stop counting when they retire into their host.
+  std::uint32_t region_users(RegionId region) const;
+
   Task& task(TaskId id);
   const Task& task(TaskId id) const;
 
@@ -75,8 +88,15 @@ class TaskGraph {
     std::size_t total = 0;
   };
 
+  /// Count or uncount `accesses`' distinct regions in region_users_.
+  void add_users(const AccessList& accesses);
+  void drop_users(const AccessList& accesses);
+
   std::deque<Task> tasks_;
   std::vector<GraphInfo> graphs_;
+  /// Unfinished users per region, indexed by RegionId (directory ids are
+  /// dense and never reused).
+  std::vector<std::uint32_t> region_users_;
   std::size_t unfinished_ = 0;
   std::uint64_t edges_ = 0;
 };

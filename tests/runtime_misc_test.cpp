@@ -64,6 +64,28 @@ TEST(RuntimeMisc, TaskwaitOnWaitsForTheLatestWriterOnly) {
   EXPECT_TRUE(rt.task_graph().all_finished());
 }
 
+TEST(RuntimeMisc, TaskwaitOnWaitsForEveryDisjointWriter) {
+  const Machine machine = make_smp_machine(2);
+  RuntimeConfig config;
+  config.backend = Backend::kSim;
+  config.scheduler = "dep-aware";
+  config.noise.kind = sim::NoiseKind::kNone;
+  Runtime rt(machine, config);
+  const TaskTypeId slow = rt.declare_task("slow");
+  const TaskTypeId fast = rt.declare_task("fast");
+  rt.add_version(slow, DeviceKind::kSmp, "v", nullptr,
+                 make_constant_cost(1e-2));
+  rt.add_version(fast, DeviceKind::kSmp, "v", nullptr,
+                 make_constant_cost(1e-3));
+  const RegionId r = rt.register_data("r", 64);
+  // Independent writers of the two halves; the later one finishes first.
+  const TaskId low = rt.submit(slow, {Access::out_range(r, 0, 32)});
+  const TaskId high = rt.submit(fast, {Access::out_range(r, 32, 32)});
+  rt.taskwait_on(r);
+  EXPECT_EQ(rt.task_graph().task(low).state, TaskState::kFinished);
+  EXPECT_EQ(rt.task_graph().task(high).state, TaskState::kFinished);
+}
+
 TEST(RuntimeMiscDeath, UnknownSchedulerAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const Machine machine = make_smp_machine(1);

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "machine/presets.h"
@@ -170,6 +172,28 @@ TEST(RuntimeThreads, TaskwaitOnBlocksUntilWriterDone) {
   rt.submit(t, {Access::inout(r)});
   rt.taskwait_on(r);
   EXPECT_EQ(value, 99);
+  rt.taskwait();
+}
+
+TEST(RuntimeThreads, TaskwaitOnWaitsForEveryDisjointWriter) {
+  const Machine machine = make_smp_machine(2);
+  std::atomic<bool> slow_done{false};  // outlives the runtime's workers
+  Runtime rt(machine, thread_config("dep-aware"));
+  const TaskTypeId slow = rt.declare_task("slow");
+  const TaskTypeId fast = rt.declare_task("fast");
+  rt.add_version(slow, DeviceKind::kSmp, "v", [&](TaskContext&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    slow_done = true;
+  });
+  rt.add_version(fast, DeviceKind::kSmp, "v", [](TaskContext&) {});
+  const RegionId r = rt.register_data("r", 64);
+  // Independent writers of the two halves; the later one finishes first.
+  const TaskId low = rt.submit(slow, {Access::out_range(r, 0, 32)});
+  const TaskId high = rt.submit(fast, {Access::out_range(r, 32, 32)});
+  rt.taskwait_on(r);
+  EXPECT_TRUE(slow_done);
+  EXPECT_EQ(rt.task_graph().task(low).state, TaskState::kFinished);
+  EXPECT_EQ(rt.task_graph().task(high).state, TaskState::kFinished);
   rt.taskwait();
 }
 
