@@ -17,24 +17,16 @@
 // every eighth op to show the split survives the stealing path without
 // collapsing (two shards touched, still no global serialization).
 //
-// The PR-4 producer-side pair: BM_SubmitBuffered drives buffer_push (the
-// kLockRankSubmit submission buffer) with a drain + pop-all every 16
-// submissions, i.e. the round-boundary publish; BM_SubmitRuntimeLock is
-// the pre-split producer — every push priority-inserted under one global
-// mutex the way push_to_worker used to ride the runtime lock. Acceptance
-// bar: buffered submission throughput beats the runtime-lock model from
-// 4 producers up.
-//
 // Caveat for single-CPU hosts (some CI containers): with one core there
 // is no parallelism for a lock split to reclaim — contended threads
 // sleep on the futex and the lock holder runs uninterrupted, so the
-// global-mutex baselines flat-line at their 1-thread rate while the
-// uncontended sharded/buffered paths pay the timeslice round-robin tax.
-// On such hosts the split paths measure within noise of (or behind) the
-// global-mutex models at every thread count; the multi-producer bars are
-// meaningful on multicore hardware only. A committed
-// BENCH_thread_scale.json records which kind of host produced it in its
-// context block (num_cpus).
+// global-mutex baseline flat-lines at its 1-thread rate while the
+// uncontended sharded paths pay the timeslice round-robin tax. On such
+// hosts the sharded paths measure within noise of (or behind) the
+// single-lock model at every thread count; the scaling bar is meaningful
+// on multicore hardware only. A committed BENCH_thread_scale.json records
+// which kind of host produced it, and the build type of this binary, in
+// its context block (num_cpus, hardware_concurrency, build_type).
 #include <benchmark/benchmark.h>
 
 #include <deque>
@@ -155,58 +147,6 @@ void BM_PopShardedWithSteals(benchmark::State& state) {
 }
 BENCHMARK(BM_PopShardedWithSteals)->ThreadRange(1, kMaxThreads)->UseRealTime();
 
-void BM_SubmitBuffered(benchmark::State& state) {
-  // The post-split producer: append to the shard's submission buffer (its
-  // own kLockRankSubmit mutex, no queue-mutex contention), publish with a
-  // drain every 16 submissions — the round-boundary cadence — and pop the
-  // batch back out to stay in steady state.
-  static WorkerQueues* queues = [] {
-    auto* q = new WorkerQueues;
-    q->reset(kMaxThreads);
-    return q;
-  }();
-  const WorkerId worker = static_cast<WorkerId>(state.thread_index());
-  TaskId next = 1;
-  int op = 0;
-  for (auto _ : state) {
-    queues->buffer_push(worker, make_entry(next++));
-    if (++op % 16 == 0) {
-      queues->drain(worker);
-      while (queues->pop_front(worker)) {
-      }
-    }
-  }
-  queues->drain(worker);
-  while (queues->pop_front(worker)) {
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SubmitBuffered)->ThreadRange(1, kMaxThreads)->UseRealTime();
-
-void BM_SubmitRuntimeLock(benchmark::State& state) {
-  // The pre-split producer: every submission priority-inserts under ONE
-  // global mutex (the runtime lock's role in the old push_to_worker), with
-  // the same batch-of-16 pop to mirror the buffered loop's consumption.
-  static SingleLockQueues* queues = [] {
-    return new SingleLockQueues(kMaxThreads);
-  }();
-  const WorkerId worker = static_cast<WorkerId>(state.thread_index());
-  TaskId next = 1;
-  int op = 0;
-  QueueEntry out;
-  for (auto _ : state) {
-    queues->push(worker, make_entry(next++));
-    if (++op % 16 == 0) {
-      while (queues->pop_front(worker, out)) {
-      }
-    }
-  }
-  while (queues->pop_front(worker, out)) {
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SubmitRuntimeLock)->ThreadRange(1, kMaxThreads)->UseRealTime();
-
 }  // namespace
 }  // namespace versa::core
 
@@ -218,6 +158,7 @@ int main(int argc, char** argv) {
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   versa::bench::report_hardware_concurrency();
+  ::benchmark::AddCustomContext("build_type", VERSA_BUILD_TYPE);
   ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();
   return 0;

@@ -452,10 +452,6 @@ void Runtime::release_ready(const std::vector<TaskId>& ready) {
 
 void Runtime::dispatch_batch(const std::vector<TaskId>& batch) {
   if (batch.empty()) return;
-  // Bracket the batch: schedulers that buffer submissions stage the whole
-  // batch and publish per-shard runs in ready_batch_done (one submit-mutex
-  // round trip per worker instead of one per task).
-  scheduler_->ready_batch_begin();
   for (TaskId id : batch) {
     Task& task = graph_.task(id);
     VERSA_CHECK(task.state == TaskState::kCreated);
@@ -558,7 +554,6 @@ void Runtime::port_failed(TaskId id, WorkerId worker, Time /*start*/,
   // (through its busy estimates) that the failed worker lost time.
   task.state = TaskState::kReady;
   task.ready_time = finish;
-  scheduler_->ready_batch_begin();
   scheduler_->task_ready(task);
   scheduler_->ready_batch_done();
   executor_->work_available();

@@ -39,6 +39,7 @@
 // instance lives behind a dedicated mutex: QueueScheduler declares its
 // account_ GUARDED_BY(account_mutex_) (lock class kLockRankAccount) and
 // the thread-safety analysis rejects unlocked access paths (DESIGN.md §9).
+// reprice runs under that mutex the moment a profile mean moves.
 #pragma once
 
 #include <array>

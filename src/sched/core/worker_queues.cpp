@@ -10,93 +10,18 @@ void WorkerQueues::reset(std::size_t worker_count) {
   for (std::size_t i = 0; i < worker_count; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  batching_ = false;
-  staged_.assign(worker_count, {});
-  batch_appends_.store(0, std::memory_order_relaxed);
-}
-
-void WorkerQueues::insert_locked(Shard& shard, const QueueEntry& entry) {
-  auto it = shard.entries.end();
-  while (it != shard.entries.begin() && (it - 1)->priority < entry.priority) {
-    --it;
-  }
-  shard.entries.insert(it, entry);
-  shard.length.store(shard.entries.size(), std::memory_order_relaxed);
 }
 
 void WorkerQueues::push(WorkerId worker, const QueueEntry& entry) {
   VERSA_CHECK(worker < shards_.size());
   Shard& shard = *shards_[worker];
   versa::LockGuard lock(shard.mutex);
-  insert_locked(shard, entry);
-}
-
-void WorkerQueues::buffer_push(WorkerId worker, const QueueEntry& entry) {
-  VERSA_CHECK(worker < shards_.size());
-  Shard& shard = *shards_[worker];
-  if (batching_) {
-    // Lock-free park into the window's run; the entry is published to the
-    // shard (and to concurrent drainers) by end_batch. Only the atomic
-    // staged count escapes the window — it keeps length() advertising the
-    // parked work to victim selection.
-    staged_[worker].push_back(entry);
-    shard.staged.fetch_add(1, std::memory_order_relaxed);
-    return;
+  auto it = shard.entries.end();
+  while (it != shard.entries.begin() && (it - 1)->priority < entry.priority) {
+    --it;
   }
-  versa::LockGuard lock(shard.submit_mutex);
-  shard.buffer.push_back(entry);
-  // Release pairs with drain()'s acquire so a drainer that observes the
-  // count also observes the entry.
-  shard.buffered.store(shard.buffer.size(), std::memory_order_release);
-}
-
-void WorkerQueues::begin_batch() {
-  VERSA_CHECK_MSG(!batching_, "batch window already open");
-  batching_ = true;
-}
-
-void WorkerQueues::end_batch() {
-  // No-op without an open window: drivers that only call ready_batch_done
-  // (the pre-batching contract, kept valid) pushed straight to the
-  // buffers, so there is nothing to publish.
-  if (!batching_) return;
-  batching_ = false;
-  for (WorkerId worker = 0; worker < staged_.size(); ++worker) {
-    std::vector<QueueEntry>& run = staged_[worker];
-    if (run.empty()) continue;
-    Shard& shard = *shards_[worker];
-    {
-      // One submit-mutex round trip for the whole run.
-      versa::LockGuard lock(shard.submit_mutex);
-      shard.buffer.insert(shard.buffer.end(), run.begin(), run.end());
-      shard.buffered.store(shard.buffer.size(), std::memory_order_release);
-    }
-    // Publish before un-staging so length() briefly double-counts rather
-    // than dipping (it is a racy snapshot either way).
-    shard.staged.fetch_sub(run.size(), std::memory_order_relaxed);
-    run.clear();
-    batch_appends_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void WorkerQueues::drain(WorkerId worker) {
-  VERSA_CHECK(worker < shards_.size());
-  Shard& shard = *shards_[worker];
-  if (shard.buffered.load(std::memory_order_acquire) == 0) return;
-  versa::LockGuard submit_lock(shard.submit_mutex);
-  if (shard.buffer.empty()) return;  // raced with another drainer
-  versa::LockGuard queue_lock(shard.mutex);
-  for (const QueueEntry& entry : shard.buffer) {
-    insert_locked(shard, entry);
-  }
-  shard.buffer.clear();
-  shard.buffered.store(0, std::memory_order_release);
-}
-
-void WorkerQueues::drain_all() {
-  for (WorkerId worker = 0; worker < shards_.size(); ++worker) {
-    drain(worker);
-  }
+  shard.entries.insert(it, entry);
+  shard.length.store(shard.entries.size(), std::memory_order_relaxed);
 }
 
 std::optional<QueueEntry> WorkerQueues::pop_front(WorkerId worker) {
@@ -123,33 +48,16 @@ std::optional<QueueEntry> WorkerQueues::steal_back(WorkerId victim) {
 
 std::size_t WorkerQueues::length(WorkerId worker) const {
   VERSA_CHECK(worker < shards_.size());
-  const Shard& shard = *shards_[worker];
-  return shard.length.load(std::memory_order_relaxed) +
-         shard.buffered.load(std::memory_order_relaxed) +
-         shard.staged.load(std::memory_order_relaxed);
-}
-
-std::size_t WorkerQueues::buffered_length(WorkerId worker) const {
-  VERSA_CHECK(worker < shards_.size());
-  return shards_[worker]->buffered.load(std::memory_order_relaxed);
+  return shards_[worker]->length.load(std::memory_order_relaxed);
 }
 
 std::vector<TaskId> WorkerQueues::snapshot(WorkerId worker) const {
   VERSA_CHECK(worker < shards_.size());
   const Shard& shard = *shards_[worker];
-  // submit(17) before queue(30): documented rank order.
-  versa::LockGuard submit_lock(shard.submit_mutex);
   versa::LockGuard lock(shard.mutex);
   std::vector<TaskId> out;
-  out.reserve(shard.entries.size() + shard.buffer.size());
+  out.reserve(shard.entries.size());
   for (const QueueEntry& entry : shard.entries) {
-    out.push_back(entry.id);
-  }
-  for (const QueueEntry& entry : shard.buffer) {
-    out.push_back(entry.id);
-  }
-  // Batch-staged run last (unlocked by design — see the declaration).
-  for (const QueueEntry& entry : staged_[worker]) {
     out.push_back(entry.id);
   }
   return out;

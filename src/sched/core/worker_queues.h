@@ -4,30 +4,13 @@
 // Each worker owns a Shard: a mutex of class kLockRankQueue, the priority
 // deque it guards, and an atomic length mirror. Push, pop and steal touch
 // exactly one shard, so workers popping their own queues never contend
-// with each other or with the submitting thread, and victim selection for
-// stealing reads only the atomic lengths (no locks at all).
-//
-// PR 4 adds a producer side: each shard also carries a *submission buffer*
-// under its own mutex of class kLockRankSubmit (rank 17, between the
-// analyzer shards and the account lock). Producers append placement records
-// with buffer_push() without touching the queue mutex; the buffer is
-// published into the shard by drain() — from the owning worker before it
-// pops, from a thief before it steals, and from drain_all() at round
-// boundaries (ready_batch_done). Draining inserts the buffered entries in
-// arrival order with the same priority walk as push(), so a drained shard
-// is indistinguishable from one built by direct pushes.
-//
-// PR 5 batches the producer side per ready batch: between begin_batch()
-// and end_batch(), buffer_push() parks entries in producer-private
-// per-worker runs (no lock at all — the batch window is runtime-lock
-// serialized by contract) and end_batch() appends each non-empty run to
-// its shard's submission buffer with ONE submit-mutex acquisition. A
-// ready batch of N tasks on one worker costs one mutex round trip
-// instead of N. Each shard carries an atomic `staged` count so length()
-// keeps advertising the parked work to victim selection.
+// with each other, and victim selection for stealing reads only the
+// atomic lengths (no locks at all). Producers insert straight into the
+// shard under its mutex: an entry is poppable and stealable as soon as
+// push() returns.
 //
 // A QueueEntry carries everything pop/steal/tracing need about the task
-// (id, type, chosen version, priority, frozen estimate, price group),
+// (id, type, chosen version, priority, frozen estimate, tenant),
 // deliberately duplicated out of the TaskGraph: the graph is
 // runtime-lock-serialized, and the whole point of the split is that the
 // pop fast path does not take the runtime lock. Executors re-home
@@ -42,7 +25,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -60,9 +42,6 @@ struct QueueEntry {
   int priority = 0;
   /// The charge push_to_worker froze into Task::scheduler_estimate.
   Duration estimate = 0.0;
-  /// Price group of the task (third PriceKey component) so the pop/steal
-  /// paths can flush a deferred re-price of exactly this key.
-  std::uint64_t group = 0;
   /// Owning tenant (service mode) — carried so steal/complete trace events
   /// can attribute the task without touching the runtime-locked graph.
   TenantId tenant = kDefaultTenant;
@@ -70,52 +49,15 @@ struct QueueEntry {
 
 class WorkerQueues {
  public:
-  /// Rebuild with `worker_count` empty shards (and empty buffers).
+  /// Rebuild with `worker_count` empty shards.
   void reset(std::size_t worker_count);
 
-  /// Priority insertion into `worker`'s shard: walk back past queued
-  /// entries with strictly lower priority (stable within a level).
+  /// Priority insertion into `worker`'s shard under its queue mutex: walk
+  /// back past queued entries with strictly lower priority (stable within
+  /// a level).
   void push(WorkerId worker, const QueueEntry& entry);
 
-  /// Producer-side append to `worker`'s submission buffer. Takes only the
-  /// shard's submit mutex (kLockRankSubmit) — never the queue mutex — so
-  /// producers do not contend with the owner's pop fast path. The entry
-  /// becomes poppable/stealable after the next drain of this shard.
-  /// Inside a batch window (begin_batch/end_batch) the entry is instead
-  /// parked lock-free in the producer-private run for `worker` and
-  /// published by end_batch().
-  void buffer_push(WorkerId worker, const QueueEntry& entry);
-
-  /// Open a staging window: subsequent buffer_push calls accumulate in
-  /// per-worker runs. The window — begin, the pushes, end — must be
-  /// serialized by the caller (the runtime lock brackets it via
-  /// ready_batch_begin/done); pop/steal/drain/length stay concurrent.
-  void begin_batch();
-
-  /// Close the window: append each non-empty run to its shard's
-  /// submission buffer under one submit-mutex acquisition, bumping
-  /// batch_appends() once per run. Entries become poppable after the
-  /// next drain, exactly as with unbatched buffer_push. No-op when no
-  /// window is open (drivers may call ready_batch_done without begin).
-  void end_batch();
-
-  /// Non-empty per-shard runs end_batch() has appended (observability:
-  /// batches < tasks placed proves per-task round trips coalesced).
-  std::uint64_t batch_appends() const {
-    return batch_appends_.load(std::memory_order_relaxed);
-  }
-
-  /// Publish `worker`'s buffered entries into its shard, inserting each in
-  /// arrival order with the same priority walk as push(). Cheap no-op
-  /// (one relaxed atomic load) when the buffer is empty. Nests submit(17)
-  /// under queue(30) — callers must not hold the account lock (rank 20).
-  void drain(WorkerId worker);
-
-  /// drain() every shard — the round-boundary publish.
-  void drain_all();
-
-  /// FIFO pop of `worker`'s own queue (drained entries only — callers
-  /// drain first; see Scheduler::try_pop_queued).
+  /// FIFO pop of `worker`'s own queue.
   std::optional<QueueEntry> pop_front(WorkerId worker);
 
   /// Steal from the back of `victim`'s queue. May return nullopt even
@@ -123,62 +65,27 @@ class WorkerQueues {
   /// that as an empty victim.
   std::optional<QueueEntry> steal_back(WorkerId victim);
 
-  /// Lock-free queue length including still-buffered entries (victim
-  /// selection, tie-breaking, tests). Exact under the runtime lock; a
-  /// racy snapshot otherwise.
+  /// Lock-free queue length (victim selection, tie-breaking, tests).
+  /// Exact under the runtime lock; a racy snapshot otherwise.
   std::size_t length(WorkerId worker) const;
 
-  /// Entries currently parked in `worker`'s submission buffer (tests,
-  /// drain early-out).
-  std::size_t buffered_length(WorkerId worker) const;
-
-  /// Snapshot of the task ids queued on `worker`, head first, shard
-  /// entries before still-buffered ones, then any batch-staged run (busy-
-  /// time rescan cross-checks and tests — buffered and staged entries are
-  /// already charged in the account). The staged run is read without a
-  /// lock, so calling this mid-window is only valid from the thread that
-  /// owns the window (the runtime-lock holder) — which is where the
-  /// rescan runs.
+  /// Snapshot of the task ids queued on `worker`, head first (busy-time
+  /// rescan cross-checks and tests).
   std::vector<TaskId> snapshot(WorkerId worker) const;
 
   std::size_t worker_count() const { return shards_.size(); }
 
  private:
   struct Shard {
-    Shard()
-        : mutex(lock_order::kLockRankQueue),
-          submit_mutex(lock_order::kLockRankSubmit) {}
+    Shard() : mutex(lock_order::kLockRankQueue) {}
     mutable versa::Mutex mutex;
     std::deque<QueueEntry> entries VERSA_GUARDED_BY(mutex);
     /// Mirrors entries.size(); updated while the shard mutex is held.
-    /// length() reports this plus `buffered`.
     std::atomic<std::size_t> length{0};
-    mutable versa::Mutex submit_mutex;
-    /// Producer-appended entries awaiting the next drain, arrival order.
-    std::deque<QueueEntry> buffer VERSA_GUARDED_BY(submit_mutex);
-    /// Mirrors buffer.size(); drain()'s empty early-out reads it lock-free.
-    std::atomic<std::size_t> buffered{0};
-    /// Entries parked in the producer-private staging run for this shard
-    /// (batch window only). Counted by length() so victim selection keeps
-    /// seeing the work; briefly double-counted with `buffered` while
-    /// end_batch publishes (length() is a racy snapshot by contract).
-    std::atomic<std::size_t> staged{0};
   };
 
-  /// Priority-insertion walk shared by push() and drain().
-  static void insert_locked(Shard& shard, const QueueEntry& entry)
-      VERSA_REQUIRES(shard.mutex);
-
-  /// unique_ptr because a Shard (mutexes + atomics) is immovable.
+  /// unique_ptr because a Shard (mutex + atomic) is immovable.
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  /// Batch window state. Deliberately NOT lock-guarded: the window is
-  /// serialized by the caller's runtime lock (see begin_batch), and no
-  /// concurrent path reads the runs — only the atomic Shard::staged
-  /// counts escape the window. Runs keep their capacity across batches.
-  bool batching_ = false;
-  std::vector<std::vector<QueueEntry>> staged_;
-  std::atomic<std::uint64_t> batch_appends_{0};
 };
 
 }  // namespace versa::core

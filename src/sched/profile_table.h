@@ -13,7 +13,7 @@
 // serializes — so it carries no lock of its own; the lock-split fast path
 // (pop/steal) never touches it. The mean listener it fires is the one
 // bridge to locked state: VersioningScheduler's listener re-prices the
-// load account under the account mutex (DESIGN.md §9).
+// load account at once, under the account mutex (DESIGN.md §8, §9).
 #pragma once
 
 #include <cstdint>

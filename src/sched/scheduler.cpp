@@ -35,48 +35,29 @@ void QueueScheduler::attach(SchedulerContext& ctx) {
   pending_.store(0, std::memory_order_relaxed);
   versa::LockGuard lock(account_mutex_);
   account_.reset(ctx.machine());
-  pending_reprices_.clear();
-  reprice_requests_ = 0;
-  reprice_flushes_ = 0;
+  reprices_ = 0;
+  shard_pushes_ = 0;
 }
 
-void QueueScheduler::defer_reprice(const core::PriceKey& key,
-                                   std::optional<Duration> mean) {
+void QueueScheduler::reprice(const core::PriceKey& key,
+                             std::optional<Duration> mean) {
   versa::LockGuard lock(account_mutex_);
-  pending_reprices_[key] = mean;  // later requests for the key coalesce
-  ++reprice_requests_;
-}
-
-void QueueScheduler::flush_deferred_reprices() const {
-  for (const auto& [key, mean] : pending_reprices_) {
-    // Application order across distinct keys is immaterial: charges are
-    // integer tick sums per key and the index depends only on the totals.
-    account_.reprice(key, mean);
-    ++reprice_flushes_;
-  }
-  pending_reprices_.clear();
-}
-
-void QueueScheduler::flush_deferred_reprice(const core::PriceKey& key) const {
-  const auto it = pending_reprices_.find(key);
-  if (it == pending_reprices_.end()) return;
-  account_.reprice(key, it->second);
-  ++reprice_flushes_;
-  pending_reprices_.erase(it);
+  account_.reprice(key, mean);
+  ++reprices_;
 }
 
 std::uint64_t QueueScheduler::reprice_requests() const {
   versa::LockGuard lock(account_mutex_);
-  return reprice_requests_;
+  return reprices_;
 }
 
 std::uint64_t QueueScheduler::reprice_flushes() const {
-  versa::LockGuard lock(account_mutex_);
-  return reprice_flushes_;
+  return reprice_requests();
 }
 
 std::uint64_t QueueScheduler::buffer_push_batches() const {
-  return queues_.batch_appends();
+  versa::LockGuard lock(account_mutex_);
+  return shard_pushes_;
 }
 
 std::uint64_t QueueScheduler::price_group(const Task& task) const {
@@ -98,28 +79,22 @@ void QueueScheduler::push_to_worker(Task& task, VersionId version,
   // Charge the account; freeze the applied charge (the current profile
   // mean when known, else the caller's estimate) so a later mean-forgotten
   // re-price — and the rescan reference — can still price this task.
-  // Deferred re-prices are flushed first so the charge (bucket price wins
-  // over the estimate) matches what an immediate-reprice scheduler would
-  // have applied.
   Duration busy_before;
   {
     versa::LockGuard lock(account_mutex_);
-    flush_deferred_reprices();
     busy_before = account_.busy(worker);
     task.scheduler_estimate =
         account_.on_push(task.id, core::PriceKey{task.type, version, group},
                          worker, info.estimate);
+    ++shard_pushes_;
   }
-  // Producer side of the lock split: append to the shard's submission
-  // buffer (kLockRankSubmit only). The entry becomes poppable when the
-  // shard is drained — at the round boundary (ready_batch_done) or by the
-  // owner/thief in try_pop_queued; every task field above is written
-  // before this point, and the submit mutex pairs the writes with the
-  // draining thread's reads.
-  queues_.buffer_push(
-      worker, core::QueueEntry{task.id, task.type, version, task.priority,
-                               task.scheduler_estimate, group, task.tenant});
+  // Count the entry before it becomes poppable: a concurrent owner or
+  // thief may pop it the moment push() releases the shard mutex, and its
+  // decrement must not run ahead of this increment.
   pending_.fetch_add(1, std::memory_order_relaxed);
+  queues_.push(worker, core::QueueEntry{task.id, task.type, version,
+                                        task.priority, task.scheduler_estimate,
+                                        task.tenant});
   if (trace_.enabled()) {
     trace_.record(core::TraceEvent{
         ctx_->now(), task.id, task.type, version, worker, busy_before,
@@ -139,43 +114,14 @@ TaskId QueueScheduler::pop_task(WorkerId worker) {
 
 TaskId QueueScheduler::try_pop_queued(WorkerId worker) {
   VERSA_CHECK(worker < queues_.worker_count());
-  // Publish this shard's buffered placements first (submit(17) then
-  // queue(30); the account lock is not held here, so the rank order is
-  // respected).
-  queues_.drain(worker);
   if (std::optional<core::QueueEntry> entry = queues_.pop_front(worker)) {
     pending_.fetch_sub(1, std::memory_order_relaxed);
     versa::LockGuard lock(account_mutex_);
-    // on_pop freezes the bucket price into the running slot, so the
-    // popped key's deferred re-price (if any) must land first.
-    flush_deferred_reprice(
-        core::PriceKey{entry->type, entry->version, entry->group});
     account_.on_pop(entry->id, worker);
     return entry->id;
   }
   if (stealing_) return steal_for(worker);
   return kInvalidTask;
-}
-
-void QueueScheduler::ready_batch_begin() {
-  // Open the staging window: buffer_push calls until ready_batch_done
-  // accumulate in producer-private runs instead of taking the submit
-  // mutex per task. Runtime-lock serialized (the batch brackets come
-  // from release_ready / port_failed).
-  queues_.begin_batch();
-}
-
-void QueueScheduler::ready_batch_done() {
-  // Round boundary: apply the re-prices this round's completions
-  // coalesced, publish the staged runs (one submit-mutex acquisition per
-  // non-empty worker run), then drain the buffers into the shards. The
-  // account lock (20) is released before the queues take submit (16).
-  {
-    versa::LockGuard lock(account_mutex_);
-    flush_deferred_reprices();
-  }
-  queues_.end_batch();
-  queues_.drain_all();
 }
 
 TaskId QueueScheduler::steal_for(WorkerId thief) {
@@ -194,18 +140,12 @@ TaskId QueueScheduler::steal_for(WorkerId thief) {
     }
   }
   if (victim == kInvalidWorker || best == 0) return kInvalidTask;
-  // The victim's buffer may hold the work its length advertised — publish
-  // it so buffered placements are stealable (parity with the direct-push
-  // path; the account lock is not held here).
-  queues_.drain(victim);
   const std::optional<core::QueueEntry> entry = queues_.steal_back(victim);
   if (!entry) return kInvalidTask;  // raced away under a concurrent pop
   pending_.fetch_sub(1, std::memory_order_relaxed);
   Duration victim_busy;
   {
     versa::LockGuard lock(account_mutex_);
-    flush_deferred_reprice(
-        core::PriceKey{entry->type, entry->version, entry->group});
     account_.on_steal(entry->id, victim, thief);
     account_.on_pop(entry->id, thief);
     victim_busy = account_.busy(victim);
@@ -253,7 +193,6 @@ void QueueScheduler::task_failed(Task& task, WorkerId worker) {
 
 Duration QueueScheduler::estimated_busy(WorkerId worker) const {
   versa::LockGuard lock(account_mutex_);
-  flush_deferred_reprices();
   return account_.busy(worker);
 }
 

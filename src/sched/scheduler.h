@@ -27,7 +27,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "data/directory.h"
@@ -67,12 +66,6 @@ class Scheduler {
   virtual void attach(SchedulerContext& ctx);
 
   virtual void task_ready(Task& task) = 0;
-
-  /// Called once before each wave of task_ready calls (one submission, or
-  /// the successors released by one completion). Queue-backed policies
-  /// open a staging window here so the whole batch is appended to each
-  /// shard's submission buffer in one mutex round trip (ready_batch_done).
-  virtual void ready_batch_begin() {}
 
   /// Called once after each wave of task_ready calls (one submission, or
   /// the successors released by one completion). Batch-mapping policies
@@ -139,45 +132,25 @@ struct PushInfo {
 /// mutex, and the pending counter is atomic — so try_pop_queued (pop +
 /// steal) runs without the runtime lock. Placement *decisions*
 /// (task_ready and subclass policy state) still arrive under the runtime
-/// lock, which orders them against the task graph.
-///
-/// Producer-side split (PR 4): push_to_worker appends the placement to the
-/// shard's submission buffer (kLockRankSubmit) instead of the shard deque,
-/// and completion-driven re-prices are *deferred* into a per-round dirty
-/// set keyed by PriceKey — flushed all at once at round boundaries
-/// (ready_batch_done) and before any price-reading walk, and flushed per
-/// key on the pop/steal paths so the running-slot charge always matches
-/// the live profile mean. A burst of completions therefore issues at most
-/// one LoadAccount::reprice per distinct key per round, and neither
-/// submission nor completion serializes shard work on the runtime lock.
-///
-/// PR 5 batches the buffer appends themselves: ready_batch_begin opens a
-/// WorkerQueues staging window, placements accumulate in producer-private
-/// per-worker runs, and ready_batch_done publishes each non-empty run
-/// with ONE submit-mutex acquisition — one round trip per worker per
-/// ready batch instead of one per task (buffer_push_batches() counts the
-/// appended runs).
+/// lock, which orders them against the task graph. push_to_worker charges
+/// the account and then inserts straight into the worker's shard; a
+/// profile-mean move re-prices the account at once (reprice), so every
+/// decision reads fully re-priced state.
 class QueueScheduler : public Scheduler {
  public:
   void attach(SchedulerContext& ctx) override;
   TaskId pop_task(WorkerId worker) override;
   TaskId try_pop_queued(WorkerId worker) override;
-  void ready_batch_begin() override;
-  void ready_batch_done() override;
   bool has_pending() const override;
 
-  /// Deferred-reprice observability (tests, trace_report): how many
-  /// re-price requests arrived (one per profile-mean move) vs how many
-  /// LoadAccount::reprice calls were actually issued. flushes <= requests
-  /// always; strictly smaller when a completion burst coalesced.
+  /// Re-price observability (tests, the end-to-end harness): profile-mean
+  /// moves seen, and LoadAccount::reprice calls issued. Every move
+  /// re-prices at once, so the two counts are equal.
   std::uint64_t reprice_requests() const;
   std::uint64_t reprice_flushes() const;
 
-  /// Batched-submission observability (tests, trace_report): how many
-  /// per-shard runs end_batch appended. Each non-empty run is one submit
-  /// mutex acquisition, however many tasks the batch placed on that
-  /// worker — so batches > 0 with batches < tasks placed proves the
-  /// per-task round trips were coalesced.
+  /// Shard insertions since attach (tests, the end-to-end harness): one
+  /// per placed task.
   std::uint64_t buffer_push_batches() const;
 
   /// Queue length of a worker (tie-breaking and tests). Lock-free read of
@@ -200,28 +173,15 @@ class QueueScheduler : public Scheduler {
  protected:
   /// Assign `task` to `worker` running `version`: charges the account,
   /// records the trace event, freezes the applied charge into
-  /// task.scheduler_estimate, appends to the worker's submission buffer,
-  /// and fires the prefetch hook. Runtime lock held (mutates the task);
-  /// the shard queue mutex is NOT taken — the entry is published by the
-  /// next drain (round boundary, or the owner/thief before dequeuing).
+  /// task.scheduler_estimate, inserts into the worker's shard (poppable
+  /// and stealable from then on), and fires the prefetch hook. Runtime
+  /// lock held (mutates the task).
   void push_to_worker(Task& task, VersionId version, WorkerId worker,
                       const PushInfo& info = PushInfo());
 
-  /// Record that the profile mean of `key` moved (nullopt = forgotten).
-  /// The actual LoadAccount::reprice is deferred: coalesced per key until
-  /// the next flush. Safe from any thread (takes the account lock).
-  void defer_reprice(const core::PriceKey& key, std::optional<Duration> mean);
-
-  /// Apply every deferred re-price. Called at round boundaries and at the
-  /// top of any account critical section that reads prices or busy sums
-  /// for a decision, so decisions always see fully re-priced state.
-  void flush_deferred_reprices() const VERSA_REQUIRES(account_mutex_);
-
-  /// Apply only `key`'s deferred re-price, if one is pending (pop/steal:
-  /// on_pop freezes the bucket price into the running slot, so the bucket
-  /// must be current for exactly this key).
-  void flush_deferred_reprice(const core::PriceKey& key) const
-      VERSA_REQUIRES(account_mutex_);
+  /// The profile mean of `key` moved (nullopt = forgotten): re-price the
+  /// account at once. Safe from any thread (takes the account lock).
+  void reprice(const core::PriceKey& key, std::optional<Duration> mean);
 
   /// Size-group component of the account price key for `task` (policies
   /// with profile tables override this with their grouping policy).
@@ -239,23 +199,16 @@ class QueueScheduler : public Scheduler {
   /// queue shard is held (rank 20, between runtime and queue shards).
   mutable versa::Mutex account_mutex_{lock_order::kLockRankAccount};
 
-  /// Incremental busy accounting + per-kind finish-time index. Mutable
-  /// (with the pending-reprice set) so const readers like estimated_busy
-  /// can flush deferred re-prices before reading.
-  mutable core::LoadAccount account_ VERSA_GUARDED_BY(account_mutex_);
+  /// Incremental busy accounting + per-kind finish-time index.
+  core::LoadAccount account_ VERSA_GUARDED_BY(account_mutex_);
 
  private:
   core::WorkerQueues queues_;
   std::atomic<std::size_t> pending_{0};
   bool stealing_ = false;
 
-  /// Dirty price keys of the current round: key -> latest mean observed
-  /// (nullopt = forgotten). Insertions coalesce; a flush drains it.
-  mutable std::unordered_map<core::PriceKey, std::optional<Duration>,
-                             core::PriceKeyHash>
-      pending_reprices_ VERSA_GUARDED_BY(account_mutex_);
-  mutable std::uint64_t reprice_requests_ VERSA_GUARDED_BY(account_mutex_) = 0;
-  mutable std::uint64_t reprice_flushes_ VERSA_GUARDED_BY(account_mutex_) = 0;
+  std::uint64_t reprices_ VERSA_GUARDED_BY(account_mutex_) = 0;
+  std::uint64_t shard_pushes_ VERSA_GUARDED_BY(account_mutex_) = 0;
 
   TaskId steal_for(WorkerId thief);
 };

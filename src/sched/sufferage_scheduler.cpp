@@ -15,10 +15,8 @@ SufferageScheduler::Placement SufferageScheduler::evaluate(
   Duration best = kTimeInfinity;
   Duration second = kTimeInfinity;
   // The index walk reads the account under its lock; the caller pushes
-  // (re-acquiring it) only after this evaluation returns. Deferred
-  // re-prices are applied first so the walk prices with current means.
+  // (re-acquiring it) only after this evaluation returns.
   versa::LockGuard lock(account_mutex_);
-  flush_deferred_reprices();
   for (VersionId v : ctx_->registry().versions(task.type)) {
     const TaskVersion& version = ctx_->registry().version(v);
     const auto mean = profile().mean(task.type, v, task.data_set_size);
@@ -83,12 +81,7 @@ void SufferageScheduler::task_ready(Task& task) {
   }
 }
 
-void SufferageScheduler::ready_batch_done() {
-  // Map the batch first, then let the base class run the round boundary
-  // (flush coalesced re-prices, publish the buffered placements).
-  drain_reliable_pool();
-  VersioningScheduler::ready_batch_done();
-}
+void SufferageScheduler::ready_batch_done() { drain_reliable_pool(); }
 
 void SufferageScheduler::task_completed(Task& task, WorkerId worker,
                                         Duration measured) {

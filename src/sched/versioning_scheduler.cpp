@@ -14,15 +14,13 @@ void VersioningScheduler::attach(SchedulerContext& ctx) {
   QueueScheduler::attach(ctx);
   profile_.emplace(ctx.registry(), config_);
   // Every mean movement — new measurement, hint prime, warm-start restore,
-  // drift-relearn reset — marks that (type, version, group) key dirty; the
-  // actual LoadAccount::reprice is deferred and coalesced per round, so a
-  // completion burst issues one reprice per distinct key instead of one
-  // per measurement. Every price-reading walk flushes first, so estimates
-  // are exactly as current as with the old immediate re-price.
+  // drift-relearn reset — re-prices the queued charges of that (type,
+  // version, group) key at once, so every later decision reads current
+  // estimates.
   profile_->set_mean_listener(
       [this](TaskTypeId type, VersionId version, std::uint64_t group,
              std::optional<Duration> mean) {
-        defer_reprice(core::PriceKey{type, version, group}, mean);
+        reprice(core::PriceKey{type, version, group}, mean);
       });
   learning_executions_ = 0;
   pool_.clear();
@@ -97,9 +95,6 @@ Duration VersioningScheduler::estimated_busy(WorkerId worker) const {
       reference += core::to_ticks(mean.value_or(task.scheduler_estimate));
     }
     versa::LockGuard lock(account_mutex_);
-    // The reference above priced with *current* means, so deferred
-    // re-prices must land before the comparison.
-    flush_deferred_reprices();
     VERSA_CHECK_MSG(reference == account_.queued_ticks(worker),
                     "incremental busy account diverged from rescan reference");
     return account_.busy(worker);
@@ -112,7 +107,6 @@ WorkerId VersioningScheduler::least_busy_worker(
   // The finish-time index orders workers by (busy, queue length, id) —
   // the historical tie-break — so this is one O(log workers) lookup.
   versa::LockGuard lock(account_mutex_);
-  flush_deferred_reprices();
   return account_.least_busy(version.device);
 }
 
@@ -199,7 +193,6 @@ void VersioningScheduler::assign_earliest_executor(Task& task) {
     // The whole candidate walk reads the finish-time index under the
     // account lock; the push below re-acquires it, after the decision.
     versa::LockGuard lock(account_mutex_);
-    flush_deferred_reprices();
     for (VersionId v : ctx_->registry().versions(task.type)) {
       const TaskVersion& version = ctx_->registry().version(v);
       const auto mean = profile_->mean(task.type, v, task.data_set_size);
@@ -310,9 +303,7 @@ TaskId VersioningScheduler::pop_task(WorkerId worker) {
 void VersioningScheduler::task_completed(Task& task, WorkerId worker,
                                          Duration measured) {
   // The scheduler is always learning (§IV-B): record in both phases. The
-  // record fires the mean listener, which marks the key dirty; the
-  // deferred re-price lands at the next flush (round boundary or the
-  // next price-reading walk), coalescing completion bursts.
+  // record fires the mean listener, which re-prices the key at once.
   profile_->record(task.type, task.chosen_version, task.data_set_size,
                    measured);
   QueueScheduler::task_completed(task, worker, measured);

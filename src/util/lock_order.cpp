@@ -17,7 +17,6 @@ const LockClass kLockRankSanitizerClock = {"sanitizer.clock", 12};
 const LockClass kLockRankData = {"data", 13};
 const LockClass kLockRankSanitizerState = {"sanitizer.state", 15};
 const LockClass kLockRankAnalyzer = {"analyzer", 16};
-const LockClass kLockRankSubmit = {"sched.submit", 17};
 const LockClass kLockRankAccount = {"sched.account", 20};
 const LockClass kLockRankQueue = {"sched.queue", 30};
 const LockClass kLockRankTrace = {"trace", 40};

@@ -43,7 +43,6 @@ extern const LockClass kLockRankSanitizerClock; ///< rank 12: AccessSanitizer cl
 extern const LockClass kLockRankData;         ///< rank 13: DataDirectory / TransferEngine state
 extern const LockClass kLockRankSanitizerState; ///< rank 15: AccessSanitizer witness/violation state
 extern const LockClass kLockRankAnalyzer;     ///< rank 16: DependencyAnalyzer interval maps
-extern const LockClass kLockRankSubmit;       ///< rank 17: per-worker submission buffers
 extern const LockClass kLockRankAccount;      ///< rank 20: QueueScheduler account/index
 extern const LockClass kLockRankQueue;        ///< rank 30: per-worker queue shards
 extern const LockClass kLockRankTrace;        ///< rank 40: DecisionTrace ring

@@ -123,7 +123,7 @@ TEST_F(LockOrderTest, NonReentrantSelfNestingIsReported) {
 }
 
 TEST_F(LockOrderTest, RepoHierarchyAcquiresInDocumentedOrder) {
-  // The documented repo order (DESIGN.md §9), all 14 classes, outermost
+  // The documented repo order (DESIGN.md §9), all 13 classes, outermost
   // first: nesting every one of them in rank order is clean, and only the
   // runtime class may re-enter itself.
   Mutex tenant(lock_order::kLockRankTenant);
@@ -135,7 +135,6 @@ TEST_F(LockOrderTest, RepoHierarchyAcquiresInDocumentedOrder) {
   Mutex data(lock_order::kLockRankData);
   Mutex sanitizer_state(lock_order::kLockRankSanitizerState);
   Mutex analyzer(lock_order::kLockRankAnalyzer);
-  Mutex submit(lock_order::kLockRankSubmit);
   Mutex account(lock_order::kLockRankAccount);
   Mutex queue(lock_order::kLockRankQueue);
   Mutex trace(lock_order::kLockRankTrace);
@@ -150,12 +149,11 @@ TEST_F(LockOrderTest, RepoHierarchyAcquiresInDocumentedOrder) {
   LockGuard l6(data);
   LockGuard l7(sanitizer_state);
   LockGuard l8(analyzer);
-  LockGuard l9(submit);
-  LockGuard l10(account);
-  LockGuard l11(queue);
-  LockGuard l12(trace);
-  LockGuard l13(wake);
-  EXPECT_EQ(lock_order::held_depth(), 15u);
+  LockGuard l9(account);
+  LockGuard l10(queue);
+  LockGuard l11(trace);
+  LockGuard l12(wake);
+  EXPECT_EQ(lock_order::held_depth(), 14u);
   EXPECT_TRUE(g_captured.empty()) << g_captured;
 }
 

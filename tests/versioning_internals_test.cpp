@@ -142,14 +142,13 @@ TEST(VersioningInternals, PoolDrainsInSubmissionOrder) {
   }
 }
 
-TEST(VersioningInternals, CompletionRepriceCoalescesPerKey) {
-  // PR-4 batched re-pricing, deterministic shape: 4 identical independent
-  // tasks on 4 identical workers with λ=4 are all placed (as learning
-  // samples) in the first ready batch, before any completion. The 4
-  // completions then defer 4 re-price requests for the *same* price key
-  // (same type, chosen version, size group); nothing places or pops
-  // afterwards, so the requests sit coalesced in the dirty map until a
-  // round boundary applies them — as exactly one LoadAccount::reprice.
+TEST(VersioningInternals, CompletionRepricesOncePerMeanMove) {
+  // 4 identical independent tasks on 4 identical workers with λ=4 are all
+  // placed (as learning samples) in the first ready batch, before any
+  // completion. Each of the 4 completions moves the mean of the same
+  // price key (same type, chosen version, size group), and every move
+  // re-prices the load account at once: one LoadAccount::reprice per
+  // request, none left pending for a later decision to apply.
   const Machine machine = make_smp_machine(4);
   RuntimeConfig config;
   config.backend = Backend::kSim;
@@ -170,12 +169,9 @@ TEST(VersioningInternals, CompletionRepriceCoalescesPerKey) {
   auto* qs = dynamic_cast<QueueScheduler*>(&rt.scheduler());
   ASSERT_NE(qs, nullptr);
   EXPECT_EQ(qs->reprice_requests(), 4u);  // one per completion record
-  const auto before = qs->reprice_flushes();
-  EXPECT_LE(before, 1u);
-  (void)qs->estimated_busy(0);  // forces the pending flush, a round boundary
-  // The four same-key requests collapse into at most one applied re-price.
-  EXPECT_LE(qs->reprice_flushes(), before + 1);
-  EXPECT_LT(qs->reprice_flushes(), qs->reprice_requests());
+  EXPECT_EQ(qs->reprice_flushes(), 4u);
+  (void)qs->estimated_busy(0);  // a decision read applies nothing further
+  EXPECT_EQ(qs->reprice_flushes(), qs->reprice_requests());
 }
 
 TEST(VersioningInternals, ProfileTableReachableThroughRuntime) {

@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "sched/core/worker_queues.h"
@@ -98,270 +97,6 @@ TEST(WorkerQueues, ResetDropsQueuedWork) {
   queues.reset(2);
   EXPECT_EQ(queues.length(0), 0u);
   EXPECT_FALSE(queues.pop_front(0).has_value());
-}
-
-TEST(WorkerQueues, BufferedDrainMatchesDirectPushOrdering) {
-  // The PR-4 producer path (buffer_push + drain) must publish a shard
-  // indistinguishable from one built with direct pushes: same priority
-  // insertion, same stability within a level, same pop order.
-  WorkerQueues direct;
-  direct.reset(1);
-  WorkerQueues buffered;
-  buffered.reset(1);
-  const std::vector<std::pair<TaskId, int>> sequence = {
-      {1, 0}, {2, 5}, {3, 0}, {4, 5}, {5, 2}, {6, 5}, {7, 0}};
-  for (const auto& [id, priority] : sequence) {
-    direct.push(0, entry(id, priority));
-    buffered.buffer_push(0, entry(id, priority));
-  }
-  EXPECT_EQ(buffered.buffered_length(0), sequence.size());
-  buffered.drain(0);
-  EXPECT_EQ(buffered.buffered_length(0), 0u);
-  EXPECT_EQ(buffered.snapshot(0), direct.snapshot(0));
-  while (true) {
-    const auto a = direct.pop_front(0);
-    const auto b = buffered.pop_front(0);
-    ASSERT_EQ(a.has_value(), b.has_value());
-    if (!a.has_value()) break;
-    EXPECT_EQ(a->id, b->id);
-    EXPECT_EQ(a->priority, b->priority);
-  }
-}
-
-TEST(WorkerQueues, BufferedEntriesOvertakeDrainedLowerPriority) {
-  // A buffered high-priority entry must overtake already-published
-  // lower-priority work when it drains, exactly as a direct push would.
-  WorkerQueues queues;
-  queues.reset(1);
-  queues.push(0, entry(1, 0));
-  queues.push(0, entry(2, 3));
-  queues.buffer_push(0, entry(3, 5));
-  queues.buffer_push(0, entry(4, 0));
-  queues.drain(0);
-  const std::vector<TaskId> expected = {3, 2, 1, 4};
-  EXPECT_EQ(queues.snapshot(0), expected);
-}
-
-TEST(WorkerQueues, LengthCountsBufferedEntries) {
-  // Victim selection reads length() lock-free; buffered-but-undrained
-  // entries are real queued work and must be visible there, and in the
-  // snapshot (shard entries first).
-  WorkerQueues queues;
-  queues.reset(2);
-  queues.push(1, entry(1));
-  queues.buffer_push(1, entry(2));
-  queues.buffer_push(1, entry(3));
-  EXPECT_EQ(queues.length(1), 3u);
-  EXPECT_EQ(queues.buffered_length(1), 2u);
-  const std::vector<TaskId> expected = {1, 2, 3};
-  EXPECT_EQ(queues.snapshot(1), expected);
-  // Pop only sees published entries until someone drains.
-  ASSERT_TRUE(queues.pop_front(1).has_value());
-  EXPECT_FALSE(queues.pop_front(1).has_value());
-  EXPECT_EQ(queues.length(1), 2u);
-  queues.drain_all();
-  EXPECT_EQ(queues.length(1), 2u);
-  EXPECT_EQ(queues.buffered_length(1), 0u);
-  const auto popped = queues.pop_front(1);
-  ASSERT_TRUE(popped.has_value());
-  EXPECT_EQ(popped->id, 2u);
-}
-
-TEST(WorkerQueues, ResetDropsBufferedWork) {
-  WorkerQueues queues;
-  queues.reset(1);
-  queues.buffer_push(0, entry(1));
-  queues.reset(1);
-  EXPECT_EQ(queues.length(0), 0u);
-  EXPECT_EQ(queues.buffered_length(0), 0u);
-  queues.drain(0);
-  EXPECT_FALSE(queues.pop_front(0).has_value());
-}
-
-TEST(WorkerQueues, EntryCarriesThePriceGroup) {
-  WorkerQueues queues;
-  queues.reset(1);
-  QueueEntry e = entry(9, 1);
-  e.group = 42;
-  queues.buffer_push(0, e);
-  queues.drain(0);
-  const auto popped = queues.pop_front(0);
-  ASSERT_TRUE(popped.has_value());
-  EXPECT_EQ(popped->group, 42u);
-}
-
-TEST(WorkerQueues, BatchedBufferPushPublishesOnEndBatch) {
-  // PR-5 batching: inside a window, pushes park in producer-private runs
-  // (no submit-mutex traffic), still counted by length(); end_batch
-  // publishes each non-empty run in one append, and the drained shard is
-  // indistinguishable from per-task buffer pushes.
-  WorkerQueues batched;
-  batched.reset(2);
-  WorkerQueues reference;
-  reference.reset(2);
-
-  batched.begin_batch();
-  const std::vector<std::pair<TaskId, int>> sequence = {
-      {1, 0}, {2, 5}, {3, 0}, {4, 2}, {5, 5}};
-  for (const auto& [id, priority] : sequence) {
-    batched.buffer_push(0, entry(id, priority));
-    reference.buffer_push(0, entry(id, priority));
-  }
-  batched.buffer_push(1, entry(9, 1));
-  reference.buffer_push(1, entry(9, 1));
-
-  // Parked, not yet buffered: length advertises the staged work, the
-  // buffers are still empty, and a drain publishes nothing.
-  EXPECT_EQ(batched.length(0), sequence.size());
-  EXPECT_EQ(batched.buffered_length(0), 0u);
-  batched.drain(0);
-  EXPECT_FALSE(batched.pop_front(0).has_value());
-  EXPECT_EQ(batched.batch_appends(), 0u);
-
-  batched.end_batch();
-  // Two non-empty runs (worker 0 and worker 1) = two appends.
-  EXPECT_EQ(batched.batch_appends(), 2u);
-  EXPECT_EQ(batched.buffered_length(0), sequence.size());
-  batched.drain_all();
-  reference.drain_all();
-  EXPECT_EQ(batched.snapshot(0), reference.snapshot(0));
-  EXPECT_EQ(batched.snapshot(1), reference.snapshot(1));
-}
-
-TEST(WorkerQueues, EndBatchWithoutBeginIsANoop) {
-  WorkerQueues queues;
-  queues.reset(1);
-  queues.buffer_push(0, entry(1));  // unbatched path
-  queues.end_batch();               // legacy drivers: done without begin
-  EXPECT_EQ(queues.batch_appends(), 0u);
-  queues.drain(0);
-  const auto popped = queues.pop_front(0);
-  ASSERT_TRUE(popped.has_value());
-  EXPECT_EQ(popped->id, 1u);
-}
-
-TEST(WorkerQueues, EmptyBatchAppendsNothing) {
-  WorkerQueues queues;
-  queues.reset(2);
-  queues.begin_batch();
-  queues.end_batch();
-  EXPECT_EQ(queues.batch_appends(), 0u);
-  EXPECT_EQ(queues.length(0), 0u);
-}
-
-TEST(WorkerQueues, SnapshotIncludesStagedRun) {
-  WorkerQueues queues;
-  queues.reset(1);
-  queues.push(0, entry(1));
-  queues.buffer_push(0, entry(2));
-  queues.begin_batch();
-  queues.buffer_push(0, entry(3));
-  // Shard entries, then buffered, then the staged run.
-  const std::vector<TaskId> expected = {1, 2, 3};
-  EXPECT_EQ(queues.snapshot(0), expected);
-  EXPECT_EQ(queues.length(0), 3u);
-  queues.end_batch();
-  queues.drain_all();
-  EXPECT_EQ(queues.snapshot(0), expected);
-}
-
-TEST(WorkerQueues, BatchWindowRacesConsumersSafely) {
-  // The batch window is producer-serialized, but owners/thieves keep
-  // popping, stealing and draining concurrently — end_batch's published
-  // runs must surface exactly once alongside direct pushes (TSan cross-
-  // checks the one-submit-acquisition append against the drain path).
-  constexpr int kBatches = 200;
-  constexpr int kPerBatch = 5;
-  constexpr int kEntries = kBatches * kPerBatch;
-  WorkerQueues queues;
-  queues.reset(1);
-
-  std::vector<std::atomic<int>> seen(kEntries + 1);
-  std::atomic<int> drained{0};
-
-  auto consume = [&](auto take) {
-    while (drained.load(std::memory_order_relaxed) < kEntries) {
-      queues.drain(0);
-      if (const auto e = take()) {
-        seen[e->id].fetch_add(1, std::memory_order_relaxed);
-        drained.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  };
-
-  std::thread producer([&] {
-    for (int b = 0; b < kBatches; ++b) {
-      queues.begin_batch();
-      for (int i = 0; i < kPerBatch; ++i) {
-        const int id = b * kPerBatch + i + 1;
-        queues.buffer_push(0, entry(static_cast<TaskId>(id), i % 3));
-      }
-      queues.end_batch();
-    }
-  });
-  std::thread owner([&] { consume([&] { return queues.pop_front(0); }); });
-  std::thread thief([&] { consume([&] { return queues.steal_back(0); }); });
-
-  producer.join();
-  owner.join();
-  thief.join();
-
-  EXPECT_EQ(drained.load(), kEntries);
-  for (int i = 1; i <= kEntries; ++i) {
-    EXPECT_EQ(seen[static_cast<std::size_t>(i)].load(), 1) << "entry " << i;
-  }
-  EXPECT_EQ(queues.length(0), 0u);
-  EXPECT_EQ(queues.batch_appends(), static_cast<std::uint64_t>(kBatches));
-}
-
-TEST(WorkerQueues, ConcurrentBufferedProducersDrainExactly) {
-  // Several producers buffer into one shard while the owner drains and
-  // pops and a thief drains and steals: every entry must surface exactly
-  // once. Exercises the submit mutex against the queue mutex under TSan.
-  constexpr int kProducers = 3;
-  constexpr int kPerProducer = 600;
-  constexpr int kEntries = kProducers * kPerProducer;
-  WorkerQueues queues;
-  queues.reset(1);
-
-  std::vector<std::atomic<int>> seen(kEntries + 1);
-  std::atomic<int> drained{0};
-
-  auto consume = [&](auto take) {
-    while (drained.load(std::memory_order_relaxed) < kEntries) {
-      queues.drain(0);
-      if (const auto e = take()) {
-        seen[e->id].fetch_add(1, std::memory_order_relaxed);
-        drained.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  };
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        const int id = p * kPerProducer + i + 1;
-        queues.buffer_push(0, entry(static_cast<TaskId>(id), i % 3));
-      }
-    });
-  }
-  std::thread owner([&] { consume([&] { return queues.pop_front(0); }); });
-  std::thread thief([&] { consume([&] { return queues.steal_back(0); }); });
-
-  for (std::thread& t : producers) t.join();
-  owner.join();
-  thief.join();
-
-  EXPECT_EQ(drained.load(), kEntries);
-  for (int i = 1; i <= kEntries; ++i) {
-    EXPECT_EQ(seen[static_cast<std::size_t>(i)].load(), 1) << "entry " << i;
-  }
-  EXPECT_EQ(queues.length(0), 0u);
 }
 
 TEST(WorkerQueues, ConcurrentPushPopStealDrainsExactly) {
