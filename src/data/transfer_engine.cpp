@@ -17,17 +17,15 @@ TransferEngine::LinkState& TransferEngine::link_state(SpaceId from,
   return links_.back();
 }
 
-Time TransferEngine::occupy(SpaceId from, SpaceId to, std::uint64_t bytes,
-                            Time start) {
+Time TransferEngine::occupy(RegionId region, SpaceId from, SpaceId to,
+                            std::uint64_t bytes, Time start) {
   const Duration cost = machine_.interconnect().transfer_time(from, to, bytes);
   LinkState& link = link_state(from, to);
   const Time begin = std::max(start, link.busy_until);
   link.busy_until = begin + cost;
   routed_bytes_ += bytes;
   records_.push_back(
-      TransferRecord{current_region_, from, to, bytes, begin, link.busy_until});
-  routed_bytes_mirror_.store(routed_bytes_, std::memory_order_release);
-  record_count_.store(records_.size(), std::memory_order_release);
+      TransferRecord{region, from, to, bytes, begin, link.busy_until});
   return link.busy_until;
 }
 
@@ -69,37 +67,29 @@ const std::vector<SpaceId>& TransferEngine::route(SpaceId from, SpaceId to) {
 }
 
 Time TransferEngine::enqueue_one(const TransferOp& op, Time start) {
-  versa::LockGuard lock(mutex_);
-  return enqueue_one_locked(op, start);
-}
-
-Time TransferEngine::enqueue_one_locked(const TransferOp& op, Time start) {
   if (op.from == op.to) return start;
-  current_region_ = op.region;
   if (machine_.interconnect().find(op.from, op.to) != nullptr) {
-    return occupy(op.from, op.to, op.bytes, start);
+    return occupy(op.region, op.from, op.to, op.bytes, start);
   }
   // No direct link: hop along the fewest-hop route, each hop serialized
   // after the previous one (store-and-forward staging).
   const std::vector<SpaceId>& path = route(op.from, op.to);
   Time done = start;
   for (std::size_t hop = 0; hop + 1 < path.size(); ++hop) {
-    done = occupy(path[hop], path[hop + 1], op.bytes, done);
+    done = occupy(op.region, path[hop], path[hop + 1], op.bytes, done);
   }
   return done;
 }
 
 Time TransferEngine::enqueue(const TransferList& ops, Time start) {
-  versa::LockGuard lock(mutex_);
   Time done = start;
   for (const TransferOp& op : ops) {
-    done = std::max(done, enqueue_one_locked(op, start));
+    done = std::max(done, enqueue_one(op, start));
   }
   return done;
 }
 
 Time TransferEngine::link_free_at(SpaceId from, SpaceId to) const {
-  versa::LockGuard lock(mutex_);
   for (const auto& link : links_) {
     if (link.from == from && link.to == to) return link.busy_until;
   }
@@ -107,12 +97,9 @@ Time TransferEngine::link_free_at(SpaceId from, SpaceId to) const {
 }
 
 void TransferEngine::reset() {
-  versa::LockGuard lock(mutex_);
   links_.clear();
   routed_bytes_ = 0;
   records_.clear();
-  routed_bytes_mirror_.store(0, std::memory_order_release);
-  record_count_.store(0, std::memory_order_release);
 }
 
 }  // namespace versa

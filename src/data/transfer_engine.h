@@ -6,21 +6,15 @@
 // simulation — a prefetch issued early completes before the task needs it,
 // exactly like the asynchronous CUDA copies the paper's runtime uses.
 //
-// Thread-safety: like DataDirectory, the engine state sits behind its own
-// annotated mutex of lock class `data` (rank 13) and every public method
-// is callable without the runtime lock. The hot aggregate (routed bytes,
-// record count) is mirrored into relaxed atomics so monitoring reads never
-// touch the mutex; the per-hop timeline borrow (records()) remains a
-// sim-only, runtime-lock-serialized accessor (DESIGN.md §9).
+// Thread-safety: none of its own. Only the sim backend drives the engine,
+// and it does so under the runtime lock (DESIGN.md §9).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "data/directory.h"
 #include "machine/machine.h"
-#include "util/annotated_sync.h"
 
 namespace versa {
 
@@ -52,27 +46,12 @@ class TransferEngine {
   /// Earliest time the link from->to becomes free.
   Time link_free_at(SpaceId from, SpaceId to) const;
 
-  /// Total bytes routed (including staging hops). Lock-free: reads the
-  /// atomic mirror, exact once enqueuers quiesce.
-  std::uint64_t routed_bytes() const {
-    return routed_bytes_mirror_.load(std::memory_order_acquire);
-  }
-
-  /// Number of per-hop records accumulated so far (lock-free mirror of
-  /// records().size() — the concurrency tests poll it while enqueuers
-  /// are still running).
-  std::uint64_t record_count() const {
-    return record_count_.load(std::memory_order_acquire);
-  }
+  /// Total bytes routed (including staging hops).
+  std::uint64_t routed_bytes() const { return routed_bytes_; }
 
   /// Per-hop timeline of every modelled copy, in issue order (feeds the
-  /// overlap analyzer and the trace exporter). Borrowed reference into
-  /// lock-guarded state: callers are runtime-lock serialized (sim-only
-  /// engine); the guard inside orders the lookup itself.
-  const std::vector<TransferRecord>& records() const {
-    versa::LockGuard lock(mutex_);
-    return records_;
-  }
+  /// overlap analyzer and the trace exporter).
+  const std::vector<TransferRecord>& records() const { return records_; }
 
   void reset();
 
@@ -84,34 +63,20 @@ class TransferEngine {
   };
 
   const Machine& machine_;
-  /// Engine state lock (class `data`, rank 13); serializes concurrent
-  /// enqueuers — see the header comment.
-  mutable versa::Mutex mutex_{lock_order::kLockRankData};
-  std::vector<LinkState> links_ VERSA_GUARDED_BY(mutex_);
-  std::uint64_t routed_bytes_ VERSA_GUARDED_BY(mutex_) = 0;
-  std::vector<TransferRecord> records_ VERSA_GUARDED_BY(mutex_);
-  /// Lock-free mirrors of routed_bytes_ / records_.size(), published by
-  /// enqueuers under the mutex, read by monitoring threads without it.
-  std::atomic<std::uint64_t> routed_bytes_mirror_{0};
-  std::atomic<std::uint64_t> record_count_{0};
-  /// Region of the op being enqueued.
-  RegionId current_region_ VERSA_GUARDED_BY(mutex_) = 0;
+  std::vector<LinkState> links_;
+  std::uint64_t routed_bytes_ = 0;
+  std::vector<TransferRecord> records_;
   /// Memoized fewest-hop routes keyed by (from, to).
-  std::vector<std::vector<std::vector<SpaceId>>> routes_
-      VERSA_GUARDED_BY(mutex_);
+  std::vector<std::vector<std::vector<SpaceId>>> routes_;
 
-  /// enqueue_one body, shared with enqueue's batch loop.
-  Time enqueue_one_locked(const TransferOp& op, Time start)
-      VERSA_REQUIRES(mutex_);
-
-  LinkState& link_state(SpaceId from, SpaceId to) VERSA_REQUIRES(mutex_);
-  Time occupy(SpaceId from, SpaceId to, std::uint64_t bytes, Time start)
-      VERSA_REQUIRES(mutex_);
+  LinkState& link_state(SpaceId from, SpaceId to);
+  /// Occupy the link from->to with one hop of `region`'s copy.
+  Time occupy(RegionId region, SpaceId from, SpaceId to, std::uint64_t bytes,
+              Time start);
 
   /// Space sequence from -> ... -> to (inclusive); computed by BFS over
   /// the link graph and cached. Aborts if no path exists.
-  const std::vector<SpaceId>& route(SpaceId from, SpaceId to)
-      VERSA_REQUIRES(mutex_);
+  const std::vector<SpaceId>& route(SpaceId from, SpaceId to);
 };
 
 }  // namespace versa

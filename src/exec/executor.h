@@ -100,13 +100,8 @@ class Executor {
   /// Block until one task finished (taskwait on(...)).
   virtual void wait_task(TaskId task) = 0;
 
-  /// Block until every task of `graph` finished (service mode). The
-  /// default is the whole-runtime barrier — always correct, merely
-  /// coarser; the real backends override with per-graph tracking.
-  virtual void wait_graph(GraphId graph) {
-    (void)graph;
-    wait_all();
-  }
+  /// Block until every task of `graph` finished (service mode).
+  virtual void wait_graph(GraphId graph) = 0;
 
   /// Task currently executing on the calling context (kInvalidTask when
   /// called from the master thread). Used to attribute nested submissions.

@@ -113,7 +113,7 @@ void SimExecutor::start_task(WorkerId worker, TaskId id, bool occupy_worker) {
   horizon_ = std::max(horizon_, finish);
   queue_.schedule_at(
       finish, [this, id, worker, start, finish, occupy_worker, fails] {
-        // Completion events fire from queue_.step() inside run_until_done,
+        // Completion events fire from queue_.step() inside run_until,
         // with the runtime lock held by the enclosing wait entry point;
         // re-assert it for the analysis (a lambda is a separate function)
         // and, dynamically, against the held-lock stack.
@@ -144,31 +144,17 @@ void SimExecutor::pump() {
   }
 }
 
-void SimExecutor::run_until_done(TaskId awaited) {
-  TaskGraph& graph = port_->port_graph();
-  run_until([&] {
-    if (awaited != kInvalidTask) {
-      return graph.task(awaited).state == TaskState::kFinished;
-    }
-    return graph.all_finished();
-  });
-}
-
-void SimExecutor::run_until_graph_done(GraphId awaited) {
-  TaskGraph& graph = port_->port_graph();
-  run_until([&] { return graph.graph_finished(awaited); });
-}
-
 template <typename DonePredicate>
 void SimExecutor::run_until(DonePredicate done) {
+  const TaskGraph& graph = port_->port_graph();
   pump();
-  while (!done()) {
+  while (!done(graph)) {
     if (queue_.step()) {
       pump();
       continue;
     }
     pump();
-    if (queue_.empty() && !done()) {
+    if (queue_.empty() && !done(graph)) {
       VERSA_CHECK_MSG(false,
                       "simulation deadlock: unfinished tasks but no events "
                       "(task with no runnable version, or scheduler bug)");
@@ -178,17 +164,19 @@ void SimExecutor::run_until(DonePredicate done) {
 
 void SimExecutor::wait_all() {
   versa::RecursiveLockGuard lock(port_->port_mutex());
-  run_until_done(kInvalidTask);
+  run_until([](const TaskGraph& graph) { return graph.all_finished(); });
 }
 
 void SimExecutor::wait_task(TaskId task) {
   versa::RecursiveLockGuard lock(port_->port_mutex());
-  run_until_done(task);
+  run_until([task](const TaskGraph& graph) {
+    return graph.task(task).state == TaskState::kFinished;
+  });
 }
 
-void SimExecutor::wait_graph(GraphId graph) {
+void SimExecutor::wait_graph(GraphId id) {
   versa::RecursiveLockGuard lock(port_->port_mutex());
-  run_until_graph_done(graph);
+  run_until([id](const TaskGraph& graph) { return graph.graph_finished(id); });
 }
 
 void SimExecutor::wait_children(TaskId parent) {

@@ -93,12 +93,8 @@ class SimExecutor final : public Executor {
   /// (it is already marked busy by the waiting parent).
   void start_task(WorkerId worker, TaskId id, bool occupy_worker = true)
       VERSA_REQUIRES(port_->port_mutex());
-  void run_until_done(TaskId task_or_invalid)
-      VERSA_REQUIRES(port_->port_mutex());
-  void run_until_graph_done(GraphId graph)
-      VERSA_REQUIRES(port_->port_mutex());
-  /// Drive the event loop until `done()` holds (shared body of the
-  /// run_until_* entry points).
+  /// Drive the event loop until `done(graph)` holds (shared body of
+  /// wait_all, wait_task and wait_graph).
   template <typename DonePredicate>
   void run_until(DonePredicate done) VERSA_REQUIRES(port_->port_mutex());
 };

@@ -182,41 +182,32 @@ void ThreadExecutor::wait_children(TaskId parent) {
   }
 }
 
-void ThreadExecutor::wait_all() {
+template <typename Predicate>
+void ThreadExecutor::wait_until(Predicate done) {
   for (;;) {
     const std::uint64_t seen = wake_snapshot();
     {
       versa::RecursiveLockGuard lock(port_->port_mutex());
-      if (port_->port_graph().all_finished()) return;
+      if (done(port_->port_graph())) return;
     }
     wait_wake(seen);
   }
+}
+
+void ThreadExecutor::wait_all() {
+  wait_until([](const TaskGraph& graph) { return graph.all_finished(); });
 }
 
 void ThreadExecutor::wait_task(TaskId task) {
-  for (;;) {
-    const std::uint64_t seen = wake_snapshot();
-    {
-      versa::RecursiveLockGuard lock(port_->port_mutex());
-      if (port_->port_graph().task(task).state == TaskState::kFinished) {
-        return;
-      }
-    }
-    wait_wake(seen);
-  }
+  wait_until([task](const TaskGraph& graph) {
+    return graph.task(task).state == TaskState::kFinished;
+  });
 }
 
-void ThreadExecutor::wait_graph(GraphId graph) {
-  // Same wake-epoch protocol as wait_all, settling on one graph root; many
-  // client threads can block here concurrently, each on its own graph.
-  for (;;) {
-    const std::uint64_t seen = wake_snapshot();
-    {
-      versa::RecursiveLockGuard lock(port_->port_mutex());
-      if (port_->port_graph().graph_finished(graph)) return;
-    }
-    wait_wake(seen);
-  }
+void ThreadExecutor::wait_graph(GraphId id) {
+  // Many client threads can block here concurrently, each on its own
+  // graph root.
+  wait_until([id](const TaskGraph& graph) { return graph.graph_finished(id); });
 }
 
 Time ThreadExecutor::flush(const TransferList&) {

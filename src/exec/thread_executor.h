@@ -81,6 +81,11 @@ class ThreadExecutor final : public Executor {
   void bump_wake();
   /// Sleep until the epoch moves past `seen` (or stop).
   void wait_wake(std::uint64_t seen);
+  /// Master/client-side wait: block until `done(graph)` holds, checking it
+  /// under the runtime lock once per wake epoch (the wait_all, wait_task
+  /// and wait_graph loop).
+  template <typename Predicate>
+  void wait_until(Predicate done);
 
   void worker_loop(WorkerId worker);
 

@@ -154,20 +154,8 @@ TaskId Runtime::submit(TaskTypeId type, AccessList accesses,
   versa::RecursiveLockGuard lock(mutex_);
   maybe_load_profile();
 
-  // Resolve open-ended lengths and compute the data-set size with every
-  // region counted once (paper footnote 2).
-  std::uint64_t data_set_size = 0;
-  for (std::size_t i = 0; i < accesses.size(); ++i) {
-    Access& access = accesses[i];
-    const RegionDesc& desc = directory_.region(access.region);
-    if (access.length == 0) {
-      VERSA_CHECK_MSG(access.offset < desc.size, "access offset out of range");
-      access.length = desc.size - access.offset;
-    }
-    VERSA_CHECK_MSG(access.offset + access.length <= desc.size,
-                    "access range exceeds region");
-    if (first_access_to_region(accesses, i)) data_set_size += desc.size;
-  }
+  const std::uint64_t data_set_size = resolve_accesses(
+      accesses, "access offset out of range", "access range exceeds region");
 
   // Adaptive granularity hook: may re-tile the submission into children
   // or park it in the fuse window. Absent (the default), the path below
@@ -179,33 +167,58 @@ TaskId Runtime::submit(TaskTypeId type, AccessList accesses,
     }
   }
 
-  Task& task = graph_.create_task(type, std::move(accesses), data_set_size,
-                                  std::move(options.label), options.graph);
-  task.priority = options.priority;
-  task.submit_time = now();
-
-  // Nested submission: attribute the child to the submitting task so a
-  // taskwait inside that body can wait for exactly its children.
-  const TaskId parent = executor_->current_task();
-  if (parent != kInvalidTask) {
-    task.parent = parent;
-    ++graph_.task(parent).live_children;
-  }
-
+  Task& task = create_task(type, std::move(accesses), data_set_size, options,
+                           executor_->current_task());
   register_and_release(task);
   return task.id;
 }
 
-void Runtime::register_and_release(Task& task) {
+std::uint64_t Runtime::resolve_accesses(AccessList& accesses,
+                                        const char* offset_error,
+                                        const char* range_error) const {
+  // Resolve open-ended lengths and compute the data-set size with every
+  // region counted once (paper footnote 2).
+  std::uint64_t data_set_size = 0;
+  for (std::size_t i = 0; i < accesses.size(); ++i) {
+    Access& access = accesses[i];
+    const RegionDesc& desc = directory_.region(access.region);
+    if (access.length == 0) {
+      VERSA_CHECK_MSG(access.offset < desc.size, offset_error);
+      access.length = desc.size - access.offset;
+    }
+    VERSA_CHECK_MSG(access.offset + access.length <= desc.size, range_error);
+    if (first_access_to_region(accesses, i)) data_set_size += desc.size;
+  }
+  return data_set_size;
+}
+
+Task& Runtime::create_task(TaskTypeId type, AccessList accesses,
+                           std::uint64_t data_set_size,
+                           SubmitOptions& options, TaskId parent) {
+  Task& task = graph_.create_task(type, std::move(accesses), data_set_size,
+                                  std::move(options.label), options.graph);
+  task.priority = options.priority;
+  task.submit_time = now();
+  // Nested submission: attribute the task to the submitting task so a
+  // taskwait inside that body can wait for exactly its children.
+  if (parent != kInvalidTask) {
+    task.parent = parent;
+    ++graph_.task(parent).live_children;
+  }
+  return task;
+}
+
+bool Runtime::register_task(Task& task, TaskId lineage) {
   std::vector<TaskId> preds;
   analyzer_.add_task(task.id, task.accesses, preds);
   if (sanitizer_ != nullptr) {
-    sanitizer_->on_task_registered(task, preds, task.parent);
+    sanitizer_->on_task_registered(task, preds, lineage);
   }
-  const std::uint32_t live = graph_.add_dependencies(task, preds);
-  if (live == 0) {
-    release_ready({task.id});
-  }
+  return graph_.add_dependencies(task, preds) == 0;
+}
+
+void Runtime::register_and_release(Task& task) {
+  if (register_task(task, task.parent)) release_ready({task.id});
 }
 
 Duration Runtime::busy_spread() const {
@@ -275,15 +288,8 @@ bool Runtime::granular_submit(TaskTypeId type, AccessList& accesses,
     case core::GranularityDecision::kFuse: {
       // Create the member now — the caller gets a stable TaskId — but
       // defer analyzer registration to the window flush.
-      Task& task = graph_.create_task(type, std::move(accesses),
-                                      data_set_size, std::move(options.label),
-                                      options.graph);
-      task.priority = options.priority;
-      task.submit_time = now();
-      if (parent != kInvalidTask) {
-        task.parent = parent;
-        ++graph_.task(parent).live_children;
-      }
+      Task& task =
+          create_task(type, std::move(accesses), data_set_size, options, parent);
       if (!fuse_window_.open) {
         fuse_window_.open = true;
         fuse_window_.type = type;
@@ -314,15 +320,8 @@ bool Runtime::granular_submit(TaskTypeId type, AccessList& accesses,
       // Shell: keeps the original identity and dependence clauses but is
       // never registered with the analyzer nor released — its children
       // carry the dependences at byte granularity instead.
-      Task& shell = graph_.create_task(type, std::move(accesses),
-                                       data_set_size, std::move(options.label),
-                                       options.graph);
-      shell.priority = options.priority;
-      shell.submit_time = now();
-      if (parent != kInvalidTask) {
-        shell.parent = parent;
-        ++graph_.task(parent).live_children;
-      }
+      Task& shell =
+          create_task(type, std::move(accesses), data_set_size, options, parent);
       const TaskId shell_id = shell.id;
       shell.split_children = static_cast<std::uint32_t>(parts.size());
       shell.split_live = shell.split_children;
@@ -349,17 +348,9 @@ bool Runtime::granular_submit(TaskTypeId type, AccessList& accesses,
         child.priority = options.priority;
         child.submit_time = now();
         child.split_parent = shell_id;
-        std::vector<TaskId> preds;
-        analyzer_.add_task(child.id, child.accesses, preds);
-        if (sanitizer_ != nullptr) {
-          // The shell never registers; its children inherit the lineage
-          // edge from the task whose body submitted the shell.
-          sanitizer_->on_task_registered(child, preds,
-                                         graph_.task(shell_id).parent);
-        }
-        if (graph_.add_dependencies(child, preds) == 0) {
-          ready.push_back(child.id);
-        }
+        // The shell never registers; its children inherit the sanitizer's
+        // lineage edge from the task whose body submitted the shell.
+        if (register_task(child, parent)) ready.push_back(child.id);
       }
       trace_granularity(core::TraceEventKind::kSplit, shell_id,
                         graph_.task(shell_id).tenant, type, data_set_size,
@@ -390,19 +381,9 @@ void Runtime::flush_fuse_window() {
   lists.reserve(members.size());
   for (TaskId id : members) lists.push_back(graph_.task(id).accesses);
   AccessList fused = recipe->fuse(lists);
-  std::uint64_t fused_size = 0;
-  for (std::size_t i = 0; i < fused.size(); ++i) {
-    Access& access = fused[i];
-    const RegionDesc& desc = directory_.region(access.region);
-    if (access.length == 0) {
-      VERSA_CHECK_MSG(access.offset < desc.size,
-                      "fuse recipe produced an out-of-range access");
-      access.length = desc.size - access.offset;
-    }
-    VERSA_CHECK_MSG(access.offset + access.length <= desc.size,
-                    "fuse recipe produced an out-of-range access");
-    if (first_access_to_region(fused, i)) fused_size += desc.size;
-  }
+  const char* fuse_error = "fuse recipe produced an out-of-range access";
+  const std::uint64_t fused_size =
+      resolve_accesses(fused, fuse_error, fuse_error);
 
   const Time stamp = now();
   for (std::size_t i = 1; i < members.size(); ++i) {
@@ -619,18 +600,10 @@ void Runtime::task_assigned(TaskId task, WorkerId worker) {
 }
 
 void Runtime::taskwait() {
-  if (granularity_ != nullptr) {
-    versa::RecursiveLockGuard lock(mutex_);
-    flush_fuse_window();
-  }
-  const TaskId current = executor_->current_task();
-  if (current != kInvalidTask) {
-    // Inside a task body: children-scoped barrier, no global flush (the
-    // enclosing master-level taskwait flushes).
-    executor_->wait_children(current);
-    return;
-  }
-  executor_->wait_all();
+  taskwait_noflush();
+  // Inside a task body the barrier is children-scoped and flushes nothing
+  // (the enclosing master-level taskwait flushes).
+  if (executor_->current_task() != kInvalidTask) return;
   versa::RecursiveLockGuard lock(mutex_);
   TransferList ops;
   directory_.flush_all(ops);

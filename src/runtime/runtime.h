@@ -20,9 +20,9 @@
 // annotated recursive lock of class kLockRankRuntime (mutex_). Scheduler
 // *decision* state therefore needs no locking of its own, as stated in the
 // Scheduler contract; the dequeue fast path is the exception and carries
-// its own locks (DESIGN.md §9). The graph, analyzer and registry
-// aggregates are runtime-lock serialized through the REQUIRES annotations
-// on the ExecutorPort accessors; the scalar result fields are
+// its own locks (DESIGN.md §9). The graph and registry aggregates are
+// runtime-lock serialized through the REQUIRES annotations on the
+// ExecutorPort accessors; the analyzer and the scalar result fields are
 // GUARDED_BY(mutex_) directly. The directory is the deliberate exception:
 // it synchronizes itself (one mutex of class `data`), so lookups,
 // transfer_cost pricing, and the thread backend's worker-side staging run
@@ -227,7 +227,6 @@ class Runtime final : public SchedulerContext, public ExecutorPort {
   RuntimeConfig config_;
   VersionRegistry registry_;
   DataDirectory directory_;
-  DependencyAnalyzer analyzer_;
   TaskGraph graph_;
   RunStatsCollector run_stats_;
   /// The runtime lock (lock class kLockRankRuntime; see DESIGN.md §9).
@@ -235,6 +234,8 @@ class Runtime final : public SchedulerContext, public ExecutorPort {
   /// re-enter submit/taskwait. Mutable so quiescent const accessors
   /// (elapsed, failed_attempts) can lock honestly.
   mutable versa::RecursiveMutex mutex_{lock_order::kLockRankRuntime};
+  /// Plain data: the analyzer has no lock of its own (DESIGN.md §13).
+  DependencyAnalyzer analyzer_ VERSA_GUARDED_BY(mutex_);
   std::unique_ptr<Scheduler> scheduler_;
   // Destroyed first (declared last): the thread backend joins its workers
   // in its destructor while the rest of the runtime is still alive.
@@ -253,8 +254,9 @@ class Runtime final : public SchedulerContext, public ExecutorPort {
   std::unique_ptr<core::GranularityController> granularity_;
 
   /// Dependence-spec sanitizer (nullptr when off — the default). The
-  /// runtime-side hooks run under the runtime lock; the sanitizer's own
-  /// mutexes (ranks 11/12/15) cover the executor-side witness path.
+  /// runtime-side hooks run under the runtime lock; the sanitizer's one
+  /// mutex (class `sanitizer`, rank 15) covers the executor-side witness
+  /// path.
   std::unique_ptr<sanitize::AccessSanitizer> sanitizer_;
 
   /// The open fuse window: sibling submissions the controller decided to
@@ -276,9 +278,24 @@ class Runtime final : public SchedulerContext, public ExecutorPort {
   ProfileStore make_profile_store() const;
   void maybe_load_profile() VERSA_REQUIRES(mutex_);
   void maybe_save_profile();
-  /// Register `task` with the analyzer, wire its dependence edges, and
-  /// release it if it is already ready (the tail of every submission
-  /// path: plain, split children, fused hosts).
+  /// Resolve open-ended access lengths against their regions (aborting
+  /// with the given messages on a bad offset or range) and return the
+  /// data-set size, each region counted once (paper footnote 2).
+  std::uint64_t resolve_accesses(AccessList& accesses,
+                                 const char* offset_error,
+                                 const char* range_error) const;
+  /// Create a submitted task in the graph with the options' label, graph
+  /// and priority, stamp its submit time, and attribute it to `parent`
+  /// (the task whose body submitted it, or kInvalidTask).
+  Task& create_task(TaskTypeId type, AccessList accesses,
+                    std::uint64_t data_set_size, SubmitOptions& options,
+                    TaskId parent) VERSA_REQUIRES(mutex_);
+  /// Register `task` with the analyzer (and the sanitizer, with `lineage`
+  /// as its submitting task) and wire its dependence edges. True when it
+  /// has no live predecessor, i.e. it is ready now.
+  bool register_task(Task& task, TaskId lineage) VERSA_REQUIRES(mutex_);
+  /// register_task with the task's own parent as lineage, then release it
+  /// if ready (the tail of the plain and fused-host submission paths).
   void register_and_release(Task& task) VERSA_REQUIRES(mutex_);
   /// The granularity hook inside submit(): may split the submission into
   /// children or park it in the fuse window. Returns true with `out` set

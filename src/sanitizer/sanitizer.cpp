@@ -75,20 +75,20 @@ bool parse_sanitize_mode(const std::string& text, SanitizeMode& mode) {
   return true;
 }
 
-AccessSanitizer::AccessSanitizer(SanitizeConfig config)
-    : config_(config), state_mutex_(lock_order::kLockRankSanitizerState) {}
+AccessSanitizer::AccessSanitizer(SanitizeConfig config) : config_(config) {}
 
 void AccessSanitizer::on_task_registered(const Task& task,
                                          const std::vector<TaskId>& preds,
                                          TaskId hb_parent) {
+  versa::LockGuard lock(mutex_);
   if (config_.mode == SanitizeMode::kRace) {
     clocks_.add(task.id, preds, hb_parent);
   }
-  versa::LockGuard lock(state_mutex_);
   types_[task.id] = task.type;
 }
 
 void AccessSanitizer::on_task_absorbed(TaskId member, TaskId host) {
+  versa::LockGuard lock(mutex_);
   if (config_.mode == SanitizeMode::kRace) {
     clocks_.alias(member, host);
   }
@@ -96,7 +96,7 @@ void AccessSanitizer::on_task_absorbed(TaskId member, TaskId host) {
 
 void AccessSanitizer::record_witness(TaskId task, WitnessLog&& log) {
   if (log.empty()) return;
-  versa::LockGuard lock(state_mutex_);
+  versa::LockGuard lock(mutex_);
   WitnessLog& slot = witnesses_[task];
   if (slot.empty()) {
     slot = std::move(log);
@@ -129,18 +129,14 @@ void AccessSanitizer::on_task_complete(const Task& task) {
   // completion port; skip defensively if one ever shows up.
   if (task.split_children > 0 || task.fused_into != kInvalidTask) return;
 
-  // Pull this task's witness log (never holding the state mutex across
-  // the shadow walk below — rank 15 must not sit under ranks 11/12).
+  versa::LockGuard lock(mutex_);
   WitnessLog witness;
-  {
-    versa::LockGuard lock(state_mutex_);
-    ++stats_.tasks_checked;
-    const auto it = witnesses_.find(task.id);
-    if (it != witnesses_.end()) {
-      witness = std::move(it->second);
-      witnesses_.erase(it);
-      ++stats_.tasks_witnessed;
-    }
+  ++stats_.tasks_checked;
+  const auto found = witnesses_.find(task.id);
+  if (found != witnesses_.end()) {
+    witness = std::move(found->second);
+    witnesses_.erase(found);
+    ++stats_.tasks_witnessed;
   }
 
   // --- conformance (spec + race modes): witness vs declaration ----------
@@ -240,15 +236,20 @@ void AccessSanitizer::on_task_complete(const Task& task) {
   };
   std::vector<TaggedConflict> tagged;
   if (config_.mode == SanitizeMode::kRace) {
-    const OrderedFn ordered = [this](TaskId a, TaskId b) {
-      return clocks_.ordered(a, b);
+    // The lambdas are analyzed as separate functions, so they reach the
+    // guarded clocks and shadow map through references taken here, under
+    // the lock.
+    const ClockTable& clocks = clocks_;
+    ShadowMap& shadow = shadow_;
+    const OrderedFn ordered = [&clocks](TaskId a, TaskId b) {
+      return clocks.ordered(a, b);
     };
     std::vector<ShadowConflict> conflicts;
     auto shadow_span = [&](RegionId region, AccessMode mode,
                            std::uint64_t offset, std::uint64_t length) {
       conflicts.clear();
-      shadow_.record(region, task.id, mode, offset, length, ordered,
-                     conflicts);
+      shadow.record(region, task.id, mode, offset, length, ordered,
+                    conflicts);
       for (const ShadowConflict& c : conflicts) {
         tagged.push_back(TaggedConflict{c, region, mode});
       }
@@ -269,7 +270,6 @@ void AccessSanitizer::on_task_complete(const Task& task) {
   }
 
   // --- fold results into the report --------------------------------------
-  versa::LockGuard lock(state_mutex_);
   for (Violation& v : conformance) {
     if (v.kind == ViolationKind::kOverDeclaration) {
       stats_.wasted_transfer_bytes += v.bytes;
@@ -308,33 +308,34 @@ void AccessSanitizer::on_task_complete(const Task& task) {
 }
 
 void AccessSanitizer::on_region_unregistered(RegionId region) {
+  versa::LockGuard lock(mutex_);
   if (config_.mode == SanitizeMode::kRace) {
     shadow_.clear_region(region);
   }
 }
 
 std::vector<Violation> AccessSanitizer::violations() const {
-  versa::LockGuard lock(state_mutex_);
+  versa::LockGuard lock(mutex_);
   return violations_;
 }
 
 SanitizeStats AccessSanitizer::stats() const {
-  versa::LockGuard lock(state_mutex_);
+  versa::LockGuard lock(mutex_);
   return stats_;
 }
 
 std::uint64_t AccessSanitizer::error_count() const {
-  versa::LockGuard lock(state_mutex_);
+  versa::LockGuard lock(mutex_);
   return stats_.races + stats_.out_of_spec;
 }
 
 bool AccessSanitizer::write_csv_report(const std::string& path) const {
-  versa::LockGuard lock(state_mutex_);
+  versa::LockGuard lock(mutex_);
   return write_csv(path, violations_, stats_);
 }
 
 void AccessSanitizer::render(std::ostream& os) const {
-  versa::LockGuard lock(state_mutex_);
+  versa::LockGuard lock(mutex_);
   render_report(os, violations_, stats_);
 }
 

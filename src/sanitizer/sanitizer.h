@@ -13,7 +13,7 @@
 //           skipped — conformance is opt-in per body.
 //   race  — spec plus cross-task determinacy-race detection: tasks get
 //           happens-before clocks propagated along analyzer edges (and
-//           split/fuse lineage), and a sharded shadow-byte map records the
+//           split/fuse lineage), and a shadow-byte map records the
 //           last writer/readers of every touched byte so any graph-
 //           unordered conflicting pair is flagged with both task ids,
 //           types, and the offending byte range. Declared clauses are
@@ -25,10 +25,10 @@
 // Threading: on_task_registered / on_task_absorbed / on_task_complete /
 // on_region_unregistered run under the runtime lock (rank 10).
 // record_witness arrives from executor threads with no runtime lock held
-// (thread backend) and only touches the witness buffer under the state
-// mutex (rank 15). Completion processing pulls the buffer under 15,
-// releases it, then walks the shadow map (shard rank 11 → clock rank 12),
-// and re-enters 15 to fold violations — so 15 is never held below 11/12.
+// (thread backend). One mutex (class `sanitizer`, rank 15) guards all of
+// the sanitizer's state — clocks, shadow map, witness buffers and report;
+// every hook and result accessor takes it once for its whole body. The
+// clock table and shadow map are plain data with no locks of their own.
 #pragma once
 
 #include <memory>
@@ -96,25 +96,19 @@ class AccessSanitizer {
   /// Render the human-readable section to `os`.
   void render(std::ostream& os) const;
 
-  /// Shadow intervals currently live (tests; 0 outside race mode).
-  std::size_t shadow_interval_count() const { return shadow_.interval_count(); }
-  const ClockTable& clocks() const { return clocks_; }
-
  private:
-  void add_violation(Violation v) VERSA_REQUIRES(state_mutex_);
+  void add_violation(Violation v) VERSA_REQUIRES(mutex_);
 
   const SanitizeConfig config_;
 
-  ClockTable clocks_;
-  ShadowMap shadow_;
-
-  mutable versa::Mutex state_mutex_;
+  mutable versa::Mutex mutex_{lock_order::kLockRankSanitizer};
+  ClockTable clocks_ VERSA_GUARDED_BY(mutex_);
+  ShadowMap shadow_ VERSA_GUARDED_BY(mutex_);
   /// Task type of every registered task (race reports name both parties'
   /// types; the prior task is long gone by the time its race surfaces).
-  std::unordered_map<TaskId, TaskTypeId> types_ VERSA_GUARDED_BY(state_mutex_);
-  std::unordered_map<TaskId, WitnessLog> witnesses_
-      VERSA_GUARDED_BY(state_mutex_);
-  std::vector<Violation> violations_ VERSA_GUARDED_BY(state_mutex_);
+  std::unordered_map<TaskId, TaskTypeId> types_ VERSA_GUARDED_BY(mutex_);
+  std::unordered_map<TaskId, WitnessLog> witnesses_ VERSA_GUARDED_BY(mutex_);
+  std::vector<Violation> violations_ VERSA_GUARDED_BY(mutex_);
   /// Dedup: race pair (low id, high id, region) → index into violations_.
   struct PairKey {
     TaskId a;
@@ -133,8 +127,8 @@ class AccessSanitizer {
     }
   };
   std::unordered_map<PairKey, std::size_t, PairKeyHash> race_index_
-      VERSA_GUARDED_BY(state_mutex_);
-  SanitizeStats stats_ VERSA_GUARDED_BY(state_mutex_);
+      VERSA_GUARDED_BY(mutex_);
+  SanitizeStats stats_ VERSA_GUARDED_BY(mutex_);
 };
 
 }  // namespace versa::sanitize

@@ -4,17 +4,13 @@
 
 namespace versa::sanitize {
 
-ShadowMap::ShadowMap() = default;
-
 void ShadowMap::record(RegionId region, TaskId id, AccessMode mode,
                        std::uint64_t offset, std::uint64_t length,
                        const OrderedFn& ordered,
                        std::vector<ShadowConflict>& out) {
   if (length == 0) return;
   const std::uint64_t end = offset + length;
-  Shard& s = shard(region);
-  versa::LockGuard lock(s.mutex);
-  IntervalMap& map = s.regions[region];
+  IntervalMap& map = regions_[region];
 
   auto split_at = [&map](IntervalMap::iterator it, std::uint64_t at) {
     // Precondition: it->first < at < it->second.end.
@@ -94,21 +90,11 @@ void ShadowMap::record(RegionId region, TaskId id, AccessMode mode,
   }
 }
 
-void ShadowMap::clear_region(RegionId region) {
-  Shard& s = shard(region);
-  versa::LockGuard lock(s.mutex);
-  s.regions.erase(region);
-}
+void ShadowMap::clear_region(RegionId region) { regions_.erase(region); }
 
 std::size_t ShadowMap::interval_count() const {
   std::size_t total = 0;
-  for (const Shard& s : shards_) {
-    versa::LockGuard lock(s.mutex);
-    for (const auto& [region, map] : s.regions) {
-      (void)region;
-      total += map.size();
-    }
-  }
+  for (const auto& [region, map] : regions_) total += map.size();
   return total;
 }
 

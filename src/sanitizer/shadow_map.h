@@ -1,4 +1,4 @@
-// Sharded shadow-byte map over registered regions (DESIGN.md §12).
+// Shadow-byte map over registered regions (DESIGN.md §12).
 //
 // For every byte a completed task touched (declared clauses plus any
 // witnessed out-of-spec spans), the map remembers the last writer and the
@@ -12,12 +12,10 @@
 // found when its second member completes — detection does not depend on
 // which schedule the run happened to take.
 //
-// Regions hash onto kShardCount shards, each behind its own mutex of
-// class sanitizer.shard (rank 11); the happens-before callback may take
-// the clock mutex (rank 12) underneath it.
+// Thread-safety: none of its own. The owning AccessSanitizer guards it
+// with its one mutex.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -25,8 +23,6 @@
 
 #include "common/types.h"
 #include "task/access.h"
-#include "util/annotated_sync.h"
-#include "util/lock_order.h"
 
 namespace versa::sanitize {
 
@@ -44,10 +40,6 @@ using OrderedFn = std::function<bool(TaskId, TaskId)>;
 
 class ShadowMap {
  public:
-  static constexpr std::size_t kShardCount = 8;
-
-  ShadowMap();
-
   /// Record task `id` touching [offset, offset+length) of `region` with
   /// `mode`; appends a ShadowConflict per unordered conflicting prior
   /// access. Recording the same task twice over a byte never conflicts
@@ -59,7 +51,7 @@ class ShadowMap {
   /// Drop all shadow state of `region` (unregister_data).
   void clear_region(RegionId region);
 
-  /// Total live intervals across shards (stats/tests).
+  /// Total live intervals across regions (tests).
   std::size_t interval_count() const;
 
  private:
@@ -71,17 +63,7 @@ class ShadowMap {
   };
   using IntervalMap = std::map<std::uint64_t, Interval>;
 
-  struct Shard {
-    Shard() : mutex(lock_order::kLockRankSanitizerShard) {}
-    mutable versa::Mutex mutex;
-    std::map<RegionId, IntervalMap> regions VERSA_GUARDED_BY(mutex);
-  };
-
-  Shard& shard(RegionId region) {
-    return shards_[static_cast<std::size_t>(region) % kShardCount];
-  }
-
-  std::array<Shard, kShardCount> shards_;
+  std::map<RegionId, IntervalMap> regions_;
 };
 
 }  // namespace versa::sanitize

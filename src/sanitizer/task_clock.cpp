@@ -17,7 +17,6 @@ TaskId ClockTable::resolve(TaskId id) const {
 
 void ClockTable::add(TaskId task, const std::vector<TaskId>& preds,
                      TaskId hb_parent) {
-  versa::LockGuard lock(mutex_);
   Entry entry;
 
   // The clock starts as the elementwise max over all predecessor clocks,
@@ -64,7 +63,6 @@ void ClockTable::add(TaskId task, const std::vector<TaskId>& preds,
 }
 
 void ClockTable::alias(TaskId member, TaskId host) {
-  versa::LockGuard lock(mutex_);
   if (member != host) aliases_[member] = host;
 }
 
@@ -73,7 +71,6 @@ bool ClockTable::hb(const Entry& a, const Entry& b) const {
 }
 
 bool ClockTable::ordered(TaskId a, TaskId b) const {
-  versa::LockGuard lock(mutex_);
   const TaskId ra = resolve(a);
   const TaskId rb = resolve(b);
   if (ra == rb) return true;
@@ -81,16 +78,6 @@ bool ClockTable::ordered(TaskId a, TaskId b) const {
   const auto ib = entries_.find(rb);
   if (ia == entries_.end() || ib == entries_.end()) return false;
   return hb(ia->second, ib->second) || hb(ib->second, ia->second);
-}
-
-std::size_t ClockTable::chain_count() const {
-  versa::LockGuard lock(mutex_);
-  return chain_tails_.size();
-}
-
-std::size_t ClockTable::task_count() const {
-  versa::LockGuard lock(mutex_);
-  return entries_.size();
 }
 
 }  // namespace versa::sanitize

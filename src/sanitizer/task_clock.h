@@ -20,8 +20,8 @@
 // Fuse hosts register with the window's combined accesses; absorbed
 // members alias to their host so lineage queries resolve somewhere real.
 //
-// Thread-safety: one internal mutex of class sanitizer.clock (rank 12).
-// Callers hold the runtime lock (10) or a shadow shard (11); both nest.
+// Thread-safety: none of its own. The owning AccessSanitizer guards it
+// with its one mutex.
 #pragma once
 
 #include <cstdint>
@@ -29,15 +29,11 @@
 #include <vector>
 
 #include "common/types.h"
-#include "util/annotated_sync.h"
-#include "util/lock_order.h"
 
 namespace versa::sanitize {
 
 class ClockTable {
  public:
-  ClockTable() : mutex_(lock_order::kLockRankSanitizerClock) {}
-
   /// Register `task` with happens-before edges from every task in `preds`
   /// plus `hb_parent` (pass kInvalidTask for master-thread submissions).
   /// Predecessors must already be registered; unknown ids are skipped.
@@ -52,8 +48,8 @@ class ClockTable {
   /// tasks it registered, so an unknown id is itself a bug to surface.
   bool ordered(TaskId a, TaskId b) const;
 
-  std::size_t chain_count() const;
-  std::size_t task_count() const;
+  /// Chains allocated so far (the clocks' width; tests).
+  std::size_t chain_count() const { return chain_tails_.size(); }
 
  private:
   struct Entry {
@@ -64,13 +60,12 @@ class ClockTable {
     std::vector<std::uint32_t> knows;
   };
 
-  TaskId resolve(TaskId id) const VERSA_REQUIRES(mutex_);
+  TaskId resolve(TaskId id) const;
   bool hb(const Entry& a, const Entry& b) const;
 
-  mutable versa::Mutex mutex_;
-  std::unordered_map<TaskId, Entry> entries_ VERSA_GUARDED_BY(mutex_);
-  std::unordered_map<TaskId, TaskId> aliases_ VERSA_GUARDED_BY(mutex_);
-  std::vector<TaskId> chain_tails_ VERSA_GUARDED_BY(mutex_);
+  std::unordered_map<TaskId, Entry> entries_;
+  std::unordered_map<TaskId, TaskId> aliases_;
+  std::vector<TaskId> chain_tails_;
 };
 
 }  // namespace versa::sanitize

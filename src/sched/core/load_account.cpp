@@ -48,13 +48,10 @@ void LoadAccount::mutate(WorkerId worker, Fn&& fn) {
 
 Ticks LoadAccount::effective(const TaskEntry& entry,
                              const Bucket& bucket) const {
-  // An entry older than its bucket's epoch was swept up by a reprice: it
-  // is implicitly charged the bucket price. When the price is unknown the
-  // entry keeps (or reverts to) its push-time charge.
-  if (bucket.price.has_value() && entry.epoch < bucket.epoch) {
-    return *bucket.price;
-  }
-  return entry.charge;
+  // on_push charges the bucket price whenever one is known, so a known
+  // price is always the entry's current charge; when the price is unknown
+  // the entry keeps (or reverts to) its push-time charge.
+  return bucket.price.value_or(entry.charge);
 }
 
 Duration LoadAccount::on_push(TaskId task, const PriceKey& key,
@@ -64,7 +61,7 @@ Duration LoadAccount::on_push(TaskId task, const PriceKey& key,
   const Ticks charge =
       bucket.price.has_value() ? *bucket.price : to_ticks(estimate);
   const auto [it, inserted] =
-      entries_.try_emplace(task, TaskEntry{key, worker, charge, bucket.epoch});
+      entries_.try_emplace(task, TaskEntry{key, worker, charge});
   VERSA_CHECK_MSG(inserted, "task pushed twice into the load account");
   WorkerShare& share = bucket.shares[worker];
   ++share.count;
@@ -142,7 +139,6 @@ void LoadAccount::reprice(const PriceKey& key, std::optional<Duration> mean) {
   Bucket& bucket = buckets_[key];
   bucket.price = mean.has_value() ? std::optional<Ticks>(to_ticks(*mean))
                                   : std::nullopt;
-  ++bucket.epoch;
   for (auto& [worker, share] : bucket.shares) {
     const Ticks target = bucket.price.has_value()
                              ? static_cast<Ticks>(share.count) * *bucket.price

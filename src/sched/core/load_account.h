@@ -22,11 +22,10 @@
 // bit-identical to an O(queue) rescan reference, which the property test
 // and the debug cross-check in VersioningScheduler rely on.
 //
-// Re-pricing uses epochs instead of per-task writes: each price bucket
-// carries an epoch that a reprice bumps; a task entry older than its
-// bucket's epoch is implicitly priced at the bucket's current price, so a
-// mean move costs one aggregate patch per worker holding the key instead
-// of one write per queued task.
+// Re-pricing patches aggregates instead of per-task entries: a queued
+// task is always charged its bucket's current price when one is known
+// (its push-time charge otherwise), so a mean move costs one aggregate
+// patch per worker holding the key instead of one write per queued task.
 //
 // The account also maintains, per device kind, an ordered finish-time
 // index over (busy, queued count, worker id), so least-busy lookups and
@@ -150,14 +149,12 @@ class LoadAccount {
   };
   struct Bucket {
     std::optional<Ticks> price;  ///< current mean price, when known
-    std::uint64_t epoch = 0;     ///< bumped by every reprice
     std::unordered_map<WorkerId, WorkerShare> shares;
   };
   struct TaskEntry {
     PriceKey key;
     WorkerId worker = kInvalidWorker;
     Ticks charge = 0;  ///< push-time charge, never rewritten
-    std::uint64_t epoch = 0;
   };
 
   std::vector<Ticks> queued_;

@@ -34,6 +34,7 @@ enum class RejectReason : std::uint8_t {
   kTaskQuota,      ///< graph would exceed max_in_flight_tasks
   kByteQuota,      ///< graph would exceed max_bytes
   kShutdown,       ///< service no longer accepts submissions
+  kMalformedSpec,  ///< an access names a region index outside the spec
 };
 
 const char* to_string(RejectReason reason);

@@ -19,6 +19,8 @@ const char* to_string(RejectReason reason) {
       return "byte-quota";
     case RejectReason::kShutdown:
       return "shutdown";
+    case RejectReason::kMalformedSpec:
+      return "malformed-spec";
   }
   return "?";
 }

@@ -52,10 +52,18 @@ SubmitResult VersaService::submit_graph(TenantId tenant,
     result.rejected.detail = "service is shutting down";
     return result;
   }
+  // Reject a malformed spec before admission: no quota is charged and no
+  // graph is opened.
   for (const TaskSpec& task : spec.tasks) {
     for (const AccessSpec& access : task.accesses) {
-      VERSA_CHECK_MSG(access.region < spec.regions.size(),
-                      "graph spec access names an out-of-range region");
+      if (access.region >= spec.regions.size()) {
+        result.rejected.reason = RejectReason::kMalformedSpec;
+        result.rejected.detail =
+            "access names region " + std::to_string(access.region) +
+            ", but the spec has " + std::to_string(spec.regions.size()) +
+            " regions";
+        return result;
+      }
     }
   }
   const std::uint64_t task_count = spec.tasks.size();

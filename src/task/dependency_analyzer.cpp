@@ -22,7 +22,6 @@ void DependencyAnalyzer::split_at(IntervalMap& map, std::uint64_t pos) {
 
 void DependencyAnalyzer::add_task(TaskId task, const AccessList& accesses,
                                   std::vector<TaskId>& preds) {
-  versa::LockGuard lock(mutex_);
   const std::size_t preds_begin = preds.size();
   for (const Access& access : accesses) {
     VERSA_CHECK_MSG(access.length > 0,
@@ -99,7 +98,6 @@ void DependencyAnalyzer::add_task(TaskId task, const AccessList& accesses,
 
 void DependencyAnalyzer::last_writers(RegionId region,
                                       std::vector<TaskId>& out) const {
-  versa::LockGuard lock(mutex_);
   const auto found = regions_.find(region);
   if (found == regions_.end()) return;
   const std::size_t begin = out.size();
@@ -111,17 +109,14 @@ void DependencyAnalyzer::last_writers(RegionId region,
 }
 
 void DependencyAnalyzer::clear_region(RegionId region) {
-  versa::LockGuard lock(mutex_);
   regions_.erase(region);
 }
 
 void DependencyAnalyzer::reset() {
-  versa::LockGuard lock(mutex_);
   regions_.clear();
 }
 
 std::size_t DependencyAnalyzer::interval_count() const {
-  versa::LockGuard lock(mutex_);
   std::size_t total = 0;
   for (const auto& [region, map] : regions_) {
     total += map.size();

@@ -10,11 +10,10 @@
 // dependences ("[BS*BS]C" on different tiles, overlapping slices, ...) are
 // tracked precisely at byte granularity.
 //
-// Concurrency: all interval state sits behind one mutex (class `analyzer`,
-// rank 16). The runtime already serializes submission under its own lock,
-// so a finer split could never overlap anything end to end (DESIGN.md
-// §13). Program order still matters per region chain: two tasks whose
-// accesses overlap must have their add_task calls ordered by the caller.
+// Thread-safety: none of its own. The only owner, Runtime, guards it with
+// the runtime lock (DESIGN.md §13). Program order still matters per region
+// chain: two tasks whose accesses overlap must have their add_task calls
+// ordered by the caller.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +22,6 @@
 
 #include "common/types.h"
 #include "task/access.h"
-#include "util/annotated_sync.h"
 
 namespace versa {
 
@@ -59,8 +57,7 @@ class DependencyAnalyzer {
   /// are disjoint and non-empty; bytes never accessed have no interval.
   using IntervalMap = std::map<std::uint64_t, Interval>;
 
-  mutable versa::Mutex mutex_{lock_order::kLockRankAnalyzer};
-  std::map<RegionId, IntervalMap> regions_ VERSA_GUARDED_BY(mutex_);
+  std::map<RegionId, IntervalMap> regions_;
 
   /// Split the interval containing `pos` (if any) so that `pos` becomes a
   /// boundary. Leaves the map equivalent.

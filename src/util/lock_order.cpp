@@ -12,11 +12,8 @@ const LockClass kLockRankTenant = {"service.tenant", 4};
 const LockClass kLockRankServiceGraph = {"service.graph", 6};
 const LockClass kLockRankProfileCache = {"service.profile", 8};
 const LockClass kLockRankRuntime = {"runtime", 10, /*reentrant=*/true};
-const LockClass kLockRankSanitizerShard = {"sanitizer.shard", 11};
-const LockClass kLockRankSanitizerClock = {"sanitizer.clock", 12};
 const LockClass kLockRankData = {"data", 13};
-const LockClass kLockRankSanitizerState = {"sanitizer.state", 15};
-const LockClass kLockRankAnalyzer = {"analyzer", 16};
+const LockClass kLockRankSanitizer = {"sanitizer", 15};
 const LockClass kLockRankAccount = {"sched.account", 20};
 const LockClass kLockRankQueue = {"sched.queue", 30};
 const LockClass kLockRankTrace = {"trace", 40};

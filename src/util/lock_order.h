@@ -38,11 +38,8 @@ extern const LockClass kLockRankTenant;       ///< rank 4: service TenantRegistr
 extern const LockClass kLockRankServiceGraph; ///< rank 6: VersaService graph table
 extern const LockClass kLockRankProfileCache; ///< rank 8: SharedProfileCache
 extern const LockClass kLockRankRuntime;      ///< rank 10: Runtime::mutex_
-extern const LockClass kLockRankSanitizerShard; ///< rank 11: AccessSanitizer shadow-map shards
-extern const LockClass kLockRankSanitizerClock; ///< rank 12: AccessSanitizer clock table
-extern const LockClass kLockRankData;         ///< rank 13: DataDirectory / TransferEngine state
-extern const LockClass kLockRankSanitizerState; ///< rank 15: AccessSanitizer witness/violation state
-extern const LockClass kLockRankAnalyzer;     ///< rank 16: DependencyAnalyzer interval maps
+extern const LockClass kLockRankData;         ///< rank 13: DataDirectory state
+extern const LockClass kLockRankSanitizer;    ///< rank 15: AccessSanitizer (clocks, shadow map, report)
 extern const LockClass kLockRankAccount;      ///< rank 20: QueueScheduler account/index
 extern const LockClass kLockRankQueue;        ///< rank 30: per-worker queue shards
 extern const LockClass kLockRankTrace;        ///< rank 40: DecisionTrace ring

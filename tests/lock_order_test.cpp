@@ -123,18 +123,15 @@ TEST_F(LockOrderTest, NonReentrantSelfNestingIsReported) {
 }
 
 TEST_F(LockOrderTest, RepoHierarchyAcquiresInDocumentedOrder) {
-  // The documented repo order (DESIGN.md §9), all 13 classes, outermost
+  // The documented repo order (DESIGN.md §9), all 10 classes, outermost
   // first: nesting every one of them in rank order is clean, and only the
   // runtime class may re-enter itself.
   Mutex tenant(lock_order::kLockRankTenant);
   Mutex service_graph(lock_order::kLockRankServiceGraph);
   Mutex profile(lock_order::kLockRankProfileCache);
   RecursiveMutex runtime(lock_order::kLockRankRuntime);
-  Mutex sanitizer_shard(lock_order::kLockRankSanitizerShard);
-  Mutex sanitizer_clock(lock_order::kLockRankSanitizerClock);
   Mutex data(lock_order::kLockRankData);
-  Mutex sanitizer_state(lock_order::kLockRankSanitizerState);
-  Mutex analyzer(lock_order::kLockRankAnalyzer);
+  Mutex sanitizer(lock_order::kLockRankSanitizer);
   Mutex account(lock_order::kLockRankAccount);
   Mutex queue(lock_order::kLockRankQueue);
   Mutex trace(lock_order::kLockRankTrace);
@@ -144,16 +141,13 @@ TEST_F(LockOrderTest, RepoHierarchyAcquiresInDocumentedOrder) {
   LockGuard l2(profile);
   RecursiveLockGuard l3(runtime);
   RecursiveLockGuard l3again(runtime);  // the runtime lock is recursive
-  LockGuard l4(sanitizer_shard);
-  LockGuard l5(sanitizer_clock);
-  LockGuard l6(data);
-  LockGuard l7(sanitizer_state);
-  LockGuard l8(analyzer);
-  LockGuard l9(account);
-  LockGuard l10(queue);
-  LockGuard l11(trace);
-  LockGuard l12(wake);
-  EXPECT_EQ(lock_order::held_depth(), 14u);
+  LockGuard l4(data);
+  LockGuard l5(sanitizer);
+  LockGuard l6(account);
+  LockGuard l7(queue);
+  LockGuard l8(trace);
+  LockGuard l9(wake);
+  EXPECT_EQ(lock_order::held_depth(), 11u);
   EXPECT_TRUE(g_captured.empty()) << g_captured;
 }
 

@@ -3,7 +3,8 @@
 // reasons, the weighted fair-share interleaver's window/park/refill
 // mechanics, the shared warm-start profile cache, and end-to-end
 // VersaService graph lifecycle on the sim backend (two tenants, quota
-// rejection and recovery, shutdown, accounting reconciliation).
+// rejection and recovery, malformed specs, shutdown, accounting
+// reconciliation).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -303,6 +304,29 @@ TEST(VersaService, ByteQuotaCountsSpecRegions) {
   const SubmitResult ok = s.submit(chain_spec(fx.work, 1, 8192));
   ASSERT_TRUE(ok.admitted());
   s.wait(ok.graph);
+}
+
+TEST(VersaService, OutOfRangeRegionIndexIsRejectedBeforeAdmission) {
+  ServiceFixture fx;
+  TenantQuota quota;
+  quota.max_in_flight_tasks = 2;
+  Session s = fx.svc.open_session("client", quota);
+
+  GraphSpec bad = chain_spec(fx.work, 2);
+  bad.tasks[1].accesses.push_back({1, AccessMode::kIn});  // one region only
+  const SubmitResult r = s.submit(bad);
+  ASSERT_FALSE(r.admitted());
+  EXPECT_EQ(r.rejected.reason, RejectReason::kMalformedSpec);
+  EXPECT_STREQ(to_string(r.rejected.reason), "malformed-spec");
+  EXPECT_EQ(r.graph, kInvalidGraph);
+  EXPECT_EQ(s.stats().in_flight_tasks, 0u) << "no quota charged";
+
+  // The session stays usable: a valid spec filling the whole quota is
+  // admitted and runs.
+  const SubmitResult ok = s.submit(chain_spec(fx.work, 2));
+  ASSERT_TRUE(ok.admitted()) << ok.rejected.detail;
+  s.wait(ok.graph);
+  EXPECT_EQ(s.stats().completed_graphs, 1u);
 }
 
 TEST(VersaService, UnknownTenantAndShutdownRejections) {
