@@ -15,6 +15,10 @@
 //   versa_daemon [--clients N] [--graphs M] [--backend threads|sim]
 //                [--profile-cache FILE]
 //
+// --profile-cache warm-starts the runtime's profile table from FILE (a
+// ProfileStore, loaded at the first submit) and, on the thread backend,
+// saves the learned profile back to FILE when the daemon exits.
+//
 // Exit 0 iff every submitted graph completed or was cleanly rejected and
 // the per-tenant accounting reconciles.
 #include <atomic>
@@ -28,6 +32,7 @@
 #include <vector>
 
 #include "machine/presets.h"
+#include "perf/profile_report.h"
 #include "runtime/config.h"
 #include "service/versa_service.h"
 
@@ -129,7 +134,10 @@ int main(int argc, char** argv) {
   VersaServiceConfig config;
   config.runtime.backend = opt.backend;
   config.runtime.scheduler = "versioning";
-  config.profile_cache_path = opt.profile_cache;
+  config.runtime.profile_load_path = opt.profile_cache;
+  if (opt.backend == Backend::kThreads) {
+    config.runtime.profile_save_path = opt.profile_cache;
+  }
   VersaService svc(machine, config);
 
   std::atomic<std::uint64_t> executed{0};
@@ -139,10 +147,6 @@ int main(int argc, char** argv) {
       [&executed](TaskContext&) {
         executed.fetch_add(1, std::memory_order_relaxed);
       });
-  if (!opt.profile_cache.empty()) {
-    const ProfileLoadResult warm = svc.warm_start();
-    std::printf("warm start: %s\n", warm.message.c_str());
-  }
 
   // Two tenants. "interactive" gets 3x the dispatch weight but a tight
   // in-flight budget: with enough clients its excess submissions are
@@ -183,8 +187,10 @@ int main(int argc, char** argv) {
   for (std::thread& t : clients) t.join();
 
   svc.shutdown();
-  if (!opt.profile_cache.empty() && opt.backend == Backend::kThreads) {
-    svc.publish_profile();
+  if (!opt.profile_cache.empty()) {
+    std::printf("%s\n",
+                profile_load_summary(svc.runtime().profile_load_result())
+                    .c_str());
   }
 
   std::printf("graphs completed: %" PRIu64 "  rejected submissions: %" PRIu64

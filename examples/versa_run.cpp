@@ -92,10 +92,8 @@ void print_usage() {
       "  --trace <path>                 write a Chrome trace\n"
       "  --sched-trace <path>           record the scheduler decision\n"
       "                                 trace: prints the tail as a table\n"
-      "                                 and writes busy-counter tracks as\n"
-      "                                 Chrome-trace JSON to <path>; a\n"
-      "                                 .csv suffix writes the full event\n"
-      "                                 dump for versa_trace_report\n"
+      "                                 and writes the full event dump\n"
+      "                                 (v5 CSV) for versa_trace_report\n"
       "  --profile-load <path>          warm-start from a profile store\n"
       "                                 or a hand-written text hints file\n"
       "  --profile-save <path>          persist the learned profile\n"
@@ -370,15 +368,8 @@ int main(int argc, char** argv) {
     std::printf("\nscheduler decisions (last 32):\n%s",
                 sched_trace_table(trace, rt.version_registry(), machine, 32)
                     .c_str());
-    // A .csv suffix selects the full-fidelity dump versa_trace_report
-    // replays; anything else gets the Chrome-trace counter export.
     const std::string& path = options.sched_trace_path;
-    const bool csv =
-        path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-    const bool written =
-        csv ? write_sched_trace_csv(path, trace, rt.scheduler().name())
-            : write_sched_trace(path, trace, machine);
-    if (written) {
+    if (write_sched_trace_csv(path, trace, rt.scheduler().name())) {
       std::printf("scheduler trace written to %s\n", path.c_str());
     } else {
       std::fprintf(stderr, "could not write scheduler trace to %s\n",

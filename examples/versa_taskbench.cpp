@@ -93,8 +93,8 @@ void print_usage() {
       "  --json <path>              write all result rows as JSON\n"
       "  --sched-trace <path>       record the scheduler decision trace of\n"
       "                             the (single) requested policy x backend\n"
-      "                             cell; a .csv suffix writes the full\n"
-      "                             event dump for versa_trace_report\n"
+      "                             cell as the v5 CSV event dump that\n"
+      "                             versa_trace_report replays\n"
       "  --list-policies            print valid policy names and exit\n"
       "  --list-families            print valid family names and exit\n");
 }
@@ -437,13 +437,8 @@ int main(int argc, char** argv) {
           }
           const auto& decision_trace = rt.scheduler().decision_trace();
           const std::string& path = options.sched_trace_path;
-          const bool csv = path.size() >= 4 &&
-                           path.compare(path.size() - 4, 4, ".csv") == 0;
-          const bool written =
-              csv ? write_sched_trace_csv(path, decision_trace,
-                                          rt.scheduler().name())
-                  : write_sched_trace(path, decision_trace, machine);
-          if (written) {
+          if (write_sched_trace_csv(path, decision_trace,
+                                    rt.scheduler().name())) {
             std::printf("scheduler trace written to %s\n", path.c_str());
           } else {
             std::fprintf(stderr, "could not write scheduler trace to %s\n",

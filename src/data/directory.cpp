@@ -266,11 +266,6 @@ TransferStats DataDirectory::stats() const {
   return stats_;
 }
 
-void DataDirectory::reset_stats() {
-  versa::LockGuard lock(mutex_);
-  stats_ = TransferStats{};
-}
-
 std::uint64_t DataDirectory::eviction_count() const {
   versa::LockGuard lock(mutex_);
   return evictions_;

@@ -105,7 +105,6 @@ class DataDirectory {
 
   /// Plain-value snapshot of the transfer accounting.
   TransferStats stats() const;
-  void reset_stats();
 
   /// Number of evictions performed due to capacity pressure.
   std::uint64_t eviction_count() const;

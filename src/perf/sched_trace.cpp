@@ -42,56 +42,6 @@ std::string sched_trace_table(const core::DecisionTrace& trace,
   return out;
 }
 
-std::string sched_trace_counters_json(const core::DecisionTrace& trace,
-                                      const Machine& machine) {
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  char buffer[224];
-  for (const core::TraceEvent& e : trace.events()) {
-    if (e.worker == kInvalidWorker) continue;
-    if (!first) out += ',';
-    first = false;
-    switch (e.kind) {
-      case core::TraceEventKind::kPlacement:
-      case core::TraceEventKind::kLearningPlacement:
-      case core::TraceEventKind::kComplete:
-        // Counter sample: the busy estimate the decision saw (placements:
-        // before the push; completions: after the release).
-        std::snprintf(buffer, sizeof(buffer),
-                      "{\"name\":\"busy %s\",\"cat\":\"sched\",\"ph\":\"C\","
-                      "\"ts\":%.3f,\"pid\":2,\"tid\":%u,"
-                      "\"args\":{\"seconds\":%.9f}}",
-                      machine.worker(e.worker).name.c_str(), e.time * 1e6,
-                      e.worker, e.busy_term);
-        break;
-      case core::TraceEventKind::kSteal:
-      case core::TraceEventKind::kFailure:
-      case core::TraceEventKind::kSplit:
-      case core::TraceEventKind::kFuse:
-      case core::TraceEventKind::kReversal:
-        std::snprintf(buffer, sizeof(buffer),
-                      "{\"name\":\"%s\",\"cat\":\"sched\",\"ph\":\"i\","
-                      "\"s\":\"t\",\"ts\":%.3f,\"pid\":2,\"tid\":%u,"
-                      "\"args\":{\"task\":%llu}}",
-                      to_string(e.kind), e.time * 1e6, e.worker,
-                      static_cast<unsigned long long>(e.task));
-        break;
-    }
-    out += buffer;
-  }
-  out += "]}";
-  return out;
-}
-
-bool write_sched_trace(const std::string& path,
-                       const core::DecisionTrace& trace,
-                       const Machine& machine) {
-  std::ofstream file(path);
-  if (!file) return false;
-  file << sched_trace_counters_json(trace, machine);
-  return static_cast<bool>(file);
-}
-
 std::string sched_trace_csv(const core::DecisionTrace& trace,
                             const std::string& policy) {
   // v5 keeps the v3 column set; the v4 prefetch event kinds are gone.

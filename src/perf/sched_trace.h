@@ -1,9 +1,8 @@
 // Rendering for the scheduling core's decision trace (versa_run
 // --sched-trace): a column-aligned table of the most recent decisions with
-// the terms that drove them, and a Chrome-trace export with one counter
-// track per worker showing the estimated busy time each placement saw —
-// so "why did this task land there" is answerable after the run without
-// instrumenting a policy.
+// the terms that drove them, and the one on-disk schema, a v5 CSV that
+// versa_trace_report replays — so "why did this task land there" is
+// answerable after the run without instrumenting a policy.
 #pragma once
 
 #include <string>
@@ -21,22 +20,11 @@ std::string sched_trace_table(const core::DecisionTrace& trace,
                               const Machine& machine,
                               std::size_t max_rows = 0);
 
-/// Chrome-trace JSON: per-worker counter tracks of the busy estimate at
-/// each decision, plus instant events for steals and failures.
-std::string sched_trace_counters_json(const core::DecisionTrace& trace,
-                                      const Machine& machine);
-
-/// Write sched_trace_counters_json() to `path`. False on I/O failure.
-bool write_sched_trace(const std::string& path,
-                       const core::DecisionTrace& trace,
-                       const Machine& machine);
-
 /// Full-fidelity CSV dump of the retained events, oldest first: `#`
 /// metadata lines (format version, policy name, ring totals), a header
 /// row, then one row per TraceEvent with every field round-tripped (%.9e
-/// doubles). The Chrome-trace export above collapses placements into
-/// counter samples; this dump is what the offline analyzer
-/// (versa_trace_report, src/perf/trace_report.h) replays.
+/// doubles). This dump is what the offline analyzer (versa_trace_report,
+/// src/perf/trace_report.h) replays.
 std::string sched_trace_csv(const core::DecisionTrace& trace,
                             const std::string& policy);
 

@@ -29,9 +29,8 @@ void print_usage() {
       "       versa_trace_report --sanitize-report <sanitize.csv> [...]\n"
       "\n"
       "Analyzes decision-trace CSV dumps written by versa_run\n"
-      "--sched-trace <path>.csv (a .json suffix selects the Chrome-trace\n"
-      "export instead, which this tool does not read). Reports steal churn\n"
-      "and learning-phase coverage per policy.\n"
+      "--sched-trace <path>. Reports steal churn and learning-phase\n"
+      "coverage per policy.\n"
       "\n"
       "--sanitize-report replays dependence-spec sanitizer findings\n"
       "written by versa_run --sanitize-csv <path>; exits non-zero when\n"

@@ -248,9 +248,10 @@ ProfileLoadResult ProfileStore::import_text(std::string_view text,
 bool ProfileStore::save(const std::string& path,
                         const ProfileTable& table) const {
   // Atomic replace (temp + rename): a concurrent load() of the same path —
-  // the service-mode shared warm-start cache — sees either the old or the
-  // new store, never a torn half-write. The checksum would downgrade a
-  // torn read to a cold start anyway; the rename avoids even that.
+  // another service instance warm-starting from it — sees either the old
+  // or the new store, never a torn half-write. The checksum would
+  // downgrade a torn read to a cold start anyway; the rename avoids even
+  // that.
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::trunc);

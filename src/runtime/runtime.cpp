@@ -574,26 +574,6 @@ void Runtime::set_fuse_recipe(TaskTypeId type, core::FuseRecipe recipe) {
   }
 }
 
-ProfileLoadResult Runtime::import_profile_text(const std::string& text) {
-  versa::RecursiveLockGuard lock(mutex_);
-  ProfileLoadResult result;
-  if (text.empty()) return result;
-  auto* versioning = dynamic_cast<VersioningScheduler*>(scheduler_.get());
-  if (versioning == nullptr) {
-    result.message = "scheduler has no profile table";
-    return result;
-  }
-  return make_profile_store().import_text(text, versioning->mutable_profile());
-}
-
-std::string Runtime::export_profile_text() const {
-  versa::RecursiveLockGuard lock(mutex_);
-  const auto* versioning =
-      dynamic_cast<const VersioningScheduler*>(scheduler_.get());
-  if (versioning == nullptr) return {};
-  return make_profile_store().serialize(versioning->profile());
-}
-
 void Runtime::task_assigned(TaskId task, WorkerId worker) {
   // Hand the executor a stable task reference (deque storage).
   executor_->task_queued(graph_.task(task), worker);

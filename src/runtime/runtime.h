@@ -140,15 +140,6 @@ class Runtime final : public SchedulerContext, public ExecutorPort {
   /// Assumes non-nested graphs — see fair_share.h.
   void set_fair_share(core::FairShareInterleaver* gate);
 
-  /// Seed the scheduler's profile table from serialized native-store text
-  /// (the service warm-start cache path). kMissing when the scheduler has
-  /// no profile table or `text` is empty.
-  ProfileLoadResult import_profile_text(const std::string& text);
-
-  /// Serialized native-store text of the learned profile (empty when the
-  /// scheduler has no profile table). Call quiescent (e.g. after waits).
-  std::string export_profile_text() const;
-
   /// Barrier: wait for every task, then flush dirty device data to host.
   void taskwait();
 

@@ -11,8 +11,8 @@
 // events from worker threads outside the runtime lock since the
 // ThreadExecutor lock split, so the trace synchronizes itself. The ring
 // keeps the last `capacity` events plus totals, bounding memory at PBPI
-// scale; src/perf/sched_trace.h renders the buffer as a table and as
-// Chrome-trace counter tracks (versa_run --sched-trace).
+// scale; src/perf/sched_trace.h renders the buffer as a table and as the
+// v5 CSV that versa_trace_report replays (versa_run --sched-trace).
 #pragma once
 
 #include <atomic>

@@ -21,7 +21,7 @@ FairShareInterleaver::TenantLane& FairShareInterleaver::lane(TenantId tenant) {
 
 bool FairShareInterleaver::offer(TenantId tenant, TaskId id) {
   TenantLane& l = lane(tenant);
-  l.offered.fetch_add(1, std::memory_order_relaxed);
+  ++l.offered;
   if (in_window_ < window_) {
     ++in_window_;
     return true;
@@ -46,7 +46,7 @@ bool FairShareInterleaver::advance_cursor() {
 
 void FairShareInterleaver::on_complete(TenantId tenant,
                                        std::vector<TaskId>& release) {
-  lane(tenant).completed.fetch_add(1, std::memory_order_relaxed);
+  ++lane(tenant).completed;
   VERSA_CHECK(in_window_ > 0);
   --in_window_;
   // Refill freed slots by weighted round-robin: the cursor tenant gets up
@@ -67,12 +67,12 @@ void FairShareInterleaver::on_complete(TenantId tenant,
 
 std::uint64_t FairShareInterleaver::offered(TenantId tenant) const {
   if (tenant >= lanes_.size()) return 0;
-  return lanes_[tenant].offered.load(std::memory_order_relaxed);
+  return lanes_[tenant].offered;
 }
 
 std::uint64_t FairShareInterleaver::completed(TenantId tenant) const {
   if (tenant >= lanes_.size()) return 0;
-  return lanes_[tenant].completed.load(std::memory_order_relaxed);
+  return lanes_[tenant].completed;
 }
 
 }  // namespace versa::core

@@ -13,11 +13,10 @@
 // proportional to their weights — while a lone tenant still gets the whole
 // window (work-conserving).
 //
-// Locking: all mutating calls happen under the runtime lock by contract
-// (offer from release_ready, on_complete from port_complete — both
-// runtime-lock serialized), so the gate needs no mutex of its own and adds
-// no lock class. The per-tenant counters are atomics so VersaService can
-// read stats without touching the runtime lock.
+// Locking: every call on a live gate happens under the runtime lock (offer
+// from release_ready, on_complete from port_complete, set_weight from
+// VersaService::open_session — all runtime-lock serialized), so the gate
+// is plain data: no mutex of its own, no lock class, no atomics.
 //
 // The gate assumes non-nested graphs (a running task never blocks on a
 // parked child); VersaService only installs it for service-built graphs,
@@ -25,7 +24,6 @@
 // task keeps the slot it was dispatched with until it finally completes.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -62,7 +60,7 @@ class FairShareInterleaver {
   /// Window slots currently charged.
   std::size_t in_flight() const { return in_window_; }
 
-  // --- stats (lock-free reads) -------------------------------------------
+  // --- stats -------------------------------------------------------------
   std::uint64_t offered(TenantId tenant) const;
   std::uint64_t completed(TenantId tenant) const;
 
@@ -70,16 +68,8 @@ class FairShareInterleaver {
   struct TenantLane {
     std::uint32_t weight = 1;
     std::deque<TaskId> parked;
-    std::atomic<std::uint64_t> offered{0};
-    std::atomic<std::uint64_t> completed{0};
-
-    TenantLane() = default;
-    // deque growth moves lanes during single-producer registration only.
-    TenantLane(TenantLane&& other) noexcept
-        : weight(other.weight),
-          parked(std::move(other.parked)),
-          offered(other.offered.load(std::memory_order_relaxed)),
-          completed(other.completed.load(std::memory_order_relaxed)) {}
+    std::uint64_t offered = 0;
+    std::uint64_t completed = 0;
   };
 
   TenantLane& lane(TenantId tenant);

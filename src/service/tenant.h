@@ -35,6 +35,7 @@ enum class RejectReason : std::uint8_t {
   kByteQuota,      ///< graph would exceed max_bytes
   kShutdown,       ///< service no longer accepts submissions
   kMalformedSpec,  ///< an access names a region index outside the spec
+  kUnknownGraph,   ///< a wait names a graph the service never issued
 };
 
 const char* to_string(RejectReason reason);
@@ -47,7 +48,7 @@ struct Rejected {
   explicit operator bool() const { return reason != RejectReason::kNone; }
 };
 
-/// Lock-free snapshot of a tenant's accounting.
+/// Snapshot of a tenant's accounting.
 struct TenantStats {
   std::uint64_t in_flight_tasks = 0;
   std::uint64_t in_flight_bytes = 0;

@@ -21,13 +21,14 @@ const char* to_string(RejectReason reason) {
       return "shutdown";
     case RejectReason::kMalformedSpec:
       return "malformed-spec";
+    case RejectReason::kUnknownGraph:
+      return "unknown-graph";
   }
   return "?";
 }
 
 TenantId TenantRegistry::register_tenant(std::string name, TenantQuota quota) {
   VERSA_CHECK_MSG(quota.weight >= 1, "tenant weight must be at least 1");
-  versa::LockGuard lock(mutex_);
   Entry entry;
   entry.name = std::move(name);
   entry.quota = quota;
@@ -47,30 +48,20 @@ const TenantRegistry::Entry* TenantRegistry::find(TenantId tenant) const {
 }
 
 std::size_t TenantRegistry::tenant_count() const {
-  versa::LockGuard lock(mutex_);
   return entries_.size();
 }
 
 bool TenantRegistry::known(TenantId tenant) const {
-  versa::LockGuard lock(mutex_);
   return find(tenant) != nullptr;
 }
 
 std::string TenantRegistry::tenant_name(TenantId tenant) const {
-  versa::LockGuard lock(mutex_);
   const Entry* entry = find(tenant);
   return entry == nullptr ? std::string() : entry->name;
 }
 
-TenantQuota TenantRegistry::quota(TenantId tenant) const {
-  versa::LockGuard lock(mutex_);
-  const Entry* entry = find(tenant);
-  return entry == nullptr ? TenantQuota{} : entry->quota;
-}
-
 Rejected TenantRegistry::admit(TenantId tenant, std::uint64_t tasks,
                                std::uint64_t bytes) {
-  versa::LockGuard lock(mutex_);
   Entry* entry = find(tenant);
   Rejected rejected;
   if (entry == nullptr) {
@@ -114,20 +105,8 @@ Rejected TenantRegistry::admit(TenantId tenant, std::uint64_t tasks,
   return rejected;
 }
 
-void TenantRegistry::credit(TenantId tenant, std::uint64_t tasks,
-                            std::uint64_t bytes) {
-  versa::LockGuard lock(mutex_);
-  Entry* entry = find(tenant);
-  VERSA_CHECK_MSG(entry != nullptr, "crediting an unknown tenant");
-  VERSA_CHECK(entry->stats.in_flight_tasks >= tasks);
-  VERSA_CHECK(entry->stats.in_flight_bytes >= bytes);
-  entry->stats.in_flight_tasks -= tasks;
-  entry->stats.in_flight_bytes -= bytes;
-}
-
 void TenantRegistry::on_graph_complete(TenantId tenant, std::uint64_t tasks,
                                        std::uint64_t bytes) {
-  versa::LockGuard lock(mutex_);
   Entry* entry = find(tenant);
   VERSA_CHECK_MSG(entry != nullptr, "completing a graph of an unknown tenant");
   VERSA_CHECK(entry->stats.in_flight_tasks >= tasks);
@@ -139,7 +118,6 @@ void TenantRegistry::on_graph_complete(TenantId tenant, std::uint64_t tasks,
 }
 
 TenantStats TenantRegistry::stats(TenantId tenant) const {
-  versa::LockGuard lock(mutex_);
   const Entry* entry = find(tenant);
   return entry == nullptr ? TenantStats{} : entry->stats;
 }

@@ -1,17 +1,16 @@
 // Tenant registration and quota admission control.
 //
 // The registry owns the tenant table and the check-and-charge admission
-// step: admit() atomically (under the registry mutex) verifies both quotas
-// against a graph's task count and byte footprint, then charges them.
-// credit() / on_graph_complete() return the charge when the graph retires.
+// step: admit() verifies both quotas against a graph's task count and
+// byte footprint, then charges them; on_graph_complete() returns the
+// charge when the graph retires.
 //
-// The mutex belongs to lock class kLockRankTenant (rank 4) — *below* the
-// runtime lock (rank 10). Every registry call happens on a client thread
-// outside the runtime lock (admission before submit takes rank 10, retire
-// accounting after wait_graph returns), so rank 4 is always acquired with
-// no higher rank held and the checker stays quiet. Nothing inside the
-// runtime's completion path touches the registry; per-task fair-share
-// accounting lives in FairShareInterleaver's atomics instead.
+// Thread-safety: none of its own, by design — the registry is plain data.
+// VersaService keeps it GUARDED_BY its single `service` mutex (lock class
+// kLockRankService, rank 4), taken on client threads with nothing else
+// held. Nothing inside the runtime's completion path touches the
+// registry; per-task fair-share accounting lives in FairShareInterleaver,
+// under the runtime lock.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +18,6 @@
 #include <string>
 
 #include "service/tenant.h"
-#include "util/annotated_sync.h"
 
 namespace versa::service {
 
@@ -37,17 +35,12 @@ class TenantRegistry {
   std::size_t tenant_count() const;
   bool known(TenantId tenant) const;
   std::string tenant_name(TenantId tenant) const;
-  TenantQuota quota(TenantId tenant) const;
 
   /// Check-and-charge: admit a graph of `tasks` tasks and `bytes` region
   /// bytes for `tenant`. On success the quotas are charged and the
   /// returned Rejected converts to false; on failure nothing is charged
   /// and the reason/detail describe the violated quota.
   Rejected admit(TenantId tenant, std::uint64_t tasks, std::uint64_t bytes);
-
-  /// Return a graph's admission charge without completing it (submission
-  /// aborted after admission).
-  void credit(TenantId tenant, std::uint64_t tasks, std::uint64_t bytes);
 
   /// A graph retired cleanly: return its charge and count its tasks.
   void on_graph_complete(TenantId tenant, std::uint64_t tasks,
@@ -63,11 +56,10 @@ class TenantRegistry {
   };
 
   /// nullptr for unknown ids (including tenant 0).
-  Entry* find(TenantId tenant) VERSA_REQUIRES(mutex_);
-  const Entry* find(TenantId tenant) const VERSA_REQUIRES(mutex_);
+  Entry* find(TenantId tenant);
+  const Entry* find(TenantId tenant) const;
 
-  mutable versa::Mutex mutex_{lock_order::kLockRankTenant};
-  std::deque<Entry> entries_ VERSA_GUARDED_BY(mutex_);
+  std::deque<Entry> entries_;
 };
 
 }  // namespace versa::service

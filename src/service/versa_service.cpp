@@ -11,13 +11,12 @@ SubmitResult Session::submit(const GraphSpec& spec) {
   return service_->submit_graph(tenant_, spec);
 }
 
-void Session::wait(GraphId graph) { service_->wait_graph(graph); }
+Rejected Session::wait(GraphId graph) { return service_->wait_graph(graph); }
 
 TenantStats Session::stats() const { return service_->stats(tenant_); }
 
 VersaService::VersaService(const Machine& machine, VersaServiceConfig config)
-    : runtime_(machine, std::move(config.runtime)),
-      cache_(std::move(config.profile_cache_path)) {
+    : runtime_(machine, std::move(config.runtime)) {
   gate_.set_window(config.fair_share_window != 0
                        ? config.fair_share_window
                        : 4 * machine.worker_count());
@@ -27,7 +26,7 @@ VersaService::VersaService(const Machine& machine, VersaServiceConfig config)
 VersaService::~VersaService() {
   shutdown();
 #ifndef NDEBUG
-  versa::LockGuard lock(graphs_mutex_);
+  versa::LockGuard lock(mutex_);
   for (const auto& [id, record] : graphs_) {
     VERSA_CHECK_MSG(record.retired,
                     "service destroyed with an un-waited graph");
@@ -36,7 +35,11 @@ VersaService::~VersaService() {
 }
 
 Session VersaService::open_session(std::string name, TenantQuota quota) {
-  const TenantId tenant = registry_.register_tenant(std::move(name), quota);
+  TenantId tenant;
+  {
+    versa::LockGuard lock(mutex_);
+    tenant = registry_.register_tenant(std::move(name), quota);
+  }
   // The gate's lanes are runtime-lock serialized (fair_share.h), so the
   // weight write takes the runtime lock like every other gate mutation.
   versa::RecursiveLockGuard lock(runtime_.port_mutex());
@@ -47,11 +50,6 @@ Session VersaService::open_session(std::string name, TenantQuota quota) {
 SubmitResult VersaService::submit_graph(TenantId tenant,
                                         const GraphSpec& spec) {
   SubmitResult result;
-  if (shutdown_.load(std::memory_order_acquire)) {
-    result.rejected.reason = RejectReason::kShutdown;
-    result.rejected.detail = "service is shutting down";
-    return result;
-  }
   // Reject a malformed spec before admission: no quota is charged and no
   // graph is opened.
   for (const TaskSpec& task : spec.tasks) {
@@ -69,9 +67,18 @@ SubmitResult VersaService::submit_graph(TenantId tenant,
   const std::uint64_t task_count = spec.tasks.size();
   const std::uint64_t byte_count = spec.total_bytes();
 
-  // 1. Admission: check-and-charge both quotas (service.tenant lock only).
-  result.rejected = registry_.admit(tenant, task_count, byte_count);
-  if (result.rejected) return result;
+  // 1. Admission: the shutdown check and the check-and-charge of both
+  // quotas form one critical section.
+  {
+    versa::LockGuard lock(mutex_);
+    if (shutdown_) {
+      result.rejected.reason = RejectReason::kShutdown;
+      result.rejected.detail = "service is shutting down";
+      return result;
+    }
+    result.rejected = registry_.admit(tenant, task_count, byte_count);
+    if (result.rejected) return result;
+  }
 
   // 2. Open the graph root and register its private, namespaced regions
   // (each Runtime call takes and releases the runtime lock).
@@ -104,51 +111,57 @@ SubmitResult VersaService::submit_graph(TenantId tenant,
     runtime_.submit(task.type, std::move(accesses), std::move(options));
   }
 
-  // 4. Record the graph for retirement (service.graph lock, nothing else
-  // held).
+  // 4. Record the graph for retirement.
   {
-    versa::LockGuard lock(graphs_mutex_);
+    versa::LockGuard lock(mutex_);
     graphs_.emplace(graph, std::move(record));
   }
   result.graph = graph;
   return result;
 }
 
-void VersaService::wait_graph(GraphId graph) {
+Rejected VersaService::wait_graph(GraphId graph) {
+  Rejected rejected;
+  {
+    versa::LockGuard lock(mutex_);
+    auto it = graphs_.find(graph);
+    if (it == graphs_.end()) {
+      rejected.reason = RejectReason::kUnknownGraph;
+      rejected.detail = "graph id " + std::to_string(graph) +
+                        " was never issued by this service";
+      return rejected;
+    }
+    if (it->second.retired) return rejected;
+  }
   runtime_.wait_graph(graph);
-  // Retire exactly once: claim the record under the graph-table lock,
-  // then unregister/credit with nothing held (each step takes its own
-  // higher- or lower-ranked lock in a fresh acquisition).
+  // Retire exactly once: claim the record, unregister its regions with
+  // nothing held, and only then credit the quotas, so the bytes leave the
+  // directory before the quota frees them.
   GraphRecord record;
   {
-    versa::LockGuard lock(graphs_mutex_);
-    auto it = graphs_.find(graph);
-    VERSA_CHECK_MSG(it != graphs_.end(), "waiting on an unknown graph");
-    if (it->second.retired) return;
-    record = std::move(it->second);
-    it->second.retired = true;
-    it->second.regions.clear();
+    versa::LockGuard lock(mutex_);
+    GraphRecord& live = graphs_.at(graph);
+    if (live.retired) return rejected;
+    record = std::move(live);
+    live.retired = true;
+    live.regions.clear();
   }
   for (RegionId region : record.regions) {
     runtime_.unregister_data(region);
   }
+  versa::LockGuard lock(mutex_);
   registry_.on_graph_complete(record.tenant, record.tasks, record.bytes);
+  return rejected;
 }
 
 void VersaService::shutdown() {
-  if (shutdown_.exchange(true, std::memory_order_acq_rel)) return;
-  publish_profile();
+  versa::LockGuard lock(mutex_);
+  shutdown_ = true;
 }
 
-ProfileLoadResult VersaService::warm_start() {
-  // Cache lock (rank 8) is taken and released inside snapshot(); the
-  // import then takes the runtime lock (rank 10) with nothing held.
-  return runtime_.import_profile_text(cache_.snapshot());
-}
-
-bool VersaService::publish_profile() {
-  const std::string text = runtime_.export_profile_text();
-  return cache_.publish(text);
+TenantStats VersaService::stats(TenantId tenant) const {
+  versa::LockGuard lock(mutex_);
+  return registry_.stats(tenant);
 }
 
 }  // namespace versa::service

@@ -13,17 +13,21 @@
 // starving the others' dispatch.
 //
 // Thread-safety: every public method may be called from any client thread.
-// Lock order per call, always strictly increasing and never nested the
-// wrong way: registry (service.tenant, 4) → released → graph table
-// (service.graph, 6) → released → runtime (10) inside Runtime calls; the
-// profile cache (service.profile, 8) is only touched with nothing held.
+// One mutex of lock class `service` (rank 4) guards the tenant registry,
+// the graph table and the shutdown flag. It is held only for short table
+// updates and never across a Runtime call, so the runtime lock (10) is
+// always taken with nothing held.
 //
 // Graph lifecycle: submit_graph() → wait_graph() → retired (regions
 // unregistered, quotas credited). wait_graph is idempotent; every admitted
 // graph must be waited on before the service is destroyed.
+//
+// Warm start: the learned profile persists through the runtime's own
+// ProfileStore path — set `runtime.profile_load_path` to seed the profile
+// table at the first submit and `runtime.profile_save_path` to write it
+// when the service (and with it the runtime) is destroyed.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -31,10 +35,10 @@
 
 #include "runtime/runtime.h"
 #include "sched/core/fair_share.h"
-#include "service/profile_cache.h"
 #include "service/tenant.h"
 #include "service/tenant_registry.h"
 #include "task/access.h"
+#include "util/annotated_sync.h"
 
 namespace versa::service {
 
@@ -88,8 +92,6 @@ struct VersaServiceConfig {
   RuntimeConfig runtime;
   /// Fair-share dispatch window; 0 = 4 × worker count.
   std::size_t fair_share_window = 0;
-  /// Shared warm-start cache file ("" = memory-only cache).
-  std::string profile_cache_path;
 };
 
 class VersaService;
@@ -100,7 +102,7 @@ class VersaService;
 class Session {
  public:
   SubmitResult submit(const GraphSpec& spec);
-  void wait(GraphId graph);
+  Rejected wait(GraphId graph);
   TenantStats stats() const;
   TenantId tenant() const { return tenant_; }
 
@@ -132,25 +134,15 @@ class VersaService {
   SubmitResult submit_graph(TenantId tenant, const GraphSpec& spec);
 
   /// Block until `graph` finished, then retire it: unregister its regions
-  /// and credit its tenant's quotas. Idempotent per graph.
-  void wait_graph(GraphId graph);
+  /// and credit its tenant's quotas. Idempotent per graph. A graph id the
+  /// service never issued is rejected with kUnknownGraph.
+  Rejected wait_graph(GraphId graph);
 
   /// Stop admitting: subsequent submissions are rejected with kShutdown
-  /// (in-flight graphs keep running — wait_graph them as usual), then the
-  /// learned profile is published to the shared cache.
+  /// (in-flight graphs keep running — wait_graph them as usual).
   void shutdown();
 
-  /// Seed the scheduler's profile table from the shared cache. Call after
-  /// declaring task types/versions on runtime().
-  ProfileLoadResult warm_start();
-
-  /// Export the learned profile and publish it to the shared cache.
-  bool publish_profile();
-
-  TenantStats stats(TenantId tenant) const { return registry_.stats(tenant); }
-  const TenantRegistry& tenants() const { return registry_; }
-  const core::FairShareInterleaver& fair_share() const { return gate_; }
-  SharedProfileCache& profile_cache() { return cache_; }
+  TenantStats stats(TenantId tenant) const;
 
  private:
   struct GraphRecord {
@@ -162,14 +154,12 @@ class VersaService {
   };
 
   Runtime runtime_;
-  TenantRegistry registry_;
   core::FairShareInterleaver gate_;
-  SharedProfileCache cache_;
-  std::atomic<bool> shutdown_{false};
 
-  mutable versa::Mutex graphs_mutex_{lock_order::kLockRankServiceGraph};
-  std::unordered_map<GraphId, GraphRecord> graphs_
-      VERSA_GUARDED_BY(graphs_mutex_);
+  mutable versa::Mutex mutex_{lock_order::kLockRankService};
+  TenantRegistry registry_ VERSA_GUARDED_BY(mutex_);
+  std::unordered_map<GraphId, GraphRecord> graphs_ VERSA_GUARDED_BY(mutex_);
+  bool shutdown_ VERSA_GUARDED_BY(mutex_) = false;
 };
 
 }  // namespace versa::service

@@ -25,7 +25,6 @@ Task& TaskGraph::create_task(TaskTypeId type, AccessList accesses,
   tasks_.push_back(std::move(task));
   ++unfinished_;
   ++graphs_[graph].unfinished;
-  ++graphs_[graph].total;
   return tasks_.back();
 }
 
@@ -40,16 +39,6 @@ GraphId TaskGraph::open_graph(TenantId tenant) {
 bool TaskGraph::graph_finished(GraphId graph) const {
   VERSA_CHECK(graph < graphs_.size());
   return graphs_[graph].unfinished == 0;
-}
-
-TenantId TaskGraph::graph_tenant(GraphId graph) const {
-  VERSA_CHECK(graph < graphs_.size());
-  return graphs_[graph].tenant;
-}
-
-std::size_t TaskGraph::graph_size(GraphId graph) const {
-  VERSA_CHECK(graph < graphs_.size());
-  return graphs_[graph].total;
 }
 
 std::uint32_t TaskGraph::add_dependencies(Task& task,

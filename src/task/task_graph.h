@@ -36,8 +36,6 @@ class TaskGraph {
   /// Per-graph completion: true when every task of `graph` has finished.
   bool graph_finished(GraphId graph) const;
 
-  TenantId graph_tenant(GraphId graph) const;
-  std::size_t graph_size(GraphId graph) const;
   std::size_t graph_count() const { return graphs_.size(); }
 
   /// Add dependence edges from each predecessor to `task`. Predecessors
@@ -85,7 +83,6 @@ class TaskGraph {
   struct GraphInfo {
     TenantId tenant = kDefaultTenant;
     std::size_t unfinished = 0;
-    std::size_t total = 0;
   };
 
   /// Count or uncount `accesses`' distinct regions in region_users_.

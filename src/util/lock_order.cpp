@@ -8,9 +8,7 @@
 
 namespace versa::lock_order {
 
-const LockClass kLockRankTenant = {"service.tenant", 4};
-const LockClass kLockRankServiceGraph = {"service.graph", 6};
-const LockClass kLockRankProfileCache = {"service.profile", 8};
+const LockClass kLockRankService = {"service", 4};
 const LockClass kLockRankRuntime = {"runtime", 10, /*reentrant=*/true};
 const LockClass kLockRankData = {"data", 13};
 const LockClass kLockRankSanitizer = {"sanitizer", 15};

@@ -34,9 +34,7 @@ struct LockClass {
 // --- the repo's lock hierarchy, outermost (lowest rank) first ----------
 // See DESIGN.md §9 for what each class guards. Keep ranks spaced so a new
 // class can slot in between without renumbering.
-extern const LockClass kLockRankTenant;       ///< rank 4: service TenantRegistry
-extern const LockClass kLockRankServiceGraph; ///< rank 6: VersaService graph table
-extern const LockClass kLockRankProfileCache; ///< rank 8: SharedProfileCache
+extern const LockClass kLockRankService;      ///< rank 4: VersaService (tenants, graph table, shutdown)
 extern const LockClass kLockRankRuntime;      ///< rank 10: Runtime::mutex_
 extern const LockClass kLockRankData;         ///< rank 13: DataDirectory state
 extern const LockClass kLockRankSanitizer;    ///< rank 15: AccessSanitizer (clocks, shadow map, report)

@@ -123,12 +123,10 @@ TEST_F(LockOrderTest, NonReentrantSelfNestingIsReported) {
 }
 
 TEST_F(LockOrderTest, RepoHierarchyAcquiresInDocumentedOrder) {
-  // The documented repo order (DESIGN.md §9), all 10 classes, outermost
+  // The documented repo order (DESIGN.md §9), all 8 classes, outermost
   // first: nesting every one of them in rank order is clean, and only the
   // runtime class may re-enter itself.
-  Mutex tenant(lock_order::kLockRankTenant);
-  Mutex service_graph(lock_order::kLockRankServiceGraph);
-  Mutex profile(lock_order::kLockRankProfileCache);
+  Mutex service(lock_order::kLockRankService);
   RecursiveMutex runtime(lock_order::kLockRankRuntime);
   Mutex data(lock_order::kLockRankData);
   Mutex sanitizer(lock_order::kLockRankSanitizer);
@@ -136,18 +134,16 @@ TEST_F(LockOrderTest, RepoHierarchyAcquiresInDocumentedOrder) {
   Mutex queue(lock_order::kLockRankQueue);
   Mutex trace(lock_order::kLockRankTrace);
   Mutex wake(lock_order::kLockRankExecWake);
-  LockGuard l0(tenant);
-  LockGuard l1(service_graph);
-  LockGuard l2(profile);
-  RecursiveLockGuard l3(runtime);
-  RecursiveLockGuard l3again(runtime);  // the runtime lock is recursive
-  LockGuard l4(data);
-  LockGuard l5(sanitizer);
-  LockGuard l6(account);
-  LockGuard l7(queue);
-  LockGuard l8(trace);
-  LockGuard l9(wake);
-  EXPECT_EQ(lock_order::held_depth(), 11u);
+  LockGuard l0(service);
+  RecursiveLockGuard l1(runtime);
+  RecursiveLockGuard l1again(runtime);  // the runtime lock is recursive
+  LockGuard l2(data);
+  LockGuard l3(sanitizer);
+  LockGuard l4(account);
+  LockGuard l5(queue);
+  LockGuard l6(trace);
+  LockGuard l7(wake);
+  EXPECT_EQ(lock_order::held_depth(), 9u);
   EXPECT_TRUE(g_captured.empty()) << g_captured;
 }
 

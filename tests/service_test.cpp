@@ -1,10 +1,10 @@
 // Unit tests for the service-mode subsystem (src/service/, DESIGN.md §10):
 // tenant registration and check-and-charge admission, typed rejection
 // reasons, the weighted fair-share interleaver's window/park/refill
-// mechanics, the shared warm-start profile cache, and end-to-end
-// VersaService graph lifecycle on the sim backend (two tenants, quota
-// rejection and recovery, malformed specs, shutdown, accounting
-// reconciliation).
+// mechanics, and end-to-end VersaService graph lifecycle on the sim
+// backend (two tenants, quota rejection and recovery, malformed specs,
+// waits on unissued graphs, shutdown, accounting reconciliation, and a
+// profile warm start carried from one service instance to the next).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,7 +14,7 @@
 #include "machine/presets.h"
 #include "runtime/config.h"
 #include "sched/core/fair_share.h"
-#include "service/profile_cache.h"
+#include "sched/versioning_scheduler.h"
 #include "service/tenant_registry.h"
 #include "service/versa_service.h"
 
@@ -75,7 +75,7 @@ TEST(TenantRegistry, TaskQuotaCheckAndCharge) {
   EXPECT_EQ(stats.in_flight_tasks, 10u);
 }
 
-TEST(TenantRegistry, ByteQuotaAndCredit) {
+TEST(TenantRegistry, ByteQuotaReturnedOnCompletion) {
   TenantRegistry registry;
   TenantQuota quota;
   quota.max_bytes = 1 << 20;
@@ -86,11 +86,10 @@ TEST(TenantRegistry, ByteQuotaAndCredit) {
   ASSERT_TRUE(static_cast<bool>(r));
   EXPECT_EQ(r.reason, RejectReason::kByteQuota);
 
-  // credit() is the submission-aborted path: charge returned, no
-  // completion counted.
-  registry.credit(t, 1, 1 << 19);
+  // Retiring the graph returns its byte charge: the whole quota is free.
+  registry.on_graph_complete(t, 1, 1 << 19);
   EXPECT_EQ(registry.stats(t).in_flight_bytes, 0u);
-  EXPECT_EQ(registry.stats(t).completed_graphs, 0u);
+  EXPECT_EQ(registry.stats(t).completed_graphs, 1u);
   EXPECT_FALSE(static_cast<bool>(registry.admit(t, 1, 1 << 20)));
 }
 
@@ -175,30 +174,6 @@ TEST(FairShare, WorkConservingForLoneBackloggedTenant) {
   gate.on_complete(1, release);
   ASSERT_EQ(release.size(), 1u);
   EXPECT_EQ(release[0], 20u);
-}
-
-// --- shared profile cache -------------------------------------------------
-
-TEST(SharedProfileCache, MemoryRoundTripIgnoresEmptyPublish) {
-  SharedProfileCache cache;
-  EXPECT_EQ(cache.snapshot(), "");
-  EXPECT_TRUE(cache.publish("profile-text"));
-  EXPECT_EQ(cache.snapshot(), "profile-text");
-  EXPECT_TRUE(cache.publish(""));  // no-op, not an error
-  EXPECT_EQ(cache.snapshot(), "profile-text");
-}
-
-TEST(SharedProfileCache, FilePublishVisibleToFreshInstance) {
-  const std::string path = testing::TempDir() + "/service_cache.profile";
-  std::remove(path.c_str());
-  {
-    SharedProfileCache writer(path);
-    EXPECT_EQ(writer.snapshot(), "");  // missing file = cold
-    EXPECT_TRUE(writer.publish("cached-profile"));
-  }
-  SharedProfileCache reader(path);
-  EXPECT_EQ(reader.snapshot(), "cached-profile");
-  std::remove(path.c_str());
 }
 
 // --- end-to-end service on the sim backend --------------------------------
@@ -348,12 +323,33 @@ TEST(VersaService, UnknownTenantAndShutdownRejections) {
   EXPECT_EQ(s.stats().completed_graphs, 1u);
 }
 
-TEST(VersaService, ProfilePublishAndWarmStartAcrossInstances) {
+TEST(VersaService, WaitOnUnissuedGraphIsRejectedNotFatal) {
+  ServiceFixture fx;
+  Session s = fx.svc.open_session("client", {});
+
+  // The default graph and an id past every graph the runtime opened are
+  // both unknown to the service: typed rejection, no abort.
+  for (const GraphId ghost : {kDefaultGraph, GraphId{12345}}) {
+    const Rejected r = s.wait(ghost);
+    ASSERT_TRUE(static_cast<bool>(r)) << ghost;
+    EXPECT_EQ(r.reason, RejectReason::kUnknownGraph);
+    EXPECT_STREQ(to_string(r.reason), "unknown-graph");
+  }
+
+  const SubmitResult ok = s.submit(chain_spec(fx.work, 2));
+  ASSERT_TRUE(ok.admitted()) << ok.rejected.detail;
+  EXPECT_FALSE(static_cast<bool>(s.wait(ok.graph)));
+  EXPECT_FALSE(static_cast<bool>(s.wait(ok.graph)));  // idempotent
+  EXPECT_EQ(s.stats().completed_graphs, 1u);
+  EXPECT_EQ(s.stats().in_flight_tasks, 0u);
+}
+
+TEST(VersaService, ProfileSavedByOneInstanceWarmStartsTheNext) {
   const std::string path = testing::TempDir() + "/service_warm.profile";
   std::remove(path.c_str());
-  VersaServiceConfig config;
-  config.profile_cache_path = path;
   {
+    VersaServiceConfig config;
+    config.runtime.profile_save_path = path;
     ServiceFixture fx(config);
     Session s = fx.svc.open_session("learner", {});
     for (int i = 0; i < 4; ++i) {
@@ -361,15 +357,22 @@ TEST(VersaService, ProfilePublishAndWarmStartAcrossInstances) {
       ASSERT_TRUE(r.admitted());
       s.wait(r.graph);
     }
-    EXPECT_TRUE(fx.svc.publish_profile());
-    EXPECT_NE(fx.svc.profile_cache().snapshot(), "");
-  }
-  // A fresh service on the same machine warm-starts from the shared cache
-  // once its task types are declared.
+  }  // destroying the service's runtime saves the learned profile
+  // A fresh service on the same machine loads it at its first submit and
+  // skips the learning phase.
+  VersaServiceConfig config;
+  config.runtime.profile_load_path = path;
   ServiceFixture fresh(config);
-  const ProfileLoadResult warm = fresh.svc.warm_start();
-  EXPECT_EQ(warm.status, ProfileLoadStatus::kOk) << warm.message;
-  EXPECT_GT(warm.applied, 0);
+  Session s = fresh.svc.open_session("reader", {});
+  const SubmitResult r = s.submit(chain_spec(fresh.work, 8));
+  ASSERT_TRUE(r.admitted());
+  s.wait(r.graph);
+  const ProfileLoadResult warm = fresh.svc.runtime().profile_load_result();
+  EXPECT_TRUE(warm.warm()) << warm.message;
+  EXPECT_EQ(dynamic_cast<const VersioningScheduler&>(
+                fresh.svc.runtime().scheduler())
+                .learning_executions(),
+            0u);
   std::remove(path.c_str());
 }
 
