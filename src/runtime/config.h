@@ -90,7 +90,7 @@ struct RuntimeConfig {
   /// is not constructed, no shadow state exists and figure runs stay
   /// byte-identical), spec (per-task witness-vs-declaration conformance),
   /// or race (spec + vector-clock determinacy-race detection over a
-  /// sharded shadow-byte map). Parsed from --sanitize / VERSA_SANITIZE via
+  /// shadow-byte interval map). Parsed from --sanitize / VERSA_SANITIZE via
   /// sanitize::parse_sanitize_mode.
   sanitize::SanitizeConfig sanitize;
 };

@@ -1,5 +1,6 @@
 #include "sched/core/load_account.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -26,8 +27,9 @@ void LoadAccount::reset(const Machine& machine) {
   entries_.clear();
   for (const WorkerDesc& w : machine.workers()) {
     kinds_[w.id] = w.kind;
-    index_of(w.id).insert(index_key(w.id));
+    index_of(w.id).push_back(index_key(w.id));
   }
+  for (KindIndex& index : index_) std::sort(index.begin(), index.end());
 }
 
 LoadAccount::IndexKey LoadAccount::index_key(WorkerId worker) const {
@@ -41,9 +43,27 @@ LoadAccount::KindIndex& LoadAccount::index_of(WorkerId worker) {
 template <typename Fn>
 void LoadAccount::mutate(WorkerId worker, Fn&& fn) {
   KindIndex& index = index_of(worker);
-  index.erase(index_key(worker));
+  auto at = std::lower_bound(index.begin(), index.end(), index_key(worker));
+  VERSA_CHECK(at != index.end() && std::get<2>(*at) == worker);
   fn();
-  index.insert(index_key(worker));
+  *at = index_key(worker);
+  // Only this entry changed, so the rest of the index is still sorted:
+  // swap it towards the front or the back until its neighbours agree.
+  // Keys are unique (the worker id breaks every tie).
+  while (at != index.begin() && *at < *(at - 1)) {
+    std::iter_swap(at, at - 1);
+    --at;
+  }
+  while (at + 1 != index.end() && *(at + 1) < *at) {
+    std::iter_swap(at, at + 1);
+    ++at;
+  }
+}
+
+LoadAccount::Bucket& LoadAccount::bucket_of(const PriceKey& key) {
+  const auto [it, inserted] = buckets_.try_emplace(key);
+  if (inserted) it->second.shares.resize(queued_.size());
+  return it->second;
 }
 
 Ticks LoadAccount::effective(const TaskEntry& entry,
@@ -57,7 +77,7 @@ Ticks LoadAccount::effective(const TaskEntry& entry,
 Duration LoadAccount::on_push(TaskId task, const PriceKey& key,
                               WorkerId worker, Duration estimate) {
   VERSA_CHECK(worker < queued_.size());
-  Bucket& bucket = buckets_[key];
+  Bucket& bucket = bucket_of(key);
   const Ticks charge =
       bucket.price.has_value() ? *bucket.price : to_ticks(estimate);
   const auto [it, inserted] =
@@ -80,16 +100,14 @@ Duration LoadAccount::on_pop(TaskId task, WorkerId worker) {
   const TaskEntry entry = it->second;
   VERSA_CHECK_MSG(entry.worker == worker, "pop from the wrong worker");
   entries_.erase(it);
-  Bucket& bucket = buckets_[entry.key];
+  Bucket& bucket = bucket_of(entry.key);
   const Ticks charge = effective(entry, bucket);
-  const auto share_it = bucket.shares.find(worker);
-  VERSA_CHECK(share_it != bucket.shares.end());
-  WorkerShare& share = share_it->second;
+  WorkerShare& share = bucket.shares[worker];
   VERSA_CHECK(share.count > 0);
   --share.count;
   share.charged -= charge;
   share.frozen -= entry.charge;
-  if (share.count == 0) bucket.shares.erase(share_it);
+  if (share.count == 0) share = {};
   mutate(worker, [&] {
     queued_[worker] -= charge;
     --counts_[worker];
@@ -111,15 +129,15 @@ void LoadAccount::on_steal(TaskId task, WorkerId victim, WorkerId thief) {
   VERSA_CHECK_MSG(it != entries_.end(), "steal of an untracked task");
   TaskEntry& entry = it->second;
   VERSA_CHECK_MSG(entry.worker == victim, "steal from the wrong victim");
-  Bucket& bucket = buckets_[entry.key];
+  VERSA_CHECK(thief < queued_.size());
+  Bucket& bucket = bucket_of(entry.key);
   const Ticks charge = effective(entry, bucket);
-  const auto share_it = bucket.shares.find(victim);
-  VERSA_CHECK(share_it != bucket.shares.end());
-  WorkerShare& from = share_it->second;
+  WorkerShare& from = bucket.shares[victim];
+  VERSA_CHECK(from.count > 0);
   --from.count;
   from.charged -= charge;
   from.frozen -= entry.charge;
-  if (from.count == 0) bucket.shares.erase(share_it);
+  if (from.count == 0) from = {};
   WorkerShare& to = bucket.shares[thief];
   ++to.count;
   to.charged += charge;
@@ -136,17 +154,19 @@ void LoadAccount::on_steal(TaskId task, WorkerId victim, WorkerId thief) {
 }
 
 void LoadAccount::reprice(const PriceKey& key, std::optional<Duration> mean) {
-  Bucket& bucket = buckets_[key];
+  Bucket& bucket = bucket_of(key);
   bucket.price = mean.has_value() ? std::optional<Ticks>(to_ticks(*mean))
                                   : std::nullopt;
-  for (auto& [worker, share] : bucket.shares) {
+  for (WorkerId worker = 0; worker < bucket.shares.size(); ++worker) {
+    WorkerShare& share = bucket.shares[worker];
+    if (share.count == 0) continue;
     const Ticks target = bucket.price.has_value()
                              ? static_cast<Ticks>(share.count) * *bucket.price
                              : share.frozen;
     if (target == share.charged) continue;
     const Ticks delta = target - share.charged;
     share.charged = target;
-    mutate(worker, [&, w = worker] { queued_[w] += delta; });
+    mutate(worker, [&] { queued_[worker] += delta; });
   }
 }
 

@@ -27,10 +27,19 @@
 // (its push-time charge otherwise), so a mean move costs one aggregate
 // patch per worker holding the key instead of one write per queued task.
 //
-// The account also maintains, per device kind, an ordered finish-time
-// index over (busy, queued count, worker id), so least-busy lookups and
-// earliest-executor walks are O(log workers) instead of sweeping every
-// worker and rescanning its queue.
+// The account also maintains, per device kind, a finish-time index: a flat
+// vector of (busy, queued count, worker id) kept sorted, so a least-busy
+// lookup reads the front and an earliest-executor walk iterates in busy
+// order instead of sweeping every worker and rescanning its queue. A
+// mutation finds the one worker's entry by binary search on its old key,
+// rewrites it and slides it to its sorted place by neighbour swaps,
+// O(log workers + distance moved).
+//
+// Every hot operation is allocation-free once the account has seen its
+// keys: the index is sized in reset(), and each price bucket holds a dense
+// per-worker share vector sized when the bucket is created. The only
+// allocation left is on_push's per-task entry, which backs the "pushed
+// twice", "untracked pop" and "wrong worker" checks.
 //
 // Thread-safety: none of its own, by design — the LoadAccount is a plain
 // data structure. Since the ThreadExecutor lock split it is shared between
@@ -44,7 +53,6 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -96,7 +104,7 @@ class LoadAccount {
   /// queued-count tie-break reproduces the historical least-busy rule
   /// (equal busy -> shorter queue -> lower id).
   using IndexKey = std::tuple<Ticks, std::uint32_t, WorkerId>;
-  using KindIndex = std::set<IndexKey>;
+  using KindIndex = std::vector<IndexKey>;  ///< sorted ascending
 
   /// Rebuild for `machine`: every worker idle, index populated.
   void reset(const Machine& machine);
@@ -132,7 +140,7 @@ class LoadAccount {
   Ticks running_ticks(WorkerId worker) const;
   std::uint32_t queued_count(WorkerId worker) const;
 
-  /// Workers of `kind` ordered by (busy, queued count, id); empty set for
+  /// Workers of `kind` ordered by (busy, queued count, id); empty for
   /// kinds with no workers.
   const KindIndex& workers_by_busy(DeviceKind kind) const;
 
@@ -149,7 +157,9 @@ class LoadAccount {
   };
   struct Bucket {
     std::optional<Ticks> price;  ///< current mean price, when known
-    std::unordered_map<WorkerId, WorkerShare> shares;
+    /// Indexed by worker; a worker holding none of the key's queued tasks
+    /// has an empty ({}) share.
+    std::vector<WorkerShare> shares;
   };
   struct TaskEntry {
     PriceKey key;
@@ -165,12 +175,14 @@ class LoadAccount {
   std::unordered_map<PriceKey, Bucket, PriceKeyHash> buckets_;
   std::unordered_map<TaskId, TaskEntry> entries_;
 
+  /// The key's bucket, created with one empty share per worker.
+  Bucket& bucket_of(const PriceKey& key);
   Ticks effective(const TaskEntry& entry, const Bucket& bucket) const;
   KindIndex& index_of(WorkerId worker);
   IndexKey index_key(WorkerId worker) const;
 
-  /// Apply a busy/count mutation to `worker`, keeping its index position
-  /// current.
+  /// Apply a busy/count mutation to `worker`, then slide its index entry
+  /// to its sorted place.
   template <typename Fn>
   void mutate(WorkerId worker, Fn&& fn);
 };

@@ -8,6 +8,7 @@
 // armed, so the comparison also runs inside estimated_busy() itself.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <tuple>
 #include <vector>
@@ -113,7 +114,11 @@ TEST(LoadAccount, IndexOrdersByBusyThenCountThenId) {
 
 // Randomized op-sequence check against an independent per-task reference:
 // every queued task is priced at the key's latest reprice mean when one is
-// known, else its push-time charge — summed per worker in exact ticks.
+// known, else its push-time charge — summed per worker in exact ticks. A
+// pop moves that price into the worker's running slot until a settle (or
+// the next pop) replaces it. After every step each kind's finish-time
+// index must list exactly its workers sorted by (busy, queued count, id),
+// with least_busy at the front.
 TEST(LoadAccount, RandomOpsMatchRescanReference) {
   Rng rng(20260805);
   const Machine machine = make_minotauro_node(3, 2);
@@ -131,6 +136,7 @@ TEST(LoadAccount, RandomOpsMatchRescanReference) {
   };
   std::map<TaskId, RefTask> queued;
   std::map<FlatKey, std::optional<Ticks>> prices;
+  std::vector<Ticks> running(machine.worker_count(), 0);
   TaskId next_task = 1;
 
   auto random_key = [&] {
@@ -138,35 +144,114 @@ TEST(LoadAccount, RandomOpsMatchRescanReference) {
                     static_cast<VersionId>(rng.next_below(2)),
                     rng.next_below(2) == 0 ? 100u : 200u};
   };
+  auto price_of = [&](const RefTask& ref) {
+    const std::optional<Ticks>& price = prices[flat(ref.key)];
+    return price.has_value() ? *price : ref.frozen;
+  };
   auto rescan = [&](WorkerId w) {
     Ticks sum = 0;
     for (const auto& [id, ref] : queued) {
-      if (ref.worker != w) continue;
-      const std::optional<Ticks>& price = prices[flat(ref.key)];
-      sum += price.has_value() ? *price : ref.frozen;
+      if (ref.worker == w) sum += price_of(ref);
     }
     return sum;
   };
+  auto rescan_count = [&](WorkerId w) {
+    std::uint32_t count = 0;
+    for (const auto& [id, ref] : queued) count += ref.worker == w ? 1 : 0;
+    return count;
+  };
 
-  for (int step = 0; step < 5000; ++step) {
+  auto push = [&](const PriceKey& key, WorkerId w, Duration estimate) {
+    const Duration charge = account.on_push(next_task, key, w, estimate);
+    const std::optional<Ticks>& price = prices[flat(key)];
+    queued[next_task] =
+        RefTask{key, w, price.has_value() ? *price : to_ticks(estimate)};
+    EXPECT_EQ(to_ticks(charge), queued[next_task].frozen);
+    return next_task++;
+  };
+  auto pop = [&](TaskId task) {
+    const RefTask ref = queued.at(task);
+    const Duration charge = account.on_pop(task, ref.worker);
+    running[ref.worker] = price_of(ref);
+    EXPECT_EQ(to_ticks(charge), running[ref.worker]);
+    queued.erase(task);
+  };
+  auto settle = [&](WorkerId w) {
+    account.on_settle(w);
+    running[w] = 0;
+  };
+  auto reprice = [&](const PriceKey& key, std::optional<Duration> mean) {
+    account.reprice(key, mean);
+    prices[flat(key)] = mean.has_value()
+                            ? std::optional<Ticks>(to_ticks(*mean))
+                            : std::nullopt;
+  };
+  auto check = [&](int step) {
+    for (const WorkerDesc& w : machine.workers()) {
+      ASSERT_EQ(account.queued_ticks(w.id), rescan(w.id))
+          << "diverged at step " << step << " on worker " << w.id;
+      ASSERT_EQ(account.running_ticks(w.id), running[w.id])
+          << "diverged at step " << step << " on worker " << w.id;
+    }
+    for (DeviceKind kind : {DeviceKind::kSmp, DeviceKind::kCuda}) {
+      std::vector<LoadAccount::IndexKey> expected;
+      for (const WorkerDesc& w : machine.workers()) {
+        if (w.kind != kind) continue;
+        expected.emplace_back(rescan(w.id) + running[w.id],
+                              rescan_count(w.id), w.id);
+      }
+      std::sort(expected.begin(), expected.end());
+      const LoadAccount::KindIndex& index = account.workers_by_busy(kind);
+      ASSERT_EQ(std::vector<LoadAccount::IndexKey>(index.begin(),
+                                                   index.end()),
+                expected)
+          << "index out of order at step " << step;
+      ASSERT_EQ(account.least_busy(kind), std::get<2>(expected.front()))
+          << "least_busy is not the index front at step " << step;
+    }
+  };
+
+  // Directed prelude: a share empties after a forgotten mean and refills.
+  // Two tasks of one key queue on worker 0 before any mean is known, so
+  // their push-time charges differ; a mean prices both, forgetting it
+  // reverts each to its push-time charge, and both pop, which empties the
+  // share. Then the key refills the share on two workers, is re-priced
+  // and forgotten again.
+  const PriceKey refill{2, 1, 200};
+  int step = -1;
+  const TaskId a = push(refill, 0, 1e-3);
+  const TaskId b = push(refill, 0, 2e-3);
+  reprice(refill, 4e-3);
+  ASSERT_NO_FATAL_FAILURE(check(step));
+  reprice(refill, std::nullopt);
+  ASSERT_NO_FATAL_FAILURE(check(step));
+  pop(a);
+  settle(0);
+  pop(b);
+  ASSERT_NO_FATAL_FAILURE(check(step));
+  settle(0);
+  ASSERT_NO_FATAL_FAILURE(check(step));
+  push(refill, 0, 5e-3);
+  push(refill, 1, 6e-3);
+  ASSERT_NO_FATAL_FAILURE(check(step));
+  reprice(refill, 3e-3);
+  ASSERT_NO_FATAL_FAILURE(check(step));
+  reprice(refill, std::nullopt);
+  ASSERT_NO_FATAL_FAILURE(check(step));
+
+  for (step = 0; step < 5000; ++step) {
     const std::uint64_t op = rng.next_below(100);
     if (op < 45 || queued.empty()) {  // push
       const PriceKey key = random_key();
       const WorkerId w =
           static_cast<WorkerId>(rng.next_below(machine.worker_count()));
-      const Duration estimate = rng.uniform(0.0, 1e-2);
-      const Duration charge = account.on_push(next_task, key, w, estimate);
-      const std::optional<Ticks>& price = prices[flat(key)];
-      queued[next_task] =
-          RefTask{key, w, price.has_value() ? *price : to_ticks(estimate)};
-      EXPECT_EQ(to_ticks(charge), queued[next_task].frozen);
-      ++next_task;
-    } else if (op < 65) {  // pop + settle (completion or transient failure)
+      push(key, w, rng.uniform(0.0, 1e-2));
+    } else if (op < 65) {  // pop, then usually settle (completion/failure)
       auto it = queued.begin();
       std::advance(it, static_cast<long>(rng.next_below(queued.size())));
-      account.on_pop(it->first, it->second.worker);
-      account.on_settle(it->second.worker);
-      queued.erase(it);
+      const WorkerId w = it->second.worker;
+      pop(it->first);
+      if (rng.next_below(4) != 0) settle(w);
     } else if (op < 80) {  // steal to a random same-kind worker
       auto it = queued.begin();
       std::advance(it, static_cast<long>(rng.next_below(queued.size())));
@@ -183,18 +268,12 @@ TEST(LoadAccount, RandomOpsMatchRescanReference) {
     } else {  // reprice (mean moved, or forgotten on a drift reset)
       const PriceKey key = random_key();
       if (rng.next_below(5) == 0) {
-        account.reprice(key, std::nullopt);
-        prices[flat(key)] = std::nullopt;
+        reprice(key, std::nullopt);
       } else {
-        const Duration mean = rng.uniform(1e-6, 1e-2);
-        account.reprice(key, mean);
-        prices[flat(key)] = to_ticks(mean);
+        reprice(key, rng.uniform(1e-6, 1e-2));
       }
     }
-    for (const WorkerDesc& w : machine.workers()) {
-      ASSERT_EQ(account.queued_ticks(w.id), rescan(w.id))
-          << "diverged at step " << step << " on worker " << w.id;
-    }
+    ASSERT_NO_FATAL_FAILURE(check(step));
   }
 }
 
