@@ -1,5 +1,7 @@
-// Shared context reporting for the concurrency micro-benchmarks
-// (bench_thread_scale, bench_data_path, bench_service).
+// Shared bench context: a fake SchedulerContext for driving a policy
+// without a full runtime (bench_micro_sched, bench_thread_scale), and
+// host reporting for the concurrency micro-benchmarks (bench_thread_scale,
+// bench_data_path, bench_service).
 //
 // These benches measure contention, so their numbers are meaningless on a
 // starved host: a single-core CI runner flat-lines every scaling curve and
@@ -11,11 +13,53 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
+
+#include "data/directory.h"
+#include "sched/scheduler.h"
 
 namespace versa::bench {
+
+/// Data-set size of every BenchContext task.
+constexpr std::uint64_t kTaskSize = 1 << 20;
+
+/// SchedulerContext with one task type (SMP main version, CUDA
+/// alternative) that records the last assignment target.
+class BenchContext : public SchedulerContext {
+ public:
+  explicit BenchContext(Machine machine)
+      : machine_(std::move(machine)), directory_(machine_) {
+    type_ = registry_.declare_task("t");
+    registry_.add_version(type_, DeviceKind::kSmp, "smp", nullptr, nullptr);
+    registry_.add_version(type_, DeviceKind::kCuda, "gpu", nullptr, nullptr);
+  }
+
+  const Machine& machine() const override { return machine_; }
+  const VersionRegistry& registry() const override { return registry_; }
+  DataDirectory& directory() override { return directory_; }
+  TaskGraph& graph() override { return graph_; }
+  Time now() const override { return 0.0; }
+  void task_assigned(TaskId, WorkerId worker) override {
+    last_worker_ = worker;
+  }
+
+  Task& ready_task() {
+    Task& task = graph_.create_task(type_, {}, kTaskSize, "");
+    task.state = TaskState::kReady;
+    return task;
+  }
+
+  VersionRegistry registry_;
+  Machine machine_;
+  DataDirectory directory_;
+  TaskGraph graph_;
+  TaskTypeId type_ = kInvalidTaskType;
+  WorkerId last_worker_ = kInvalidWorker;
+};
 
 /// Detected core count (0 when the implementation cannot tell).
 ///

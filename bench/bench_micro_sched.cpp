@@ -13,6 +13,7 @@
 #include <deque>
 #include <vector>
 
+#include "bench_context.h"
 #include "machine/presets.h"
 #include "sched/fifo_scheduler.h"
 #include "sched/versioning_scheduler.h"
@@ -20,7 +21,9 @@
 namespace versa {
 namespace {
 
-constexpr std::uint64_t kSize = 1 << 20;
+using bench::BenchContext;
+using bench::kTaskSize;
+
 constexpr int kBatch = 64;  // placements per benchmark iteration
 
 /// A 24-worker fat node (16 cores + 8 GPUs) — bigger than the MinoTauro
@@ -44,46 +47,13 @@ Machine make_fat_node() {
   return builder.build();
 }
 
-/// Minimal SchedulerContext recording the last assignment target.
-class BenchContext : public SchedulerContext {
- public:
-  explicit BenchContext(Machine machine)
-      : machine_(std::move(machine)), directory_(machine_) {
-    type_ = registry_.declare_task("t");
-    registry_.add_version(type_, DeviceKind::kSmp, "smp", nullptr, nullptr);
-    registry_.add_version(type_, DeviceKind::kCuda, "gpu", nullptr, nullptr);
-  }
-
-  const Machine& machine() const override { return machine_; }
-  const VersionRegistry& registry() const override { return registry_; }
-  DataDirectory& directory() override { return directory_; }
-  TaskGraph& graph() override { return graph_; }
-  Time now() const override { return 0.0; }
-  void task_assigned(TaskId, WorkerId worker) override {
-    last_worker_ = worker;
-  }
-
-  Task& ready_task() {
-    Task& task = graph_.create_task(type_, {}, kSize, "");
-    task.state = TaskState::kReady;
-    return task;
-  }
-
-  VersionRegistry registry_;
-  Machine machine_;
-  DataDirectory directory_;
-  TaskGraph graph_;
-  TaskTypeId type_ = kInvalidTaskType;
-  WorkerId last_worker_ = kInvalidWorker;
-};
-
 /// Prime every version past λ so placement takes the reliable-phase
 /// earliest-executor path (the hot path under study), with distinct means
 /// so decisions are not degenerate.
 void prime_reliable(ProfileTable& profile, const BenchContext& ctx) {
   Duration mean = 1e-3;
   for (VersionId v : ctx.registry_.versions(ctx.type_)) {
-    profile.prime(ctx.type_, v, profile.group_key(kSize), mean, 16);
+    profile.prime(ctx.type_, v, profile.group_key(kTaskSize), mean, 16);
     mean *= 0.4;  // GPU version faster, as on the real node
   }
 }
@@ -167,11 +137,11 @@ void BM_PlacementLegacyRescan(benchmark::State& state) {
   prime_reliable(donor.mutable_profile(), ctx);
   LegacyRescanSched sched(ctx.machine_, ctx.registry_, donor.profile());
   for (std::size_t i = 0; i < depth; ++i) {
-    sched.place(ctx.type_, kSize);
+    sched.place(ctx.type_, kTaskSize);
   }
   for (auto _ : state) {
     for (int i = 0; i < kBatch; ++i) {
-      const WorkerId w = sched.place(ctx.type_, kSize);
+      const WorkerId w = sched.place(ctx.type_, kTaskSize);
       sched.queues[w].pop_front();
       benchmark::DoNotOptimize(sched.queues[w].size());
     }

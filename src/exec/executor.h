@@ -49,7 +49,6 @@ class ExecutorPort {
   /// runtime lock (DESIGN.md §9).
   virtual DataDirectory& port_directory() = 0;
   virtual const VersionRegistry& port_registry() = 0;
-  virtual const Machine& port_machine() = 0;
   /// Report a finished task; the runtime releases successors, notifies the
   /// scheduler, and re-pokes the executor.
   virtual void port_complete(TaskId task, WorkerId worker, Time start,

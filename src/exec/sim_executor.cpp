@@ -23,8 +23,6 @@ SimExecutor::SimExecutor(const Machine& machine, SimExecutorConfig config)
   }
 }
 
-void SimExecutor::attach(ExecutorPort& port) { Executor::attach(port); }
-
 void SimExecutor::acquire_for(Task& task, SpaceId space) {
   if (task.acquired_space == space) return;
   TransferList ops;

@@ -50,7 +50,6 @@ class SimExecutor final : public Executor {
  public:
   SimExecutor(const Machine& machine, SimExecutorConfig config);
 
-  void attach(ExecutorPort& port) override;
   void task_queued(Task& task, WorkerId worker) override;
   void work_available() override;
   void wait_all() override;

@@ -73,11 +73,10 @@ struct RuntimeConfig {
   /// the host calibration so re-calibrated installs reject stale stores.
   std::string profile_signature_token;
 
-  /// Record the scheduling core's decision trace (ring of the last
-  /// sched_trace_capacity events; see sched/core/decision_trace.h). Free
-  /// when off; versa_run --sched-trace renders it after the run.
+  /// Record the scheduling core's decision trace (a ring of the last 64Ki
+  /// events; see sched/core/decision_trace.h). Free when off; versa_run
+  /// --sched-trace renders it after the run.
   bool sched_trace = false;
-  std::size_t sched_trace_capacity = 1 << 16;
 
   /// Adaptive task granularity (DESIGN.md §11): off (default, the
   /// controller is not even constructed, keeping fixed-seed figures

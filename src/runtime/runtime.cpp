@@ -12,6 +12,12 @@
 #include "sched/versioning_scheduler.h"
 
 namespace versa {
+namespace {
+
+/// Decision-trace ring size when tracing is on (--sched-trace).
+constexpr std::size_t kSchedTraceCapacity = 1 << 16;
+
+}  // namespace
 
 Runtime::Runtime(const Machine& machine, RuntimeConfig config)
     : machine_(machine),
@@ -21,7 +27,7 @@ Runtime::Runtime(const Machine& machine, RuntimeConfig config)
   VERSA_CHECK_MSG(scheduler_ != nullptr, "unknown scheduler name");
   scheduler_->attach(*this);
   if (config_.sched_trace) {
-    scheduler_->decision_trace().enable(config_.sched_trace_capacity);
+    scheduler_->decision_trace().enable(kSchedTraceCapacity);
   }
   if (config_.granularity.mode != core::GranularityMode::kOff) {
     granularity_ =

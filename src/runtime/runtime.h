@@ -197,7 +197,6 @@ class Runtime final : public SchedulerContext, public ExecutorPort {
   /// synchronized (see the class comment and ExecutorPort).
   DataDirectory& port_directory() override { return directory_; }
   const VersionRegistry& port_registry() override { return registry_; }
-  const Machine& port_machine() override { return machine_; }
   void port_complete(TaskId task, WorkerId worker, Time start,
                      Time finish) override VERSA_REQUIRES(mutex_);
   void port_failed(TaskId task, WorkerId worker, Time start,

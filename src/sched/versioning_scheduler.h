@@ -71,9 +71,6 @@ class VersioningScheduler : public QueueScheduler {
   /// benches assert on it.
   std::uint64_t learning_executions() const { return learning_executions_; }
 
-  /// Drift alarms raised by the profile table so far (relearn events).
-  std::size_t relearn_events() const { return profile().drift_events().size(); }
-
   /// Debug aid for tests: every estimated_busy() call cross-checks the
   /// incremental account against the O(queue) rescan reference and aborts
   /// on divergence. Off by default (it reintroduces the rescan cost).

@@ -34,7 +34,7 @@ enum class RejectReason : std::uint8_t {
   kTaskQuota,      ///< graph would exceed max_in_flight_tasks
   kByteQuota,      ///< graph would exceed max_bytes
   kShutdown,       ///< service no longer accepts submissions
-  kMalformedSpec,  ///< an access names a region index outside the spec
+  kMalformedSpec,  ///< bad region size or index, or an unrunnable task type
   kUnknownGraph,   ///< a wait names a graph the service never issued
 };
 

@@ -52,18 +52,8 @@ SubmitResult VersaService::submit_graph(TenantId tenant,
   SubmitResult result;
   // Reject a malformed spec before admission: no quota is charged and no
   // graph is opened.
-  for (const TaskSpec& task : spec.tasks) {
-    for (const AccessSpec& access : task.accesses) {
-      if (access.region >= spec.regions.size()) {
-        result.rejected.reason = RejectReason::kMalformedSpec;
-        result.rejected.detail =
-            "access names region " + std::to_string(access.region) +
-            ", but the spec has " + std::to_string(spec.regions.size()) +
-            " regions";
-        return result;
-      }
-    }
-  }
+  result.rejected = check_spec(spec);
+  if (result.rejected) return result;
   const std::uint64_t task_count = spec.tasks.size();
   const std::uint64_t byte_count = spec.total_bytes();
 
@@ -118,6 +108,48 @@ SubmitResult VersaService::submit_graph(TenantId tenant,
   }
   result.graph = graph;
   return result;
+}
+
+Rejected VersaService::check_spec(const GraphSpec& spec) {
+  auto malformed = [](std::string detail) {
+    return Rejected{RejectReason::kMalformedSpec, std::move(detail)};
+  };
+  for (std::size_t i = 0; i < spec.regions.size(); ++i) {
+    if (spec.regions[i].bytes == 0) {
+      return malformed("region " + std::to_string(i) + " has zero bytes");
+    }
+  }
+  for (const TaskSpec& task : spec.tasks) {
+    for (const AccessSpec& access : task.accesses) {
+      if (access.region >= spec.regions.size()) {
+        return malformed("access names region " +
+                         std::to_string(access.region) + ", but the spec has " +
+                         std::to_string(spec.regions.size()) + " regions");
+      }
+    }
+  }
+  // Every task type must be declared with a version whose device has a
+  // worker. The registry is read under the runtime lock with nothing else
+  // held, as open_session does; a type repeated from the previous task
+  // is not checked again.
+  versa::RecursiveLockGuard lock(runtime_.port_mutex());
+  const VersionRegistry& registry = runtime_.version_registry();
+  for (std::size_t i = 0; i < spec.tasks.size(); ++i) {
+    const TaskTypeId type = spec.tasks[i].type;
+    if (i > 0 && type == spec.tasks[i - 1].type) continue;
+    bool runnable = false;
+    for (VersionId v = 0; v < registry.version_count() && !runnable; ++v) {
+      const TaskVersion& version = registry.version(v);
+      runnable = version.type == type &&
+                 runtime_.machine().count_workers(version.device) > 0;
+    }
+    if (!runnable) {
+      return malformed("task type " + std::to_string(type) +
+                       " is undeclared or has no version runnable on this "
+                       "machine");
+    }
+  }
+  return Rejected{};
 }
 
 Rejected VersaService::wait_graph(GraphId graph) {

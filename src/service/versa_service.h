@@ -57,8 +57,9 @@ struct AccessSpec {
   AccessMode mode = AccessMode::kIn;
 };
 
-/// One task of a graph spec. `type` must be declared (with at least one
-/// version) on the service's runtime before submission. Dependences derive
+/// One task of a graph spec. `type` must be declared on the service's
+/// runtime, with a version whose device has a worker, before submission
+/// (else the spec is rejected as malformed). Dependences derive
 /// from the access clauses, exactly as in the single-graph API.
 struct TaskSpec {
   TaskTypeId type = kInvalidTaskType;
@@ -152,6 +153,11 @@ class VersaService {
     std::vector<RegionId> regions;
     bool retired = false;
   };
+
+  /// kMalformedSpec for a zero-byte region, an out-of-range region index,
+  /// or a task type that is undeclared or has no version runnable on this
+  /// machine; no rejection otherwise.
+  Rejected check_spec(const GraphSpec& spec);
 
   Runtime runtime_;
   core::FairShareInterleaver gate_;

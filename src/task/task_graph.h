@@ -36,8 +36,6 @@ class TaskGraph {
   /// Per-graph completion: true when every task of `graph` has finished.
   bool graph_finished(GraphId graph) const;
 
-  std::size_t graph_count() const { return graphs_.size(); }
-
   /// Add dependence edges from each predecessor to `task`. Predecessors
   /// already finished contribute no edge. Returns the number of live edges
   /// added; if zero, the caller should move the task to ready.

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <unordered_map>
 #include <vector>
 
 namespace versa::lock_order {
@@ -21,6 +22,9 @@ namespace {
 
 /// Held-lock stack of the calling thread, innermost last.
 thread_local std::vector<const LockClass*> tls_held;
+
+/// Per-class acquisition counts of the calling thread.
+thread_local std::unordered_map<const LockClass*, std::uint64_t> tls_acquired;
 
 bool default_enforced() {
   if (const char* env = std::getenv("VERSA_LOCK_ORDER")) {
@@ -70,6 +74,7 @@ void on_acquire(const LockClass& cls) {
     }
   }
   tls_held.push_back(&cls);
+  ++tls_acquired[&cls];
 }
 
 void on_release(const LockClass& cls) {
@@ -87,6 +92,11 @@ void on_release(const LockClass& cls) {
 }
 
 std::size_t held_depth() { return tls_held.size(); }
+
+std::uint64_t acquisitions(const LockClass& cls) {
+  const auto it = tls_acquired.find(&cls);
+  return it == tls_acquired.end() ? 0 : it->second;
+}
 
 bool holds(const LockClass& cls) {
   for (const LockClass* held : tls_held) {

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace versa::lock_order {
 
@@ -53,6 +54,10 @@ void on_release(const LockClass& cls);
 
 /// Depth of the calling thread's held-lock stack (tests).
 std::size_t held_depth();
+
+/// Acquisitions of `cls` by the calling thread while the checker was
+/// enforced (lock-budget tests: count, don't time).
+std::uint64_t acquisitions(const LockClass& cls);
 
 /// True if the calling thread's stack contains `cls` (assert_held support).
 bool holds(const LockClass& cls);

@@ -12,6 +12,7 @@
 #include "sched/profile_table.h"
 #include "sched/scheduler_factory.h"
 #include "sched/versioning_scheduler.h"
+#include "util/lock_order.h"
 
 namespace versa {
 namespace {
@@ -371,6 +372,65 @@ TEST(QueueSchedulerStealing, IdleSameKindWorkerSteals) {
   EXPECT_EQ(sched.pop_task(0), kInvalidTask);
   // The victim keeps its head-of-queue task.
   EXPECT_EQ(sched.pop_task(1), a.id);
+}
+
+/// Queue policy that pushes every ready task to `target`: task_ready is
+/// push_to_worker and nothing else.
+class PushToTarget final : public QueueScheduler {
+ public:
+  PushToTarget() { set_stealing(true); }
+  const char* name() const override { return "push-to-target"; }
+  void task_ready(Task& task) override {
+    push_to_worker(task, ctx_->registry().main_version(task.type), target);
+  }
+  WorkerId target = 1;
+};
+
+/// Lock acquisitions `op` takes on the calling thread, over every class.
+template <typename Op>
+std::uint64_t locks_taken(Op&& op) {
+  const auto total = [] {
+    std::uint64_t sum = 0;
+    for (const lock_order::LockClass* cls :
+         {&lock_order::kLockRankService, &lock_order::kLockRankRuntime,
+          &lock_order::kLockRankData, &lock_order::kLockRankSanitizer,
+          &lock_order::kLockRankAccount, &lock_order::kLockRankQueue,
+          &lock_order::kLockRankTrace, &lock_order::kLockRankExecWake}) {
+      sum += lock_order::acquisitions(*cls);
+    }
+    return sum;
+  };
+  const std::uint64_t before = total();
+  op();
+  return total() - before;
+}
+
+TEST(QueueSchedulerLockBudget, EachQueueOpStaysWithinItsBudget) {
+  // Count, don't time: a push charges the account then inserts under the
+  // target's shard lock; a pop hit takes the shard then the account; a
+  // steal probes its own empty shard, the victim's shard and the account;
+  // a completion settles the account; a miss takes only its own shard. An
+  // added round trip on any of these paths fails here.
+  const bool was_enforced = lock_order::enforced();
+  lock_order::set_enforced(true);
+  TestContext ctx(make_minotauro_node(1, 2));  // worker 0 SMP, 1-2 GPUs
+  const TaskTypeId t = ctx.registry_.declare_task("t");
+  ctx.registry_.add_version(t, DeviceKind::kCuda, "v", nullptr, nullptr);
+  PushToTarget sched;
+  sched.attach(ctx);
+  Task& a = ctx.make_ready_task(t, 0);
+  Task& b = ctx.make_ready_task(t, 0);
+  TaskId popped = kInvalidTask;
+  EXPECT_EQ(locks_taken([&] { sched.task_ready(a); }), 2u) << "push";
+  EXPECT_EQ(locks_taken([&] { sched.task_ready(b); }), 2u) << "push";
+  EXPECT_EQ(locks_taken([&] { popped = sched.try_pop_queued(1); }), 2u);
+  EXPECT_EQ(popped, a.id) << "pop hit";
+  EXPECT_EQ(locks_taken([&] { popped = sched.try_pop_queued(2); }), 3u);
+  EXPECT_EQ(popped, b.id) << "steal";
+  EXPECT_EQ(locks_taken([&] { sched.task_completed(a, 1, 1.0); }), 1u);
+  EXPECT_EQ(locks_taken([&] { popped = sched.try_pop_queued(2); }), 1u);
+  EXPECT_EQ(popped, kInvalidTask) << "miss";
+  lock_order::set_enforced(was_enforced);
 }
 
 // --- versioning scheduler ----------------------------------------------------

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -303,6 +304,111 @@ TEST(VersaService, OutOfRangeRegionIndexIsRejectedBeforeAdmission) {
   s.wait(ok.graph);
   EXPECT_EQ(s.stats().completed_graphs, 1u);
 }
+
+/// Submits `spec` and expects a kMalformedSpec rejection that charges no
+/// quota and leaves the session usable.
+void expect_malformed(ServiceFixture& fx, const GraphSpec& spec) {
+  Session s = fx.svc.open_session("client", {});
+  const SubmitResult r = s.submit(spec);
+  ASSERT_FALSE(r.admitted());
+  EXPECT_EQ(r.rejected.reason, RejectReason::kMalformedSpec);
+  EXPECT_EQ(r.graph, kInvalidGraph);
+  EXPECT_EQ(s.stats().in_flight_tasks, 0u) << "no quota charged";
+  EXPECT_EQ(s.stats().in_flight_bytes, 0u) << "no quota charged";
+  const SubmitResult ok = s.submit(chain_spec(fx.work, 2));
+  ASSERT_TRUE(ok.admitted()) << ok.rejected.detail;
+  s.wait(ok.graph);
+}
+
+TEST(VersaService, ZeroByteRegionIsRejectedBeforeAdmission) {
+  ServiceFixture fx;
+  expect_malformed(fx, chain_spec(fx.work, 1, 0));
+}
+
+TEST(VersaService, UndeclaredTaskTypeIsRejectedBeforeAdmission) {
+  ServiceFixture fx;
+  expect_malformed(fx, chain_spec(fx.work + 1, 1));
+}
+
+TEST(VersaService, TaskTypeWithoutVersionsIsRejectedBeforeAdmission) {
+  ServiceFixture fx;
+  const TaskTypeId bare = fx.svc.runtime().declare_task("no_versions");
+  expect_malformed(fx, chain_spec(bare, 1));
+}
+
+TEST(VersaService, TaskTypeWithNoRunnableVersionIsRejectedBeforeAdmission) {
+  ServiceFixture fx;  // SMP-only machine
+  const TaskTypeId gpu_only = fx.svc.runtime().declare_task("gpu_only");
+  fx.svc.runtime().add_version(gpu_only, DeviceKind::kCuda, "cuda");
+  expect_malformed(fx, chain_spec(gpu_only, 1));
+}
+
+class ServiceSpecFuzzTest : public testing::TestWithParam<Backend> {};
+
+TEST_P(ServiceSpecFuzzTest, EverySpecCompletesOrIsTypedRejected) {
+  // Random region counts and sizes, region indices, modes and type ids:
+  // every submission either runs to completion or is rejected as
+  // malformed — never an abort.
+  VersaServiceConfig config;
+  config.runtime.backend = GetParam();
+  ServiceFixture fx(config);
+  const TaskTypeId bare = fx.svc.runtime().declare_task("no_versions");
+  const TaskTypeId gpu_only = fx.svc.runtime().declare_task("gpu_only");
+  fx.svc.runtime().add_version(gpu_only, DeviceKind::kCuda, "cuda");
+  const TaskTypeId unrunnable[] = {bare, gpu_only, gpu_only + 1,
+                                   kInvalidTaskType};
+  Session s = fx.svc.open_session("fuzz", {});
+
+  std::mt19937_64 rng(20130520);
+  auto below = [&rng](std::uint64_t n) { return rng() % n; };
+  std::uint64_t admitted = 0, rejected = 0, tasks_run = 0;
+  for (int round = 0; round < 150; ++round) {
+    GraphSpec spec;
+    const std::size_t regions = below(5);
+    for (std::size_t r = 0; r < regions; ++r) {
+      // One size in 40 is zero; the rest span 1 B .. 64 KiB.
+      spec.regions.push_back({"r" + std::to_string(r),
+                              below(40) == 0 ? 0 : 1 + below(64 << 10)});
+    }
+    spec.tasks.resize(below(7));
+    for (TaskSpec& task : spec.tasks) {
+      // One type in 20 is undeclared or has no runnable version, and one
+      // index in 20 (every index of a region-less spec) is out of range.
+      task.type = below(20) == 0 ? unrunnable[below(4)] : fx.work;
+      task.priority = static_cast<int>(below(3));
+      for (std::uint64_t a = below(4); a > 0; --a) {
+        const std::size_t region = regions == 0 || below(20) == 0
+                                       ? regions + below(3)
+                                       : below(regions);
+        task.accesses.push_back({region, static_cast<AccessMode>(below(3))});
+      }
+    }
+    const SubmitResult r = s.submit(spec);
+    if (r.admitted()) {
+      ++admitted;
+      tasks_run += spec.tasks.size();
+      EXPECT_FALSE(static_cast<bool>(s.wait(r.graph))) << "round " << round;
+    } else {
+      ++rejected;
+      EXPECT_EQ(r.rejected.reason, RejectReason::kMalformedSpec)
+          << "round " << round << ": " << r.rejected.detail;
+    }
+  }
+  EXPECT_GT(admitted, 50u);
+  EXPECT_GT(rejected, 20u);
+  const TenantStats stats = s.stats();
+  EXPECT_EQ(stats.completed_graphs, admitted);
+  EXPECT_EQ(stats.completed_tasks, tasks_run);
+  EXPECT_EQ(stats.in_flight_tasks, 0u);
+  EXPECT_EQ(stats.in_flight_bytes, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, ServiceSpecFuzzTest,
+                         testing::Values(Backend::kSim, Backend::kThreads),
+                         [](const testing::TestParamInfo<Backend>& info) {
+                           return info.param == Backend::kSim ? "sim"
+                                                              : "threads";
+                         });
 
 TEST(VersaService, UnknownTenantAndShutdownRejections) {
   ServiceFixture fx;
