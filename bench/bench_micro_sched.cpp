@@ -67,7 +67,6 @@ void BM_PlacementVersioning(benchmark::State& state) {
   for (std::size_t i = 0; i < depth; ++i) {
     sched.task_ready(ctx.ready_task());
   }
-  sched.ready_batch_done();
   for (auto _ : state) {
     for (int i = 0; i < kBatch; ++i) {
       sched.task_ready(ctx.ready_task());

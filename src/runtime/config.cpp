@@ -1,14 +1,21 @@
 #include "runtime/config.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/log.h"
+#include "sched/scheduler_factory.h"
 
 namespace versa {
 
 RuntimeConfig apply_env_overrides(RuntimeConfig config) {
   if (const char* name = std::getenv("VERSA_SCHEDULER")) {
-    config.scheduler = name;
+    const std::vector<std::string> names = scheduler_factory_names();
+    if (std::find(names.begin(), names.end(), name) != names.end()) {
+      config.scheduler = name;
+    } else {
+      VERSA_LOG(kWarn) << "ignoring unknown VERSA_SCHEDULER=" << name;
+    }
   }
   if (const char* lambda = std::getenv("VERSA_LAMBDA")) {
     const long value = std::strtol(lambda, nullptr, 10);

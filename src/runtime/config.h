@@ -3,7 +3,9 @@
 // schedulers without recompiling (§III):
 //
 //   VERSA_SCHEDULER        — scheduler name (fifo / dep-aware / affinity /
-//                            versioning / versioning-locality)
+//                            versioning / versioning-locality /
+//                            versioning-fastest); an unknown name warns
+//                            and keeps the configured one
 //   VERSA_LAMBDA           — learning-phase threshold λ
 //   VERSA_PREFETCH         — 0/1, transfer overlap + prefetch (sim backend)
 //   VERSA_SEED             — simulation RNG seed

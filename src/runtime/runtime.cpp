@@ -446,7 +446,6 @@ void Runtime::dispatch_batch(const std::vector<TaskId>& batch) {
     task.ready_time = now();
     scheduler_->task_ready(task);
   }
-  scheduler_->ready_batch_done();
   executor_->work_available();
 }
 
@@ -542,7 +541,6 @@ void Runtime::port_failed(TaskId id, WorkerId worker, Time /*start*/,
   task.state = TaskState::kReady;
   task.ready_time = finish;
   scheduler_->task_ready(task);
-  scheduler_->ready_batch_done();
   executor_->work_available();
 }
 

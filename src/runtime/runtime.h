@@ -184,9 +184,9 @@ class Runtime final : public SchedulerContext, public ExecutorPort {
   TaskGraph& graph() override { return graph_; }
   Time now() const override;
   /// Prefetch hook (SchedulerContext): always reached from a placement
-  /// decision made under the runtime lock (task_ready/ready_batch_done or
-  /// pop_task's pool fallback), and the executor side touches the
-  /// directory, so the requirement is annotated like the port_* siblings.
+  /// decision made under the runtime lock (task_ready or pop_task's pool
+  /// fallback), and the executor side touches the directory, so the
+  /// requirement is annotated like the port_* siblings.
   void task_assigned(TaskId task, WorkerId worker) override
       VERSA_REQUIRES(mutex_);
 

@@ -32,7 +32,6 @@ std::vector<WorkerId> Scheduler::compatible_workers(
 void QueueScheduler::attach(SchedulerContext& ctx) {
   Scheduler::attach(ctx);
   queues_.reset(ctx.machine().worker_count());
-  pending_.store(0, std::memory_order_relaxed);
   versa::LockGuard lock(account_mutex_);
   account_.reset(ctx.machine());
   reprices_ = 0;
@@ -88,10 +87,6 @@ void QueueScheduler::push_to_worker(Task& task, VersionId version,
                          worker, info.estimate);
     ++shard_pushes_;
   }
-  // Count the entry before it becomes poppable: a concurrent owner or
-  // thief may pop it the moment push() releases the shard mutex, and its
-  // decrement must not run ahead of this increment.
-  pending_.fetch_add(1, std::memory_order_relaxed);
   queues_.push(worker, core::QueueEntry{task.id, task.type, version,
                                         task.priority, task.scheduler_estimate,
                                         task.tenant});
@@ -115,7 +110,6 @@ TaskId QueueScheduler::pop_task(WorkerId worker) {
 TaskId QueueScheduler::try_pop_queued(WorkerId worker) {
   VERSA_CHECK(worker < queues_.worker_count());
   if (std::optional<core::QueueEntry> entry = queues_.pop_front(worker)) {
-    pending_.fetch_sub(1, std::memory_order_relaxed);
     versa::LockGuard lock(account_mutex_);
     account_.on_pop(entry->id, worker);
     return entry->id;
@@ -142,7 +136,6 @@ TaskId QueueScheduler::steal_for(WorkerId thief) {
   if (victim == kInvalidWorker || best == 0) return kInvalidTask;
   const std::optional<core::QueueEntry> entry = queues_.steal_back(victim);
   if (!entry) return kInvalidTask;  // raced away under a concurrent pop
-  pending_.fetch_sub(1, std::memory_order_relaxed);
   Duration victim_busy;
   {
     versa::LockGuard lock(account_mutex_);
@@ -197,7 +190,10 @@ Duration QueueScheduler::estimated_busy(WorkerId worker) const {
 }
 
 bool QueueScheduler::has_pending() const {
-  return pending_.load(std::memory_order_relaxed) > 0;
+  for (WorkerId w = 0; w < queues_.worker_count(); ++w) {
+    if (queues_.length(w) > 0) return true;
+  }
+  return false;
 }
 
 std::size_t QueueScheduler::queue_length(WorkerId worker) const {

@@ -22,7 +22,6 @@
 // documented in DESIGN.md §9.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -66,11 +65,6 @@ class Scheduler {
   virtual void attach(SchedulerContext& ctx);
 
   virtual void task_ready(Task& task) = 0;
-
-  /// Called once after each wave of task_ready calls (one submission, or
-  /// the successors released by one completion). Batch-mapping policies
-  /// (sufferage) decide here; per-task policies ignore it.
-  virtual void ready_batch_done() {}
 
   /// Next task for an idle worker, or kInvalidTask. Runtime lock held.
   virtual TaskId pop_task(WorkerId worker) = 0;
@@ -127,20 +121,21 @@ struct PushInfo {
 /// Shared per-worker FIFO queue machinery for push-style policies.
 ///
 /// Lock split (DESIGN.md §9): already-placed work lives in the sharded
-/// WorkerQueues (one kLockRankQueue mutex per worker), busy accounting and
-/// the finish-time index live in account_ under the kLockRankAccount
-/// mutex, and the pending counter is atomic — so try_pop_queued (pop +
-/// steal) runs without the runtime lock. Placement *decisions*
-/// (task_ready and subclass policy state) still arrive under the runtime
-/// lock, which orders them against the task graph. push_to_worker charges
-/// the account and then inserts straight into the worker's shard; a
-/// profile-mean move re-prices the account at once (reprice), so every
-/// decision reads fully re-priced state.
+/// WorkerQueues (one kLockRankQueue mutex per worker), and busy accounting
+/// and the finish-time index live in account_ under the kLockRankAccount
+/// mutex — so try_pop_queued (pop + steal) runs without the runtime lock.
+/// Placement *decisions* (task_ready and subclass policy state) still
+/// arrive under the runtime lock, which orders them against the task
+/// graph. push_to_worker charges the account and then inserts straight
+/// into the worker's shard; a profile-mean move re-prices the account at
+/// once (reprice), so every decision reads fully re-priced state.
 class QueueScheduler : public Scheduler {
  public:
   void attach(SchedulerContext& ctx) override;
   TaskId pop_task(WorkerId worker) override;
   TaskId try_pop_queued(WorkerId worker) override;
+  /// Some worker queue holds an entry: read from the shards' length
+  /// mirrors, so exact under the runtime lock and racy otherwise.
   bool has_pending() const override;
 
   /// Re-price observability (tests, the end-to-end harness): profile-mean
@@ -204,7 +199,6 @@ class QueueScheduler : public Scheduler {
 
  private:
   core::WorkerQueues queues_;
-  std::atomic<std::size_t> pending_{0};
   bool stealing_ = false;
 
   std::uint64_t reprices_ VERSA_GUARDED_BY(account_mutex_) = 0;

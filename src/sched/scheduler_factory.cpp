@@ -4,7 +4,6 @@
 #include "sched/dep_aware_scheduler.h"
 #include "sched/fifo_scheduler.h"
 #include "sched/locality_versioning_scheduler.h"
-#include "sched/sufferage_scheduler.h"
 #include "sched/versioning_scheduler.h"
 
 namespace versa {
@@ -25,21 +24,17 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
     scheduler->set_fastest_executor_only(true);
     return scheduler;
   }
-  if (name == "sufferage") {
-    return std::make_unique<SufferageScheduler>(profile_config);
-  }
   return nullptr;
 }
 
 std::vector<std::string> scheduler_names() {
   return {"fifo", "dep-aware", "affinity", "versioning",
-          "versioning-locality", "sufferage"};
+          "versioning-locality"};
 }
 
 std::vector<std::string> scheduler_factory_names() {
-  return {"fifo",        "dep-aware",           "affinity",
-          "versioning",  "versioning-locality", "versioning-fastest",
-          "sufferage"};
+  return {"fifo",       "dep-aware",           "affinity",
+          "versioning", "versioning-locality", "versioning-fastest"};
 }
 
 }  // namespace versa

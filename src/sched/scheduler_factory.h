@@ -13,7 +13,8 @@
 namespace versa {
 
 /// Create a scheduler by name: "fifo", "dep-aware", "affinity",
-/// "versioning", "versioning-locality". Returns nullptr for unknown names.
+/// "versioning", "versioning-locality", "versioning-fastest". Returns
+/// nullptr for unknown names.
 /// `profile_config` parameterizes the versioning policies (λ, mean kind,
 /// size grouping) and is ignored by the baselines.
 std::unique_ptr<Scheduler> make_scheduler(const std::string& name,

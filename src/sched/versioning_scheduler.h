@@ -81,19 +81,9 @@ class VersioningScheduler : public QueueScheduler {
   /// (zero here; the locality-aware subclass adds a transfer estimate).
   virtual Duration placement_penalty(const Task& task, WorkerId worker) const;
 
-  /// All runnable versions (device has >= 1 worker) recorded >= λ times?
-  /// Shared with subclasses that replace the reliable-phase mapping rule.
-  bool reliable_runnable(TaskTypeId type, std::uint64_t size) const;
-
   /// Account price keys group by the profile table's size grouping so a
   /// mean movement re-prices exactly the tasks that mean priced.
   std::uint64_t price_group(const Task& task) const override;
-
-  /// The charge for placing `version` of `task` when no mean exists yet:
-  /// the group mean, else the task's frozen scheduler_estimate (a failed
-  /// task re-entering keeps its last charge), else the version's mean from
-  /// the nearest size group — zero only when the version never ran at all.
-  Duration estimate_for(const Task& task, VersionId version) const;
 
  private:
   using GroupKey = std::pair<TaskTypeId, std::uint64_t>;
@@ -114,6 +104,15 @@ class VersioningScheduler : public QueueScheduler {
   std::map<GroupKey, std::size_t> rr_cursor_;
 
   GroupKey group_of(const Task& task) const;
+
+  /// All runnable versions (device has >= 1 worker) recorded >= λ times?
+  bool reliable_runnable(TaskTypeId type, std::uint64_t size) const;
+
+  /// The charge for placing `version` of `task` when no mean exists yet:
+  /// the group mean, else the task's frozen scheduler_estimate (a failed
+  /// task re-entering keeps its last charge), else the version's mean from
+  /// the nearest size group — zero only when the version never ran at all.
+  Duration estimate_for(const Task& task, VersionId version) const;
 
   /// Try to place `task` (learning slot or earliest executor). Returns
   /// false if it must wait in the pool.

@@ -119,6 +119,15 @@ Rejected VersaService::check_spec(const GraphSpec& spec) {
       return malformed("region " + std::to_string(i) + " has zero bytes");
     }
   }
+  // Every region starts valid in host memory, so a spec larger than the
+  // host space could only run by evicting data it still needs.
+  const std::uint64_t host = runtime_.machine().space(kHostSpace).capacity;
+  const std::uint64_t bytes = spec.total_bytes();
+  if (host != 0 && bytes > host) {
+    return malformed("regions total " + std::to_string(bytes) +
+                     " bytes, more than the host memory's " +
+                     std::to_string(host));
+  }
   for (const TaskSpec& task : spec.tasks) {
     for (const AccessSpec& access : task.accesses) {
       if (access.region >= spec.regions.size()) {

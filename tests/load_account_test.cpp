@@ -19,7 +19,6 @@
 #include "sched/core/load_account.h"
 #include "sched/dep_aware_scheduler.h"
 #include "sched/locality_versioning_scheduler.h"
-#include "sched/sufferage_scheduler.h"
 #include "sched/versioning_scheduler.h"
 
 namespace versa {
@@ -354,7 +353,6 @@ void run_random_workload(VersioningScheduler& sched, std::uint64_t seed) {
         task.state = TaskState::kReady;
         sched.task_ready(task);
       }
-      sched.ready_batch_done();
     } else if (op < 65) {  // an idle worker asks for work
       const WorkerId w = static_cast<WorkerId>(rng.next_below(workers));
       if (running[w] == kInvalidTask) {
@@ -387,7 +385,6 @@ void run_random_workload(VersioningScheduler& sched, std::uint64_t seed) {
         running_charge[w] = 0;
         task.state = TaskState::kReady;
         sched.task_ready(task);
-        sched.ready_batch_done();
       }
     } else {  // drift relearn: forget one version's history for a group
       const TaskTypeId type = ctx.types_[rng.next_below(ctx.types_.size())];
@@ -417,11 +414,6 @@ TEST(LoadAccountPolicy, VersioningFastestMatchesRescan) {
   run_random_workload(sched, 3);
 }
 
-TEST(LoadAccountPolicy, SufferageMatchesRescan) {
-  SufferageScheduler sched;
-  run_random_workload(sched, 4);
-}
-
 /// Zero-estimate policies must stay at exactly zero busy through pushes,
 /// steals, completions and failures.
 template <typename Sched>
@@ -439,7 +431,6 @@ void run_zero_charge_workload(std::uint64_t seed) {
       Task& task = ctx.graph_.create_task(type, {}, 100, "");
       task.state = TaskState::kReady;
       sched.task_ready(task);
-      sched.ready_batch_done();
     } else if (op < 75) {
       // Pops on empty queues exercise the same-kind steal path.
       const WorkerId w = static_cast<WorkerId>(rng.next_below(workers));

@@ -283,6 +283,13 @@ TEST(EnvOverrides, ApplyFromEnvironment) {
 
   config = apply_env_overrides({});
   EXPECT_EQ(config.scheduler, "versioning");
+
+  // An unknown name warns and keeps the configured policy.
+  setenv("VERSA_SCHEDULER", "no-such-policy", 1);
+  RuntimeConfig configured;
+  configured.scheduler = "affinity";
+  EXPECT_EQ(apply_env_overrides(configured).scheduler, "affinity");
+  unsetenv("VERSA_SCHEDULER");
 }
 
 }  // namespace

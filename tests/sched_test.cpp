@@ -359,6 +359,7 @@ TEST(QueueSchedulerStealing, IdleSameKindWorkerSteals) {
   sched.task_ready(a);
   sched.task_ready(b);
   EXPECT_EQ(sched.queue_length(1), 2u);
+  EXPECT_TRUE(sched.has_pending());
 
   // Worker 2 (the other GPU) is idle: it steals from worker 1's tail.
   const TaskId stolen = sched.pop_task(2);
@@ -368,10 +369,12 @@ TEST(QueueSchedulerStealing, IdleSameKindWorkerSteals) {
   // runtime lock when the stolen task starts. Here the scheduler only
   // moved the queue entry.
   EXPECT_EQ(sched.queue_length(1), 1u);
+  EXPECT_TRUE(sched.has_pending()) << "one entry still queued";
   // The SMP worker cannot steal GPU work.
   EXPECT_EQ(sched.pop_task(0), kInvalidTask);
   // The victim keeps its head-of-queue task.
   EXPECT_EQ(sched.pop_task(1), a.id);
+  EXPECT_FALSE(sched.has_pending()) << "drained";
 }
 
 /// Queue policy that pushes every ready task to `target`: task_ready is
@@ -551,6 +554,23 @@ TEST_F(VersioningTest, BusyAccountingDrainsOnCompletion) {
   for (WorkerId w = 0; w < 3; ++w) {
     EXPECT_NEAR(sched.estimated_busy(w), 0.0, 1e-12) << w;
   }
+  EXPECT_FALSE(sched.has_pending());
+
+  // A new size group relearns: with λ = 1 each version takes one learning
+  // run and a third task waits in the pool, which alone keeps work
+  // pending once the queues are empty.
+  Task& a = ctx_.make_ready_task(type_, 5000);
+  Task& b = ctx_.make_ready_task(type_, 5000);
+  Task& c = ctx_.make_ready_task(type_, 5000);
+  sched.task_ready(a);
+  sched.task_ready(b);
+  sched.task_ready(c);
+  EXPECT_EQ(c.assigned_worker, kInvalidWorker) << "pooled";
+  EXPECT_EQ(sched.pop_task(a.assigned_worker), a.id);
+  EXPECT_EQ(sched.pop_task(b.assigned_worker), b.id);
+  EXPECT_TRUE(sched.has_pending()) << "the pool holds c";
+  EXPECT_EQ(sched.pop_task(a.assigned_worker), c.id) << "pulled from pool";
+  EXPECT_FALSE(sched.has_pending()) << "drained";
 }
 
 TEST_F(VersioningTest, ProfileKeepsLearningInReliablePhase) {

@@ -325,6 +325,22 @@ TEST(VersaService, ZeroByteRegionIsRejectedBeforeAdmission) {
   expect_malformed(fx, chain_spec(fx.work, 1, 0));
 }
 
+TEST(VersaService, SpecLargerThanHostMemoryIsRejectedBeforeAdmission) {
+  // Each region fits in host memory, but together they do not: running
+  // one task would evict the other region's only copy.
+  ServiceFixture fx;
+  const std::uint64_t half = fx.machine.space(kHostSpace).capacity / 2 + 1;
+  GraphSpec spec;
+  spec.regions = {{"a", half}, {"b", half}};
+  for (std::size_t region : {0, 1}) {
+    TaskSpec task;
+    task.type = fx.work;
+    task.accesses.push_back({region, AccessMode::kInOut});
+    spec.tasks.push_back(task);
+  }
+  expect_malformed(fx, spec);
+}
+
 TEST(VersaService, UndeclaredTaskTypeIsRejectedBeforeAdmission) {
   ServiceFixture fx;
   expect_malformed(fx, chain_spec(fx.work + 1, 1));
@@ -352,6 +368,7 @@ TEST_P(ServiceSpecFuzzTest, EverySpecCompletesOrIsTypedRejected) {
   VersaServiceConfig config;
   config.runtime.backend = GetParam();
   ServiceFixture fx(config);
+  const std::uint64_t host = fx.machine.space(kHostSpace).capacity;
   const TaskTypeId bare = fx.svc.runtime().declare_task("no_versions");
   const TaskTypeId gpu_only = fx.svc.runtime().declare_task("gpu_only");
   fx.svc.runtime().add_version(gpu_only, DeviceKind::kCuda, "cuda");
@@ -366,9 +383,13 @@ TEST_P(ServiceSpecFuzzTest, EverySpecCompletesOrIsTypedRejected) {
     GraphSpec spec;
     const std::size_t regions = below(5);
     for (std::size_t r = 0; r < regions; ++r) {
-      // One size in 40 is zero; the rest span 1 B .. 64 KiB.
+      // One size in 40 is zero and one is larger than host memory; the
+      // rest span 1 B .. 64 KiB.
+      const std::uint64_t pick = below(40);
       spec.regions.push_back({"r" + std::to_string(r),
-                              below(40) == 0 ? 0 : 1 + below(64 << 10)});
+                              pick == 0   ? 0
+                              : pick == 1 ? host + 1 + below(host)
+                                          : 1 + below(64 << 10)});
     }
     spec.tasks.resize(below(7));
     for (TaskSpec& task : spec.tasks) {

@@ -163,8 +163,8 @@ void run_storm_burst(const std::string& scheduler) {
 }
 
 TEST(ThreadStress, StormBurstAllBusyTrackingPolicies) {
-  for (const char* policy : {"dep-aware", "affinity", "versioning",
-                             "versioning-locality", "sufferage"}) {
+  for (const char* policy :
+       {"dep-aware", "affinity", "versioning", "versioning-locality"}) {
     SCOPED_TRACE(policy);
     run_storm_burst(policy);
   }
@@ -300,8 +300,8 @@ void run_worker_acquire_storm(const std::string& scheduler) {
 }
 
 TEST(ThreadStress, ConcurrentWorkerAcquiresAcrossSmpAndGpuSpaces) {
-  for (const char* policy : {"dep-aware", "affinity", "versioning",
-                             "versioning-locality", "sufferage"}) {
+  for (const char* policy :
+       {"dep-aware", "affinity", "versioning", "versioning-locality"}) {
     SCOPED_TRACE(policy);
     run_worker_acquire_storm(policy);
   }
