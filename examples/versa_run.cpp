@@ -74,15 +74,15 @@ void print_usage() {
       "  --generations <n>              PBPI generations\n"
       "  --lambda <n>                   learning threshold\n"
       "  --granularity <off|auto|N>     adaptive task granularity\n"
-      "  --sanitize <off|spec|race>     dependence-spec sanitizer mode\n"
-      "  --sanitize-csv <path>          write the sanitizer findings as\n"
-      "                                 CSV (versa_trace_report\n"
-      "                                 --sanitize-report replays it)\n"
       "                                 (DESIGN.md s11): auto enables the\n"
       "                                 profile-guided split/fuse\n"
       "                                 controller, an integer N > 1 always\n"
       "                                 splits recipe-covered tasks N ways;\n"
       "                                 default off (env VERSA_GRANULARITY)\n"
+      "  --sanitize <off|spec|race>     dependence-spec sanitizer mode\n"
+      "  --sanitize-csv <path>          write the sanitizer findings as\n"
+      "                                 CSV (versa_trace_report\n"
+      "                                 --sanitize-report replays it)\n"
       "  --seed <n>                     simulation seed\n"
       "  --no-prefetch                  disable transfer overlap\n"
       "  --utilization                  print per-worker utilization\n"

@@ -48,9 +48,6 @@ class CholeskyApp {
   std::size_t task_count() const;
 
   TaskTypeId potrf_type() const { return t_potrf_; }
-  TaskTypeId trsm_type() const { return t_trsm_; }
-  TaskTypeId syrk_type() const { return t_syrk_; }
-  TaskTypeId gemm_type() const { return t_gemm_; }
   /// Adaptive-granularity sub-kernel type (DESIGN.md §11): a row band of
   /// one gemm update. kInvalidTaskType when the controller is off.
   TaskTypeId gemm_band_type() const { return t_gemm_band_; }

@@ -43,13 +43,10 @@ class SparseLuApp {
   void run();
 
   std::size_t initial_block_count() const { return initial_blocks_; }
-  std::size_t final_block_count() const { return live_blocks_; }
   std::size_t fill_in_count() const { return live_blocks_ - initial_blocks_; }
   std::size_t task_count() const { return submitted_tasks_; }
 
   TaskTypeId lu0_type() const { return t_lu0_; }
-  TaskTypeId fwd_type() const { return t_fwd_; }
-  TaskTypeId bdiv_type() const { return t_bdiv_; }
   TaskTypeId bmod_type() const { return t_bmod_; }
   /// Adaptive-granularity sub-kernel type (DESIGN.md §11): a row band of
   /// one bmod update. kInvalidTaskType when the controller is off.

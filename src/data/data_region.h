@@ -21,8 +21,6 @@ struct RegionDesc {
   /// Host backing storage; nullptr for virtual regions. The runtime never
   /// owns this memory — lifetime belongs to the application.
   void* host_ptr = nullptr;
-
-  bool is_virtual() const { return host_ptr == nullptr; }
 };
 
 }  // namespace versa

@@ -126,11 +126,14 @@ void DataDirectory::make_room(SpaceId space, std::uint64_t needed,
   if (capacity == 0) return;  // unlimited
   while (used_[space] + needed > capacity) {
     // Find the least recently used unpinned region valid in this space;
-    // ties on last_use go to the lowest id.
+    // ties on last_use go to the lowest id. A region whose only valid copy
+    // lives here is evictable only if it is dirty here (it is written back
+    // below); dropping any other last copy would lose the data.
     RegionState* victim = nullptr;
     for (RegionState& rs : regions_) {
       if (rs.removed || rs.pinned) continue;
       if ((rs.valid_mask & bit(space)) == 0) continue;
+      if (rs.valid_mask == bit(space) && rs.dirty != space) continue;
       if (victim == nullptr || rs.last_use < victim->last_use) victim = &rs;
     }
     if (victim == nullptr) {

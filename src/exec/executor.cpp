@@ -1,4 +1,28 @@
 #include "exec/executor.h"
 
-// Interface-only translation unit; concrete backends live in
-// sim_executor.cpp and thread_executor.cpp.
+namespace versa {
+namespace {
+
+/// Task whose body runs on the calling thread; kInvalidTask on the master
+/// thread and on idle workers.
+thread_local TaskId tls_current_task = kInvalidTask;
+
+}  // namespace
+
+TaskId Executor::current_task() const { return tls_current_task; }
+
+WitnessLog Executor::run_body(const Task& task, const TaskVersion& version,
+                              WorkerId worker) {
+  WitnessLog witness;
+  if (!version.fn) return witness;
+  TaskContext ctx(task.accesses, port_->port_directory(), worker,
+                  version.device);
+  if (port_->port_witnessing()) ctx.set_witness_log(&witness);
+  const TaskId previous = tls_current_task;
+  tls_current_task = task.id;
+  version.fn(ctx);
+  tls_current_task = previous;
+  return witness;
+}
+
+}  // namespace versa

@@ -20,6 +20,12 @@
 // REQUIRES(port_mutex()). Dequeuing already-placed work is the one port
 // interaction that does NOT need it — Scheduler::try_pop_queued
 // synchronizes itself (DESIGN.md §9).
+//
+// Both backends start a task the same way: under the runtime lock they
+// call Scheduler::task_started (which re-homes a stolen task and traces
+// the steal) and mark it running; then Executor::run_body runs the body
+// with its TaskContext, optional witness log and current-task marker; the
+// witnessed spans travel with the locked port_complete report.
 #pragma once
 
 #include "data/directory.h"
@@ -31,10 +37,6 @@
 #include "util/annotated_sync.h"
 
 namespace versa {
-
-namespace sanitize {
-class AccessSanitizer;
-}
 
 class ExecutorPort {
  public:
@@ -49,22 +51,23 @@ class ExecutorPort {
   /// runtime lock (DESIGN.md §9).
   virtual DataDirectory& port_directory() = 0;
   virtual const VersionRegistry& port_registry() = 0;
-  /// Report a finished task; the runtime releases successors, notifies the
-  /// scheduler, and re-pokes the executor.
+  /// Report a finished task with the spans its body witnessed (empty
+  /// unless port_witnessing()); the runtime hands those to the sanitizer,
+  /// releases successors, notifies the scheduler, and re-pokes the
+  /// executor.
   virtual void port_complete(TaskId task, WorkerId worker, Time start,
-                             Time finish) VERSA_REQUIRES(port_mutex()) = 0;
+                             Time finish, const WitnessLog& witness)
+      VERSA_REQUIRES(port_mutex()) = 0;
 
   /// Report a transiently failed attempt; the runtime notifies the
   /// scheduler and makes the task ready again for another attempt.
   virtual void port_failed(TaskId task, WorkerId worker, Time start,
                            Time finish) VERSA_REQUIRES(port_mutex()) = 0;
 
-  /// The dependence-spec sanitizer, or nullptr (the default — sanitizing
-  /// off). Executors that run task bodies attach a WitnessLog to the
-  /// TaskContext iff this is non-null and hand the collected spans to
-  /// AccessSanitizer::record_witness before reporting port_complete. The
-  /// sanitizer synchronizes itself; no runtime capability required.
-  virtual sanitize::AccessSanitizer* port_sanitizer() { return nullptr; }
+  /// True while the dependence-spec sanitizer is on: task bodies then get
+  /// a witness log (Executor::run_body). Fixed at construction, so no
+  /// runtime capability required.
+  virtual bool port_witnessing() const { return false; }
 
   /// The runtime lock (annotated, rank kLockRankRuntime). Recursive for
   /// one reason only: task bodies run while an executor holds it (sim
@@ -102,9 +105,10 @@ class Executor {
   /// Block until every task of `graph` finished (service mode).
   virtual void wait_graph(GraphId graph) = 0;
 
-  /// Task currently executing on the calling context (kInvalidTask when
-  /// called from the master thread). Used to attribute nested submissions.
-  virtual TaskId current_task() const { return kInvalidTask; }
+  /// Task whose body runs on the calling thread (kInvalidTask on the
+  /// master thread and between bodies). Used to attribute nested
+  /// submissions.
+  TaskId current_task() const;
 
   /// Children-scoped taskwait: block until `parent`'s live_children hits
   /// zero. Called from inside `parent`'s body; implementations keep the
@@ -120,6 +124,15 @@ class Executor {
 
  protected:
   ExecutorPort* port_ = nullptr;
+
+  /// Run `version`'s body, if it has one, for `task` on `worker`: build
+  /// the TaskContext (argument pointers resolve through the
+  /// self-synchronized directory, so no runtime lock is needed), attach a
+  /// witness log when port_witnessing(), and make `task` the calling
+  /// thread's current_task() for the body's duration. Returns the spans
+  /// the body witnessed, for port_complete.
+  WitnessLog run_body(const Task& task, const TaskVersion& version,
+                      WorkerId worker);
 };
 
 }  // namespace versa

@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "common/log.h"
-#include "sanitizer/sanitizer.h"
 
 namespace versa {
 
@@ -50,9 +49,7 @@ void SimExecutor::work_available() {}
 void SimExecutor::start_task(WorkerId worker, TaskId id, bool occupy_worker) {
   Task& task = port_->port_graph().task(id);
   VERSA_CHECK(task.state == TaskState::kQueued);
-  // Re-home stolen tasks: the steal path no longer writes the graph, so
-  // the executor records the actual worker here.
-  task.assigned_worker = worker;
+  port_->port_scheduler().task_started(task, worker);
   const TaskVersion& version =
       port_->port_registry().version(task.chosen_version);
   const SpaceId space = machine_.worker(worker).space;
@@ -89,28 +86,17 @@ void SimExecutor::start_task(WorkerId worker, TaskId id, bool occupy_worker) {
   // Run the real body, if any, so functional results are exact; its wall
   // time is irrelevant — virtual time charges `duration`. The body runs
   // under the (recursive) runtime lock, which is what lets it re-enter
-  // submit/taskwait.
-  if (!fails && version.fn) {
-    const TaskId previous = current_task_;
-    current_task_ = id;
-    TaskContext ctx(task.accesses, port_->port_directory(), worker,
-                    version.device);
-    // Sanitizing: collect the spans the body reports and hand them to the
-    // checker before the completion event can process this task.
-    sanitize::AccessSanitizer* sanitizer = port_->port_sanitizer();
-    WitnessLog witness;
-    if (sanitizer != nullptr) ctx.set_witness_log(&witness);
-    version.fn(ctx);
-    if (sanitizer != nullptr) sanitizer->record_witness(id, std::move(witness));
-    current_task_ = previous;
-  }
+  // submit/taskwait. Its witnessed spans ride in the completion event.
+  WitnessLog witness;
+  if (!fails) witness = run_body(task, version, worker);
 
   // A nested taskwait inside the body advances virtual time; the parent
   // cannot complete before the clock it observed when its wait returned.
   const Time finish = std::max(start + duration, queue_.now());
   horizon_ = std::max(horizon_, finish);
   queue_.schedule_at(
-      finish, [this, id, worker, start, finish, occupy_worker, fails] {
+      finish, [this, id, worker, start, finish, occupy_worker, fails,
+               witness = std::move(witness)] {
         // Completion events fire from queue_.step() inside run_until,
         // with the runtime lock held by the enclosing wait entry point;
         // re-assert it for the analysis (a lambda is a separate function)
@@ -122,7 +108,7 @@ void SimExecutor::start_task(WorkerId worker, TaskId id, bool occupy_worker) {
         if (fails) {
           port_->port_failed(id, worker, start, finish);
         } else {
-          port_->port_complete(id, worker, start, finish);
+          port_->port_complete(id, worker, start, finish, witness);
         }
         pump();
       });

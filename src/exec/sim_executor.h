@@ -55,7 +55,6 @@ class SimExecutor final : public Executor {
   void wait_all() override;
   void wait_task(TaskId task) override;
   void wait_graph(GraphId graph) override;
-  TaskId current_task() const override { return current_task_; }
   void wait_children(TaskId parent) override;
   Time now() const override;
   Time flush(const TransferList& ops) override;
@@ -77,7 +76,6 @@ class SimExecutor final : public Executor {
   std::vector<sim::NoiseModel> noise_;
   std::vector<bool> busy_;
   Time horizon_ = 0.0;
-  TaskId current_task_ = kInvalidTask;
   Rng failure_rng_;
 
   /// Acquire `task`'s data for `space` and record its transfer-done time.

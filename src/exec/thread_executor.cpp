@@ -3,7 +3,6 @@
 #include <thread>
 
 #include "common/check.h"
-#include "sanitizer/sanitizer.h"
 
 namespace versa {
 
@@ -65,16 +64,6 @@ void ThreadExecutor::task_queued(Task&, WorkerId) {
 
 void ThreadExecutor::work_available() { bump_wake(); }
 
-namespace {
-
-/// Task identity of the calling thread's in-flight body (nested-submission
-/// attribution); kInvalidTask on the master and on idle workers.
-thread_local TaskId tls_current_task = kInvalidTask;
-
-}  // namespace
-
-TaskId ThreadExecutor::current_task() const { return tls_current_task; }
-
 bool ThreadExecutor::run_one(WorkerId worker) {
   // Fast path: dequeue already-placed work (own queue, then steals)
   // without the runtime lock.
@@ -94,9 +83,9 @@ bool ThreadExecutor::run_one(WorkerId worker) {
 
     task = &port_->port_graph().task(id);  // stable ref (deque storage)
     VERSA_CHECK(task->state == TaskState::kQueued);
-    // Re-home stolen tasks: the steal fast path cannot touch the graph,
-    // so the thief records itself here, under the runtime lock.
-    task->assigned_worker = worker;
+    // The steal fast path cannot touch the graph: the thief re-homes the
+    // task (and traces the steal) here, under the runtime lock.
+    port_->port_scheduler().task_started(*task, worker);
     version = &port_->port_registry().version(task->chosen_version);
     task->state = TaskState::kRunning;
     data_set_size = task->data_set_size;
@@ -108,25 +97,10 @@ bool ThreadExecutor::run_one(WorkerId worker) {
   TransferList ops;  // accounting only — data lives in host storage
   port_->port_directory().acquire(task->accesses,
                                   machine_.worker(worker).space, ops);
-  // Resolve argument pointers (region descriptors are immutable, the
-  // directory lookup synchronizes itself); the body then runs without
-  // touching shared runtime structures.
-  TaskContext ctx(task->accesses, port_->port_directory(), worker,
-                  version->device);
-  // Sanitizing: the witness log collects off-lock alongside the body; the
-  // spans reach the checker before the locked completion report below.
-  sanitize::AccessSanitizer* sanitizer = port_->port_sanitizer();
-  WitnessLog witness;
-  if (sanitizer != nullptr) ctx.set_witness_log(&witness);
   const Time start = now();
-
-  const TaskId previous = tls_current_task;
-  tls_current_task = id;
-  if (version->fn) {
-    version->fn(ctx);
-  }
-  tls_current_task = previous;
-  if (sanitizer != nullptr) sanitizer->record_witness(id, std::move(witness));
+  // The body runs off-lock without touching shared runtime structures; its
+  // witnessed spans reach the sanitizer with the locked completion report.
+  const WitnessLog witness = run_body(*task, *version, worker);
   if (config_.emulate_costs && version->cost != nullptr) {
     // Device-speed emulation: pad the attempt out to the modelled
     // duration so wall-clock measurements carry the modelled ratios.
@@ -142,7 +116,7 @@ bool ThreadExecutor::run_one(WorkerId worker) {
 
   {
     versa::RecursiveLockGuard lock(port_->port_mutex());
-    port_->port_complete(id, worker, start, finish);
+    port_->port_complete(id, worker, start, finish, witness);
   }
   // After the completion is visible: wake workers (successors may have
   // been released) and waiters (all_finished / live_children moved).

@@ -9,9 +9,11 @@
 //
 // Locking (DESIGN.md §9): since the lock split, the dequeue fast path —
 // Scheduler::try_pop_queued, i.e. popping the worker's own shard or
-// stealing — runs WITHOUT the runtime lock; workers take it only for the
-// graph transitions around a task (state flip, completion report) and
-// for the pop_task fallback of policies with no lock-free path. The
+// stealing — runs WITHOUT the runtime lock; workers take it only twice
+// per task, and for the pop_task fallback of policies with no lock-free
+// path. The start section calls Scheduler::task_started (re-homing a
+// stolen task and tracing the steal) and flips the state; the completion
+// section reports port_complete with the body's witness log, if any. The
 // executing worker stages the task's data once, right after marking it
 // running: the directory acquire (bookkeeping only — the data stays in
 // host storage) and argument resolution run off the runtime lock on the
@@ -19,9 +21,10 @@
 // acquire lands before the task's completion, so nothing can touch the
 // directory after its graph retires (DESIGN.md §13).
 // Sleeping and waking go through a dedicated wake mutex (class
-// kLockRankExecWake, the innermost lock) and an epoch counter: a worker
-// samples the epoch before it tries to pop and sleeps only if the epoch
-// is unchanged, and every push/completion bumps the epoch after
+// kLockRankExecWake, the innermost lock; DESIGN.md §9 records why an
+// atomic wait/notify epoch did not replace it) and an epoch counter: a
+// worker samples the epoch before it tries to pop and sleeps only if the
+// epoch is unchanged, and every push/completion bumps the epoch after
 // publishing its work — so a wakeup between the failed pop and the wait
 // can never be lost.
 #pragma once
@@ -57,7 +60,6 @@ class ThreadExecutor final : public Executor {
   void wait_all() override;
   void wait_task(TaskId task) override;
   void wait_graph(GraphId graph) override;
-  TaskId current_task() const override;
   void wait_children(TaskId parent) override;
   Time now() const override;
   Time flush(const TransferList& ops) override;

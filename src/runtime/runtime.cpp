@@ -450,7 +450,7 @@ void Runtime::dispatch_batch(const std::vector<TaskId>& batch) {
 }
 
 void Runtime::port_complete(TaskId id, WorkerId worker, Time start,
-                            Time finish) {
+                            Time finish, const WitnessLog& witness) {
   // Annotated VERSA_REQUIRES(mutex_) in the header, like port_failed: the
   // reporting executor already holds the runtime lock (the thread backend
   // locks around the call; the sim event loop holds it for the whole
@@ -463,9 +463,9 @@ void Runtime::port_complete(TaskId id, WorkerId worker, Time start,
   graph_.mark_finished(id, finish, newly_ready);
   makespan_ = std::max(makespan_, finish);
   if (sanitizer_ != nullptr) {
-    // Witnesses (if any) were recorded by the executor before this report;
-    // the checker runs conformance and shadows the touched bytes now.
-    sanitizer_->on_task_complete(task);
+    // Conformance against the body's witnessed spans, then shadow the
+    // touched bytes.
+    sanitizer_->on_task_complete(task, witness);
   }
   if (task.parent != kInvalidTask) {
     Task& parent = graph_.task(task.parent);

@@ -197,17 +197,16 @@ class Runtime final : public SchedulerContext, public ExecutorPort {
   /// synchronized (see the class comment and ExecutorPort).
   DataDirectory& port_directory() override { return directory_; }
   const VersionRegistry& port_registry() override { return registry_; }
-  void port_complete(TaskId task, WorkerId worker, Time start,
-                     Time finish) override VERSA_REQUIRES(mutex_);
+  void port_complete(TaskId task, WorkerId worker, Time start, Time finish,
+                     const WitnessLog& witness) override
+      VERSA_REQUIRES(mutex_);
   void port_failed(TaskId task, WorkerId worker, Time start,
                    Time finish) override VERSA_REQUIRES(mutex_);
   versa::RecursiveMutex& port_mutex() override
       VERSA_RETURN_CAPABILITY(mutex_) {
     return mutex_;
   }
-  sanitize::AccessSanitizer* port_sanitizer() override {
-    return sanitizer_.get();
-  }
+  bool port_witnessing() const override { return sanitizer_ != nullptr; }
 
   /// Transient attempt failures observed so far (failure injection).
   std::uint64_t failed_attempts() const;
@@ -243,10 +242,9 @@ class Runtime final : public SchedulerContext, public ExecutorPort {
   /// path). Controller state is mutated only under the runtime lock.
   std::unique_ptr<core::GranularityController> granularity_;
 
-  /// Dependence-spec sanitizer (nullptr when off — the default). The
-  /// runtime-side hooks run under the runtime lock; the sanitizer's one
-  /// mutex (class `sanitizer`, rank 15) covers the executor-side witness
-  /// path.
+  /// Dependence-spec sanitizer (nullptr when off — the default). Plain
+  /// data: every hook runs under the runtime lock, the witness spans
+  /// included (they arrive with port_complete).
   std::unique_ptr<sanitize::AccessSanitizer> sanitizer_;
 
   /// The open fuse window: sibling submissions the controller decided to

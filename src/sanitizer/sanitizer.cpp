@@ -80,7 +80,6 @@ AccessSanitizer::AccessSanitizer(SanitizeConfig config) : config_(config) {}
 void AccessSanitizer::on_task_registered(const Task& task,
                                          const std::vector<TaskId>& preds,
                                          TaskId hb_parent) {
-  versa::LockGuard lock(mutex_);
   if (config_.mode == SanitizeMode::kRace) {
     clocks_.add(task.id, preds, hb_parent);
   }
@@ -88,20 +87,8 @@ void AccessSanitizer::on_task_registered(const Task& task,
 }
 
 void AccessSanitizer::on_task_absorbed(TaskId member, TaskId host) {
-  versa::LockGuard lock(mutex_);
   if (config_.mode == SanitizeMode::kRace) {
     clocks_.alias(member, host);
-  }
-}
-
-void AccessSanitizer::record_witness(TaskId task, WitnessLog&& log) {
-  if (log.empty()) return;
-  versa::LockGuard lock(mutex_);
-  WitnessLog& slot = witnesses_[task];
-  if (slot.empty()) {
-    slot = std::move(log);
-  } else {
-    slot.insert(slot.end(), log.begin(), log.end());
   }
 }
 
@@ -124,20 +111,14 @@ void AccessSanitizer::add_violation(Violation v) {
   violations_.push_back(v);
 }
 
-void AccessSanitizer::on_task_complete(const Task& task) {
+void AccessSanitizer::on_task_complete(const Task& task,
+                                       const WitnessLog& witness) {
   // Shells and fuse stubs retire through finish_stub, never through the
   // completion port; skip defensively if one ever shows up.
   if (task.split_children > 0 || task.fused_into != kInvalidTask) return;
 
-  versa::LockGuard lock(mutex_);
-  WitnessLog witness;
   ++stats_.tasks_checked;
-  const auto found = witnesses_.find(task.id);
-  if (found != witnesses_.end()) {
-    witness = std::move(found->second);
-    witnesses_.erase(found);
-    ++stats_.tasks_witnessed;
-  }
+  if (!witness.empty()) ++stats_.tasks_witnessed;
 
   // --- conformance (spec + race modes): witness vs declaration ----------
   // Per region: the byte sets the clauses allow for reading/writing, and
@@ -236,20 +217,15 @@ void AccessSanitizer::on_task_complete(const Task& task) {
   };
   std::vector<TaggedConflict> tagged;
   if (config_.mode == SanitizeMode::kRace) {
-    // The lambdas are analyzed as separate functions, so they reach the
-    // guarded clocks and shadow map through references taken here, under
-    // the lock.
-    const ClockTable& clocks = clocks_;
-    ShadowMap& shadow = shadow_;
-    const OrderedFn ordered = [&clocks](TaskId a, TaskId b) {
-      return clocks.ordered(a, b);
+    const OrderedFn ordered = [this](TaskId a, TaskId b) {
+      return clocks_.ordered(a, b);
     };
     std::vector<ShadowConflict> conflicts;
     auto shadow_span = [&](RegionId region, AccessMode mode,
                            std::uint64_t offset, std::uint64_t length) {
       conflicts.clear();
-      shadow.record(region, task.id, mode, offset, length, ordered,
-                    conflicts);
+      shadow_.record(region, task.id, mode, offset, length, ordered,
+                     conflicts);
       for (const ShadowConflict& c : conflicts) {
         tagged.push_back(TaggedConflict{c, region, mode});
       }
@@ -308,34 +284,26 @@ void AccessSanitizer::on_task_complete(const Task& task) {
 }
 
 void AccessSanitizer::on_region_unregistered(RegionId region) {
-  versa::LockGuard lock(mutex_);
   if (config_.mode == SanitizeMode::kRace) {
     shadow_.clear_region(region);
   }
 }
 
 std::vector<Violation> AccessSanitizer::violations() const {
-  versa::LockGuard lock(mutex_);
   return violations_;
 }
 
-SanitizeStats AccessSanitizer::stats() const {
-  versa::LockGuard lock(mutex_);
-  return stats_;
-}
+SanitizeStats AccessSanitizer::stats() const { return stats_; }
 
 std::uint64_t AccessSanitizer::error_count() const {
-  versa::LockGuard lock(mutex_);
   return stats_.races + stats_.out_of_spec;
 }
 
 bool AccessSanitizer::write_csv_report(const std::string& path) const {
-  versa::LockGuard lock(mutex_);
   return write_csv(path, violations_, stats_);
 }
 
 void AccessSanitizer::render(std::ostream& os) const {
-  versa::LockGuard lock(mutex_);
   render_report(os, violations_, stats_);
 }
 

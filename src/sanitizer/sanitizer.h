@@ -22,13 +22,13 @@
 //           out-of-spec spans are shadowed too, so an under-declared
 //           access surfaces both as out-of-spec and as the race it is.
 //
-// Threading: on_task_registered / on_task_absorbed / on_task_complete /
-// on_region_unregistered run under the runtime lock (rank 10).
-// record_witness arrives from executor threads with no runtime lock held
-// (thread backend). One mutex (class `sanitizer`, rank 15) guards all of
-// the sanitizer's state — clocks, shadow map, witness buffers and report;
-// every hook and result accessor takes it once for its whole body. The
-// clock table and shadow map are plain data with no locks of their own.
+// Threading: plain data serialized by the runtime lock, like the analyzer
+// and the profile table. Every hook runs under it: on_task_registered,
+// on_task_absorbed and on_region_unregistered from the runtime API, and
+// on_task_complete from the completion report, which carries the spans
+// the body witnessed (an executor collects them off-lock into a local
+// log and hands that over with port_complete). The result accessors are
+// for quiescent use, after the waits.
 #pragma once
 
 #include <memory>
@@ -42,7 +42,6 @@
 #include "sanitizer/task_clock.h"
 #include "task/access.h"
 #include "task/task.h"
-#include "util/annotated_sync.h"
 
 namespace versa::sanitize {
 
@@ -75,17 +74,13 @@ class AccessSanitizer {
   /// A fuse window absorbed `member` into `host` (lineage alias).
   void on_task_absorbed(TaskId member, TaskId host);
 
-  /// A task completed: run conformance against its witness log and, in
-  /// race mode, shadow its declared + out-of-spec spans.
-  void on_task_complete(const Task& task);
+  /// A task completed: run conformance against `witness`, the spans its
+  /// body reported (empty when it reported none), and, in race mode,
+  /// shadow its declared + out-of-spec spans.
+  void on_task_complete(const Task& task, const WitnessLog& witness);
 
   /// unregister_data: drop the region's shadow state.
   void on_region_unregistered(RegionId region);
-
-  // --- executor hook (any thread, no runtime lock) -----------------------
-  /// Attach the spans `task`'s body reported. Called after the body runs
-  /// and strictly before the executor reports port_complete.
-  void record_witness(TaskId task, WitnessLog&& log);
 
   // --- results (quiescent: after waits) ----------------------------------
   std::vector<Violation> violations() const;
@@ -97,18 +92,16 @@ class AccessSanitizer {
   void render(std::ostream& os) const;
 
  private:
-  void add_violation(Violation v) VERSA_REQUIRES(mutex_);
+  void add_violation(Violation v);
 
   const SanitizeConfig config_;
 
-  mutable versa::Mutex mutex_{lock_order::kLockRankSanitizer};
-  ClockTable clocks_ VERSA_GUARDED_BY(mutex_);
-  ShadowMap shadow_ VERSA_GUARDED_BY(mutex_);
+  ClockTable clocks_;
+  ShadowMap shadow_;
   /// Task type of every registered task (race reports name both parties'
   /// types; the prior task is long gone by the time its race surfaces).
-  std::unordered_map<TaskId, TaskTypeId> types_ VERSA_GUARDED_BY(mutex_);
-  std::unordered_map<TaskId, WitnessLog> witnesses_ VERSA_GUARDED_BY(mutex_);
-  std::vector<Violation> violations_ VERSA_GUARDED_BY(mutex_);
+  std::unordered_map<TaskId, TaskTypeId> types_;
+  std::vector<Violation> violations_;
   /// Dedup: race pair (low id, high id, region) → index into violations_.
   struct PairKey {
     TaskId a;
@@ -126,9 +119,8 @@ class AccessSanitizer {
       return h;
     }
   };
-  std::unordered_map<PairKey, std::size_t, PairKeyHash> race_index_
-      VERSA_GUARDED_BY(mutex_);
-  SanitizeStats stats_ VERSA_GUARDED_BY(mutex_);
+  std::unordered_map<PairKey, std::size_t, PairKeyHash> race_index_;
+  SanitizeStats stats_;
 };
 
 }  // namespace versa::sanitize

@@ -5,22 +5,21 @@
 // penalty, and the number of candidate (version, worker) pairs evaluated),
 // so a run can be audited after the fact without instrumenting a policy.
 //
-// Disabled by default and free when disabled (one relaxed atomic load per
-// event). When enabled, the ring is guarded by an internal mutex of class
-// kLockRankTrace (the innermost scheduler lock): steals and pops record
-// events from worker threads outside the runtime lock since the
-// ThreadExecutor lock split, so the trace synchronizes itself. The ring
-// keeps the last `capacity` events plus totals, bounding memory at PBPI
-// scale; src/perf/sched_trace.h renders the buffer as a table and as the
-// v5 CSV that versa_trace_report replays (versa_run --sched-trace).
+// Disabled by default and free when disabled (one branch per event).
+// Plain data serialized by the runtime lock: every event is recorded from
+// a runtime-locked path — placements, completions and failures from the
+// scheduler calls, granularity decisions from submit and completion, and
+// steals from Scheduler::task_started when the thief starts the task (the
+// lock-free pop/steal path records nothing). Readers run after the waits.
+// The ring keeps the last `capacity` events plus totals, bounding memory
+// at PBPI scale; src/perf/sched_trace.h renders the buffer as a table and
+// as the v5 CSV that versa_trace_report replays (versa_run --sched-trace).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "common/types.h"
-#include "util/annotated_sync.h"
 
 namespace versa::core {
 
@@ -68,33 +67,27 @@ struct TraceEvent {
 
 class DecisionTrace {
  public:
-  /// Start recording into a ring of `capacity` events (>= 1). Not
-  /// thread-safe against concurrent record() — enable before the run.
+  /// Start recording into a ring of `capacity` events (>= 1); enable
+  /// before the run.
   void enable(std::size_t capacity);
-  void disable();
-  bool enabled() const {
-    return capacity_.load(std::memory_order_relaxed) != 0;
-  }
+  bool enabled() const { return capacity_ != 0; }
 
   void record(const TraceEvent& event);
 
   /// Events recorded since enable() (including overwritten ones).
-  std::uint64_t total() const;
-  std::uint64_t dropped() const;
-  std::size_t capacity() const {
-    return capacity_.load(std::memory_order_relaxed);
+  std::uint64_t total() const { return total_; }
+  std::uint64_t dropped() const {
+    return total_ > ring_.size() ? total_ - ring_.size() : 0;
   }
+  std::size_t capacity() const { return capacity_; }
 
   /// Retained events, oldest first.
   std::vector<TraceEvent> events() const;
 
  private:
-  mutable versa::Mutex mutex_{lock_order::kLockRankTrace};
-  std::vector<TraceEvent> ring_ VERSA_GUARDED_BY(mutex_);
-  /// Mirrors the enabled state for the free-when-disabled fast path; only
-  /// enable()/disable() write it (with mutex_ held).
-  std::atomic<std::size_t> capacity_{0};
-  std::uint64_t total_ VERSA_GUARDED_BY(mutex_) = 0;
+  std::vector<TraceEvent> ring_;
+  std::size_t capacity_ = 0;
+  std::uint64_t total_ = 0;
 };
 
 }  // namespace versa::core

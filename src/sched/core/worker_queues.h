@@ -9,13 +9,12 @@
 // shard under its mutex: an entry is poppable and stealable as soon as
 // push() returns.
 //
-// A QueueEntry carries everything pop/steal/tracing need about the task
-// (id, type, chosen version, priority, frozen estimate, tenant),
-// deliberately duplicated out of the TaskGraph: the graph is
-// runtime-lock-serialized, and the whole point of the split is that the
-// pop fast path does not take the runtime lock. Executors re-home
-// Task::assigned_worker under the runtime lock when they start a
-// (possibly stolen) task.
+// A QueueEntry is just the task id and its priority (the insertion key):
+// the pop fast path never takes the runtime lock, so it never reads the
+// runtime-locked TaskGraph, and it needs nothing else. Everything about a
+// steal that the graph holds — re-homing Task::assigned_worker and the
+// trace's steal event — happens in Scheduler::task_started, under the
+// runtime lock, when the thief starts the task.
 //
 // Ordering per shard matches the historical single-lock queues exactly:
 // priority insertion (stable within a priority level), FIFO pop from the
@@ -37,14 +36,7 @@ namespace versa::core {
 
 struct QueueEntry {
   TaskId id = kInvalidTask;
-  TaskTypeId type = kInvalidTaskType;
-  VersionId version = kInvalidVersion;
   int priority = 0;
-  /// The charge push_to_worker froze into Task::scheduler_estimate.
-  Duration estimate = 0.0;
-  /// Owning tenant (service mode) — carried so steal/complete trace events
-  /// can attribute the task without touching the runtime-locked graph.
-  TenantId tenant = kDefaultTenant;
 };
 
 class WorkerQueues {

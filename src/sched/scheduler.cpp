@@ -14,6 +14,17 @@ void Scheduler::task_failed(Task&, WorkerId) {}
 
 Duration Scheduler::estimated_busy(WorkerId) const { return 0.0; }
 
+void Scheduler::task_started(Task& task, WorkerId worker) {
+  if (task.assigned_worker == worker) return;
+  if (trace_.enabled()) {
+    trace_.record(core::TraceEvent{
+        ctx_->now(), task.id, task.type, task.chosen_version, worker,
+        estimated_busy(task.assigned_worker), task.scheduler_estimate, 0.0, 0,
+        core::TraceEventKind::kSteal, task.tenant});
+  }
+  task.assigned_worker = worker;
+}
+
 const TaskVersion& Scheduler::main_version_of(const Task& task) const {
   VERSA_CHECK(ctx_ != nullptr);
   return ctx_->registry().version(ctx_->registry().main_version(task.type));
@@ -87,9 +98,7 @@ void QueueScheduler::push_to_worker(Task& task, VersionId version,
                          worker, info.estimate);
     ++shard_pushes_;
   }
-  queues_.push(worker, core::QueueEntry{task.id, task.type, version,
-                                        task.priority, task.scheduler_estimate,
-                                        task.tenant});
+  queues_.push(worker, core::QueueEntry{task.id, task.priority});
   if (trace_.enabled()) {
     trace_.record(core::TraceEvent{
         ctx_->now(), task.id, task.type, version, worker, busy_before,
@@ -136,21 +145,11 @@ TaskId QueueScheduler::steal_for(WorkerId thief) {
   if (victim == kInvalidWorker || best == 0) return kInvalidTask;
   const std::optional<core::QueueEntry> entry = queues_.steal_back(victim);
   if (!entry) return kInvalidTask;  // raced away under a concurrent pop
-  Duration victim_busy;
-  {
-    versa::LockGuard lock(account_mutex_);
-    account_.on_steal(entry->id, victim, thief);
-    account_.on_pop(entry->id, thief);
-    victim_busy = account_.busy(victim);
-  }
-  // Task::assigned_worker is re-homed by the executor under the runtime
-  // lock when the stolen task starts (this path cannot touch the graph).
-  if (trace_.enabled()) {
-    trace_.record(core::TraceEvent{
-        ctx_->now(), entry->id, entry->type, entry->version, thief,
-        victim_busy, entry->estimate, 0.0, 0, core::TraceEventKind::kSteal,
-        entry->tenant});
-  }
+  versa::LockGuard lock(account_mutex_);
+  account_.on_steal(entry->id, victim, thief);
+  account_.on_pop(entry->id, thief);
+  // This path cannot touch the graph: task_started re-homes the task and
+  // traces the steal when the thief starts it, under the runtime lock.
   return entry->id;
 }
 

@@ -7,10 +7,13 @@
 //  * task_ready(t)        — t's dependences are satisfied; the policy must
 //                           eventually make it poppable by some worker.
 //  * pop_task(w)          — worker w is idle and asks for work.
+//  * task_started(t,w)    — an executor starts t on w; re-homes a stolen t
+//                           and records its steal in the decision trace.
 //  * task_completed(t,w,d)— t finished on w with measured duration d;
 //                           called before the successors' task_ready.
 // These calls arrive under the runtime lock; policy-*decision* state
-// (pools, cursors, profile tables) therefore needs no locking of its own.
+// (pools, cursors, profile tables, the decision trace) therefore needs no
+// locking of its own.
 //
 // The exception, since the ThreadExecutor lock split, is the dequeue fast
 // path: try_pop_queued(w) may be called by a worker thread WITHOUT the
@@ -18,8 +21,9 @@
 // (per-worker queue mutexes) and the account mutex, so popping and
 // stealing already-placed work never serializes on the runtime lock; the
 // base implementation returns kInvalidTask, which makes executors fall
-// back to pop_task under the runtime lock. Lock classes and ranking are
-// documented in DESIGN.md §9.
+// back to pop_task under the runtime lock. The fast path touches neither
+// the graph nor the trace: a steal is traced by task_started. Lock
+// classes and ranking are documented in DESIGN.md §9.
 #pragma once
 
 #include <cstdint>
@@ -75,6 +79,12 @@ class Scheduler {
   /// pop_task under the runtime lock. Must not touch the task graph.
   virtual TaskId try_pop_queued(WorkerId worker);
 
+  /// An executor starts `task` on `worker` (runtime lock held). If the
+  /// task was placed elsewhere, it was stolen: point assigned_worker at
+  /// the thief and, when tracing, record the steal with the victim's
+  /// current busy estimate. The one place a steal reaches the graph.
+  void task_started(Task& task, WorkerId worker);
+
   virtual void task_completed(Task& task, WorkerId worker, Duration measured);
 
   /// A dispatched task failed transiently on `worker` and will be made
@@ -91,9 +101,8 @@ class Scheduler {
 
   /// Decision-trace ring shared by every policy: disabled (and free) by
   /// default; the runtime enables it on --sched-trace / VERSA_SCHED_TRACE
-  /// and src/perf/sched_trace.h renders it after the run. Internally
-  /// synchronized (lock class kLockRankTrace) — steals record events from
-  /// worker threads outside the runtime lock.
+  /// and src/perf/sched_trace.h renders it after the run. Plain data
+  /// under the runtime lock: every recording call runs under it.
   core::DecisionTrace& decision_trace() { return trace_; }
   const core::DecisionTrace& decision_trace() const { return trace_; }
 

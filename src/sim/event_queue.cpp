@@ -6,13 +6,6 @@
 
 namespace versa::sim {
 
-EventFn* EventQueue::find_callback(EventHandle handle) {
-  for (auto& [h, fn] : callbacks_) {
-    if (h == handle) return &fn;
-  }
-  return nullptr;
-}
-
 EventHandle EventQueue::schedule_at(Time when, EventFn fn) {
   VERSA_CHECK_MSG(when >= now_, "event scheduled in the past");
   VERSA_CHECK(fn != nullptr);

@@ -69,8 +69,6 @@ class EventQueue {
   EventHandle next_handle_ = 1;
   Time now_ = 0.0;
   std::size_t live_ = 0;
-
-  EventFn* find_callback(EventHandle handle);
 };
 
 }  // namespace versa::sim

@@ -51,7 +51,6 @@ class TaskContext {
   /// this before running the body iff a sanitizer is active; bodies never
   /// see the difference (AccessWitness no-ops on a null log).
   void set_witness_log(WitnessLog* log) { witness_ = log; }
-  bool witnessing() const { return witness_ != nullptr; }
 
  private:
   friend class AccessWitness;

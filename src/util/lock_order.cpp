@@ -12,10 +12,8 @@ namespace versa::lock_order {
 const LockClass kLockRankService = {"service", 4};
 const LockClass kLockRankRuntime = {"runtime", 10, /*reentrant=*/true};
 const LockClass kLockRankData = {"data", 13};
-const LockClass kLockRankSanitizer = {"sanitizer", 15};
 const LockClass kLockRankAccount = {"sched.account", 20};
 const LockClass kLockRankQueue = {"sched.queue", 30};
-const LockClass kLockRankTrace = {"trace", 40};
 const LockClass kLockRankExecWake = {"exec.wake", 50};
 
 namespace {

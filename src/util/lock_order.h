@@ -33,16 +33,17 @@ struct LockClass {
 };
 
 // --- the repo's lock hierarchy, outermost (lowest rank) first ----------
-// See DESIGN.md §9 for what each class guards. Keep ranks spaced so a new
-// class can slot in between without renumbering.
-extern const LockClass kLockRankService;      ///< rank 4: VersaService (tenants, graph table, shutdown)
-extern const LockClass kLockRankRuntime;      ///< rank 10: Runtime::mutex_
-extern const LockClass kLockRankData;         ///< rank 13: DataDirectory state
-extern const LockClass kLockRankSanitizer;    ///< rank 15: AccessSanitizer (clocks, shadow map, report)
-extern const LockClass kLockRankAccount;      ///< rank 20: QueueScheduler account/index
-extern const LockClass kLockRankQueue;        ///< rank 30: per-worker queue shards
-extern const LockClass kLockRankTrace;        ///< rank 40: DecisionTrace ring
-extern const LockClass kLockRankExecWake;     ///< rank 50: ThreadExecutor wake epoch
+// See DESIGN.md §9 for what each class guards. State that is only ever
+// touched under one of these (the analyzer, profile table, decision trace
+// and sanitizer all live under the runtime lock) gets no class of its own.
+// Keep ranks spaced so a new class can slot in between without
+// renumbering.
+extern const LockClass kLockRankService;   ///< rank 4: VersaService (tenants, graph table, shutdown)
+extern const LockClass kLockRankRuntime;   ///< rank 10: Runtime::mutex_ (graph, policy state, trace, sanitizer)
+extern const LockClass kLockRankData;      ///< rank 13: DataDirectory state
+extern const LockClass kLockRankAccount;   ///< rank 20: QueueScheduler account/index
+extern const LockClass kLockRankQueue;     ///< rank 30: per-worker queue shards
+extern const LockClass kLockRankExecWake;  ///< rank 50: ThreadExecutor wake epoch
 
 /// Record an acquisition of `cls` by the calling thread, reporting a
 /// violation first if it inverts the documented order. Called by the

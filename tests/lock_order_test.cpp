@@ -123,27 +123,23 @@ TEST_F(LockOrderTest, NonReentrantSelfNestingIsReported) {
 }
 
 TEST_F(LockOrderTest, RepoHierarchyAcquiresInDocumentedOrder) {
-  // The documented repo order (DESIGN.md §9), all 8 classes, outermost
+  // The documented repo order (DESIGN.md §9), all 6 classes, outermost
   // first: nesting every one of them in rank order is clean, and only the
   // runtime class may re-enter itself.
   Mutex service(lock_order::kLockRankService);
   RecursiveMutex runtime(lock_order::kLockRankRuntime);
   Mutex data(lock_order::kLockRankData);
-  Mutex sanitizer(lock_order::kLockRankSanitizer);
   Mutex account(lock_order::kLockRankAccount);
   Mutex queue(lock_order::kLockRankQueue);
-  Mutex trace(lock_order::kLockRankTrace);
   Mutex wake(lock_order::kLockRankExecWake);
   LockGuard l0(service);
   RecursiveLockGuard l1(runtime);
   RecursiveLockGuard l1again(runtime);  // the runtime lock is recursive
   LockGuard l2(data);
-  LockGuard l3(sanitizer);
-  LockGuard l4(account);
-  LockGuard l5(queue);
-  LockGuard l6(trace);
-  LockGuard l7(wake);
-  EXPECT_EQ(lock_order::held_depth(), 9u);
+  LockGuard l3(account);
+  LockGuard l4(queue);
+  LockGuard l5(wake);
+  EXPECT_EQ(lock_order::held_depth(), 7u);
   EXPECT_TRUE(g_captured.empty()) << g_captured;
 }
 
@@ -212,10 +208,10 @@ TEST(LockOrderDeathTest, FailedAssertHeldAbortsNamingTheClass) {
       {
         lock_order::set_enforced(true);
         lock_order::set_violation_handler(nullptr);
-        Mutex m(lock_order::kLockRankTrace);
+        Mutex m(lock_order::kLockRankExecWake);
         m.assert_held();
       },
-      "lock assertion failed: 'trace' \\(rank 40\\) is not held");
+      "lock assertion failed: 'exec\\.wake' \\(rank 50\\) is not held");
 }
 
 }  // namespace

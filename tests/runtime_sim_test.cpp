@@ -250,6 +250,36 @@ TEST(RuntimeSim, TimestampsAreConsistent) {
   }
 }
 
+/// Two regions of just over half the host capacity each, one inout task
+/// on each, then a taskwait: staging either task over-commits host memory,
+/// and the only candidate victim is the other region's last copy. The
+/// eviction must leave it in place (and warn) instead of dropping it.
+void run_host_over_commit(bool prefetch) {
+  const Machine machine = make_smp_machine(2);
+  RuntimeConfig config = sim_config();
+  config.prefetch = prefetch;
+  Runtime rt(machine, config);
+  const TaskTypeId t = rt.declare_task("t");
+  rt.add_version(t, DeviceKind::kSmp, "v", nullptr, make_constant_cost(1e-3));
+  const std::uint64_t half = machine.space(kHostSpace).capacity / 2 + 1;
+  const RegionId a = rt.register_data("a", half);
+  const RegionId b = rt.register_data("b", half);
+  rt.submit(t, {Access::inout(a)});
+  rt.submit(t, {Access::inout(b)});
+  rt.taskwait();
+  EXPECT_EQ(rt.run_stats().total_tasks(), 2u);
+  EXPECT_TRUE(rt.data_directory().is_valid_in(a, kHostSpace));
+  EXPECT_TRUE(rt.data_directory().is_valid_in(b, kHostSpace));
+}
+
+TEST(RuntimeSim, HostOverCommitKeepsLastCopiesWithoutPrefetch) {
+  run_host_over_commit(/*prefetch=*/false);
+}
+
+TEST(RuntimeSim, HostOverCommitKeepsLastCopiesWithPrefetch) {
+  run_host_over_commit(/*prefetch=*/true);
+}
+
 TEST(RuntimeSimDeath, TaskWithNoRunnableVersionAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const Machine machine = make_smp_machine(1);

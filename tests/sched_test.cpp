@@ -396,9 +396,8 @@ std::uint64_t locks_taken(Op&& op) {
     std::uint64_t sum = 0;
     for (const lock_order::LockClass* cls :
          {&lock_order::kLockRankService, &lock_order::kLockRankRuntime,
-          &lock_order::kLockRankData, &lock_order::kLockRankSanitizer,
-          &lock_order::kLockRankAccount, &lock_order::kLockRankQueue,
-          &lock_order::kLockRankTrace, &lock_order::kLockRankExecWake}) {
+          &lock_order::kLockRankData, &lock_order::kLockRankAccount,
+          &lock_order::kLockRankQueue, &lock_order::kLockRankExecWake}) {
       sum += lock_order::acquisitions(*cls);
     }
     return sum;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,15 +26,61 @@ struct StressOutcome {
   std::uint64_t total_tasks = 0;
 };
 
+/// A steal is traced when the thief starts the task, under the runtime
+/// lock: exactly the tasks that completed on a worker other than the one
+/// they were placed on carry a `steal` event, one each, naming the worker
+/// that completed them.
+void expect_steals_traced(Runtime& rt, std::uint64_t tasks) {
+  const core::DecisionTrace& trace = rt.scheduler().decision_trace();
+  ASSERT_EQ(trace.dropped(), 0u);
+  std::map<TaskId, WorkerId> placed;
+  std::map<TaskId, WorkerId> done;
+  std::map<TaskId, std::vector<WorkerId>> steals;
+  for (const core::TraceEvent& e : trace.events()) {
+    switch (e.kind) {
+      case core::TraceEventKind::kPlacement:
+      case core::TraceEventKind::kLearningPlacement:
+        placed[e.task] = e.worker;
+        break;
+      case core::TraceEventKind::kComplete:
+        done[e.task] = e.worker;
+        break;
+      case core::TraceEventKind::kSteal:
+        steals[e.task].push_back(e.worker);
+        break;
+      default:
+        break;
+    }
+  }
+  ASSERT_EQ(done.size(), tasks);
+  std::size_t moved = 0;
+  for (const auto& [task, worker] : done) {
+    ASSERT_EQ(placed.count(task), 1u) << "task " << task;
+    const auto stolen = steals.find(task);
+    if (placed.at(task) == worker) {
+      EXPECT_EQ(stolen, steals.end())
+          << "task " << task << " ran where it was placed";
+      continue;
+    }
+    ++moved;
+    ASSERT_NE(stolen, steals.end()) << "untraced steal of task " << task;
+    EXPECT_EQ(stolen->second, std::vector<WorkerId>{worker})
+        << "task " << task;
+  }
+  EXPECT_EQ(steals.size(), moved) << "steal event for a task never moved";
+}
+
 /// Drive `producers` external threads, each submitting `per_producer`
 /// tasks, against a 4-worker SMP thread backend, then assert the runtime
-/// and the scheduling core are fully drained.
+/// and the scheduling core are fully drained (and, with `sched_trace`,
+/// that the decision trace records every steal).
 void run_stress(const std::string& scheduler, int producers, int per_producer,
-                bool independent_tasks) {
+                bool independent_tasks, bool sched_trace = false) {
   const Machine machine = make_smp_machine(4);
   RuntimeConfig config;
   config.backend = Backend::kThreads;
   config.scheduler = scheduler;
+  config.sched_trace = sched_trace;
   Runtime rt(machine, config);
 
   std::atomic<long> executed{0};
@@ -95,6 +142,9 @@ void run_stress(const std::string& scheduler, int producers, int per_producer,
   }
   for (WorkerId w = 0; w < workers; ++w) {
     EXPECT_DOUBLE_EQ(rt.scheduler().estimated_busy(w), 0.0) << "worker " << w;
+  }
+  if (sched_trace) {
+    expect_steals_traced(rt, static_cast<std::uint64_t>(expected));
   }
 }
 
@@ -186,6 +236,14 @@ TEST(ThreadStress, DepAwareBurstExercisesStealing) {
 
 TEST(ThreadStress, AffinityBurstExercisesStealing) {
   run_stress("affinity", 4, 40, /*independent_tasks=*/true);
+}
+
+TEST(ThreadStress, StealingBurstTracesEveryStealOnce) {
+  for (const char* policy : {"affinity", "dep-aware"}) {
+    SCOPED_TRACE(policy);
+    run_stress(policy, 4, 40, /*independent_tasks=*/true,
+               /*sched_trace=*/true);
+  }
 }
 
 TEST(ThreadStress, FifoFallbackPathStaysCorrect) {

@@ -15,13 +15,7 @@ namespace versa::core {
 namespace {
 
 QueueEntry entry(TaskId id, int priority = 0) {
-  QueueEntry e;
-  e.id = id;
-  e.type = 1;
-  e.version = 2;
-  e.priority = priority;
-  e.estimate = 0.5;
-  return e;
+  return QueueEntry{id, priority};
 }
 
 TEST(WorkerQueues, PopIsFifoWithinOnePriorityLevel) {
@@ -69,10 +63,8 @@ TEST(WorkerQueues, EntryCarriesThePushedFields) {
   queues.push(0, entry(7, 3));
   const auto popped = queues.pop_front(0);
   ASSERT_TRUE(popped.has_value());
-  EXPECT_EQ(popped->type, 1);
-  EXPECT_EQ(popped->version, 2);
+  EXPECT_EQ(popped->id, 7u);
   EXPECT_EQ(popped->priority, 3);
-  EXPECT_DOUBLE_EQ(popped->estimate, 0.5);
 }
 
 TEST(WorkerQueues, LengthMirrorsTheShard) {
