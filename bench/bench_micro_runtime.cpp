@@ -28,6 +28,33 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(64)->Arg(512);
 
+void BM_SimEventQueue(benchmark::State& state) {
+  // Steady state with `pending` events queued: each iteration runs one
+  // event, which schedules its replacement at a random later time, then
+  // schedules and cancels a transient event (the transfer engine's
+  // reschedule pattern). step and cancel are O(log n), so ns per step
+  // must stay flat across the Args.
+  struct Churn {
+    sim::EventQueue queue;
+    Rng rng{7};
+    void arm() {
+      queue.schedule_after(rng.uniform(0.5, 1.5), [this] { arm(); });
+    }
+  };
+  Churn churn;
+  const std::size_t pending = static_cast<std::size_t>(state.range(0));
+  for (std::size_t i = 0; i < pending; ++i) churn.arm();
+  for (auto _ : state) {
+    churn.queue.step();
+    const sim::EventHandle transient =
+        churn.queue.schedule_after(0.25, [] {});
+    benchmark::DoNotOptimize(churn.queue.cancel(transient));
+  }
+  state.counters["pending"] = static_cast<double>(churn.queue.pending());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SimEventQueue)->Arg(2 << 10)->Arg(8 << 10)->Arg(32 << 10);
+
 void BM_DependencyAnalysisChain(benchmark::State& state) {
   const std::size_t tasks = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {

@@ -24,7 +24,8 @@ SimExecutor::SimExecutor(const Machine& machine, SimExecutorConfig config)
 
 void SimExecutor::acquire_for(Task& task, SpaceId space) {
   if (task.acquired_space == space) return;
-  TransferList ops;
+  TransferList& ops = transfer_scratch_;
+  ops.clear();
   port_->port_directory().acquire(task.accesses, space, ops);
   task.transfers_ready_time = engine_.enqueue(ops, queue_.now());
   task.acquired_space = space;
@@ -94,24 +95,42 @@ void SimExecutor::start_task(WorkerId worker, TaskId id, bool occupy_worker) {
   // cannot complete before the clock it observed when its wait returned.
   const Time finish = std::max(start + duration, queue_.now());
   horizon_ = std::max(horizon_, finish);
-  queue_.schedule_at(
-      finish, [this, id, worker, start, finish, occupy_worker, fails,
-               witness = std::move(witness)] {
-        // Completion events fire from queue_.step() inside run_until,
-        // with the runtime lock held by the enclosing wait entry point;
-        // re-assert it for the analysis (a lambda is a separate function)
-        // and, dynamically, against the held-lock stack.
-        port_->port_mutex().assert_held();
-        if (occupy_worker) {
-          busy_[worker] = false;
-        }
-        if (fails) {
-          port_->port_failed(id, worker, start, finish);
-        } else {
-          port_->port_complete(id, worker, start, finish, witness);
-        }
-        pump();
-      });
+  // The completion record waits in a reused slot, so the event captures
+  // only {this, slot} and fits std::function's inline storage.
+  if (free_completions_.empty()) {
+    free_completions_.push_back(
+        static_cast<std::uint32_t>(completions_.size()));
+    completions_.emplace_back();
+  }
+  const std::uint32_t slot = free_completions_.back();
+  free_completions_.pop_back();
+  completions_[slot] = {id,    worker, start, finish, occupy_worker,
+                        fails, std::move(witness)};
+  queue_.schedule_at(finish, [this, slot] {
+    // Completion events fire from queue_.step() inside run_until, with
+    // the runtime lock held by the enclosing wait entry point; re-assert
+    // it for the analysis (a lambda is a separate function) and,
+    // dynamically, against the held-lock stack.
+    port_->port_mutex().assert_held();
+    complete(slot);
+  });
+}
+
+void SimExecutor::complete(std::uint32_t slot) {
+  // Move the record out first: the port calls below start new tasks,
+  // which take completion slots and may grow the vector.
+  const Completion done = std::move(completions_[slot]);
+  free_completions_.push_back(slot);
+  if (done.occupy_worker) {
+    busy_[done.worker] = false;
+  }
+  if (done.fails) {
+    port_->port_failed(done.id, done.worker, done.start, done.finish);
+  } else {
+    port_->port_complete(done.id, done.worker, done.start, done.finish,
+                         done.witness);
+  }
+  pump();
 }
 
 void SimExecutor::pump() {

@@ -78,6 +78,23 @@ class SimExecutor final : public Executor {
   Time horizon_ = 0.0;
   Rng failure_rng_;
 
+  /// What a scheduled completion event reports when it fires.
+  struct Completion {
+    TaskId id = kInvalidTask;
+    WorkerId worker = kInvalidWorker;
+    Time start = 0.0;
+    Time finish = 0.0;
+    bool occupy_worker = true;
+    bool fails = false;
+    WitnessLog witness;
+  };
+  /// acquire_for's copy list, kept to avoid a per-task allocation
+  /// (acquire_for never re-enters itself).
+  TransferList transfer_scratch_;
+  /// Records of in-flight completion events, reused through a free list.
+  std::vector<Completion> completions_;
+  std::vector<std::uint32_t> free_completions_;
+
   /// Acquire `task`'s data for `space` and record its transfer-done time.
   void acquire_for(Task& task, SpaceId space)
       VERSA_REQUIRES(port_->port_mutex());
@@ -90,6 +107,8 @@ class SimExecutor final : public Executor {
   /// (it is already marked busy by the waiting parent).
   void start_task(WorkerId worker, TaskId id, bool occupy_worker = true)
       VERSA_REQUIRES(port_->port_mutex());
+  /// Report the completion recorded in `slot` and free the slot.
+  void complete(std::uint32_t slot) VERSA_REQUIRES(port_->port_mutex());
   /// Drive the event loop until `done(graph)` holds (shared body of
   /// wait_all, wait_task and wait_graph).
   template <typename DonePredicate>

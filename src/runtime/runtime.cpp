@@ -215,7 +215,9 @@ Task& Runtime::create_task(TaskTypeId type, AccessList accesses,
 }
 
 bool Runtime::register_task(Task& task, TaskId lineage) {
-  std::vector<TaskId> preds;
+  // Member scratch storage: nothing below re-enters register_task.
+  std::vector<TaskId>& preds = preds_scratch_;
+  preds.clear();
   analyzer_.add_task(task.id, task.accesses, preds);
   if (sanitizer_ != nullptr) {
     sanitizer_->on_task_registered(task, preds, lineage);
@@ -224,7 +226,13 @@ bool Runtime::register_task(Task& task, TaskId lineage) {
 }
 
 void Runtime::register_and_release(Task& task) {
-  if (register_task(task, task.parent)) release_ready({task.id});
+  if (!register_task(task, task.parent)) return;
+  // release_ready for a single task, without building a batch.
+  if (fair_share_ != nullptr && !fair_share_->offer(task.tenant, task.id)) {
+    return;
+  }
+  make_ready(task);
+  executor_->work_available();
 }
 
 Duration Runtime::busy_spread() const {
@@ -439,14 +447,15 @@ void Runtime::release_ready(const std::vector<TaskId>& ready) {
 
 void Runtime::dispatch_batch(const std::vector<TaskId>& batch) {
   if (batch.empty()) return;
-  for (TaskId id : batch) {
-    Task& task = graph_.task(id);
-    VERSA_CHECK(task.state == TaskState::kCreated);
-    task.state = TaskState::kReady;
-    task.ready_time = now();
-    scheduler_->task_ready(task);
-  }
+  for (TaskId id : batch) make_ready(graph_.task(id));
   executor_->work_available();
+}
+
+void Runtime::make_ready(Task& task) {
+  VERSA_CHECK(task.state == TaskState::kCreated);
+  task.state = TaskState::kReady;
+  task.ready_time = now();
+  scheduler_->task_ready(task);
 }
 
 void Runtime::port_complete(TaskId id, WorkerId worker, Time start,
@@ -459,7 +468,9 @@ void Runtime::port_complete(TaskId id, WorkerId worker, Time start,
   task.start_time = start;
   task.measured_duration = finish - start;
 
-  std::vector<TaskId> newly_ready;
+  // Member scratch storage: nothing below re-enters port_complete.
+  std::vector<TaskId>& newly_ready = ready_scratch_;
+  newly_ready.clear();
   graph_.mark_finished(id, finish, newly_ready);
   makespan_ = std::max(makespan_, finish);
   if (sanitizer_ != nullptr) {

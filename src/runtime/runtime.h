@@ -225,6 +225,10 @@ class Runtime final : public SchedulerContext, public ExecutorPort {
   mutable versa::RecursiveMutex mutex_{lock_order::kLockRankRuntime};
   /// Plain data: the analyzer has no lock of its own (DESIGN.md §13).
   DependencyAnalyzer analyzer_ VERSA_GUARDED_BY(mutex_);
+  /// Scratch storage kept to avoid per-task allocations: register_task's
+  /// predecessors and port_complete's newly ready successors.
+  std::vector<TaskId> preds_scratch_ VERSA_GUARDED_BY(mutex_);
+  std::vector<TaskId> ready_scratch_ VERSA_GUARDED_BY(mutex_);
   std::unique_ptr<Scheduler> scheduler_;
   // Destroyed first (declared last): the thread backend joins its workers
   // in its destructor while the rest of the runtime is still alive.
@@ -309,6 +313,8 @@ class Runtime final : public SchedulerContext, public ExecutorPort {
   /// Hand `batch` (already gate-approved when a gate is installed) to the
   /// scheduler as one ready batch and poke the executor.
   void dispatch_batch(const std::vector<TaskId>& batch) VERSA_REQUIRES(mutex_);
+  /// Mark one created task ready and hand it to the scheduler.
+  void make_ready(Task& task) VERSA_REQUIRES(mutex_);
 };
 
 }  // namespace versa

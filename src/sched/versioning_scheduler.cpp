@@ -156,16 +156,15 @@ void VersioningScheduler::task_ready(Task& task) {
 }
 
 void VersioningScheduler::drain_pool() {
-  std::deque<TaskId> remaining;
-  while (!pool_.empty()) {
+  // Rotate the pool once in place: placed tasks leave, the rest go back
+  // to the tail in their original order.
+  for (std::size_t n = pool_.size(); n > 0; --n) {
     const TaskId id = pool_.front();
     pool_.pop_front();
-    Task& task = ctx_->graph().task(id);
-    if (!try_place(task)) {
-      remaining.push_back(id);
+    if (!try_place(ctx_->graph().task(id))) {
+      pool_.push_back(id);
     }
   }
-  pool_ = std::move(remaining);
 }
 
 void VersioningScheduler::assign_earliest_executor(Task& task) {
@@ -183,8 +182,11 @@ void VersioningScheduler::assign_earliest_executor(Task& task) {
   // Placement penalties are computed before the account critical section:
   // the locality subclass reads the data directory (lock class data, rank
   // 13), which must not be acquired under the account lock (rank 20).
+  // The vector is member scratch storage: placement arrives under the
+  // runtime lock and never re-enters itself.
   const std::size_t worker_count = ctx_->machine().worker_count();
-  std::vector<Duration> penalties(worker_count, 0.0);
+  std::vector<Duration>& penalties = penalty_scratch_;
+  penalties.resize(worker_count);
   for (WorkerId w = 0; w < worker_count; ++w) {
     penalties[w] = placement_penalty(task, w);
   }

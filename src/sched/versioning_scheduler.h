@@ -35,6 +35,7 @@
 
 #include <deque>
 #include <map>
+#include <vector>
 
 #include "sched/profile_table.h"
 #include "sched/scheduler.h"
@@ -102,6 +103,11 @@ class VersioningScheduler : public QueueScheduler {
 
   /// Round-robin cursor per group for the learning phase.
   std::map<GroupKey, std::size_t> rr_cursor_;
+
+  /// Per-worker placement penalties of the task being placed (scratch
+  /// storage of assign_earliest_executor, kept to avoid a per-task
+  /// allocation).
+  std::vector<Duration> penalty_scratch_;
 
   GroupKey group_of(const Task& task) const;
 

@@ -52,7 +52,8 @@ class EventQueue {
   struct Entry {
     Time when;
     std::uint64_t seq;
-    EventHandle handle;
+    std::uint32_t slot;
+    std::uint32_t generation;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -60,13 +61,26 @@ class EventQueue {
       return a.seq > b.seq;
     }
   };
+  /// A pending event's callback. The generation advances whenever the
+  /// slot is freed (run or cancelled), which turns the slot's heap entry
+  /// and outstanding handle stale.
+  struct Slot {
+    EventFn fn;
+    std::uint32_t generation = 1;
+  };
 
-  // Callbacks are kept out of the heap entries so that cancel() is O(1):
-  // a cancelled handle simply loses its callback and is skipped on pop.
+  /// Free `slot` for reuse and invalidate its handle and heap entry.
+  void release(std::uint32_t slot);
+  /// Pop cancelled entries off the top of the heap.
+  void drop_stale();
+
+  // Callbacks live in reused slots indexed by the handle. step() costs
+  // O(log n). cancel() frees the slot in O(1) and leaves its heap entry
+  // behind, which a later pop discards as stale in O(log n).
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::vector<std::pair<EventHandle, EventFn>> callbacks_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 1;
-  EventHandle next_handle_ = 1;
   Time now_ = 0.0;
   std::size_t live_ = 0;
 };

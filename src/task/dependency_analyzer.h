@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -57,7 +58,9 @@ class DependencyAnalyzer {
   /// are disjoint and non-empty; bytes never accessed have no interval.
   using IntervalMap = std::map<std::uint64_t, Interval>;
 
-  std::map<RegionId, IntervalMap> regions_;
+  /// Region index, hashed: add_task looks up one region per access, and
+  /// clear_region drops the entry, so the index holds live regions only.
+  std::unordered_map<RegionId, IntervalMap> regions_;
 
   /// Split the interval containing `pos` (if any) so that `pos` becomes a
   /// boundary. Leaves the map equivalent.

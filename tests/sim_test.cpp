@@ -2,6 +2,7 @@
 // cancellation, virtual clock; noise model statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/random.h"
@@ -105,6 +106,95 @@ TEST(EventQueue, StepReturnsFalseWhenDrained) {
   q.schedule_at(1.0, [] {});
   EXPECT_TRUE(q.step());
   EXPECT_FALSE(q.step());
+}
+
+TEST(EventQueue, RunUntilSkipsCancelledHead) {
+  // A cancelled event at the head must not let run_until run a later
+  // event past the limit.
+  EventQueue q;
+  int ran = 0;
+  const EventHandle early = q.schedule_at(1.0, [&] { ++ran; });
+  q.schedule_at(5.0, [&] { ++ran; });
+  EXPECT_TRUE(q.cancel(early));
+  EXPECT_EQ(q.run_until(2.0), 0u);
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(q.now(), 0.0);
+  EXPECT_EQ(q.pending(), 1u);
+}
+
+TEST(EventQueue, StaleHandleCannotCancelAReusedSlot) {
+  EventQueue q;
+  const EventHandle first = q.schedule_at(1.0, [] {});
+  EXPECT_TRUE(q.step());
+  bool ran = false;
+  const EventHandle second = q.schedule_at(2.0, [&] { ran = true; });
+  EXPECT_NE(first, second);
+  EXPECT_FALSE(q.cancel(first));  // already ran; its slot now holds `second`
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_TRUE(q.step());
+  EXPECT_TRUE(ran);
+  EXPECT_FALSE(q.cancel(second));
+}
+
+TEST(EventQueue, ManyTiesAndCancellationsAtScale) {
+  // 32768 events over 512 distinct times, scheduled in scrambled time
+  // order; every third one is cancelled. The first half's cancels happen
+  // before the second half is scheduled, so later events reuse the freed
+  // slots. The survivors must still run in (time, insertion) order, and
+  // the live count must track every schedule, cancel and step.
+  constexpr int kEvents = 32768;
+  constexpr int kTimes = 512;
+  EventQueue q;
+  std::vector<int> order;
+  order.reserve(kEvents);
+  std::vector<EventHandle> handles;
+  handles.reserve(kEvents);
+  auto time_of = [](int i) {
+    return static_cast<Time>((i * 7919) % kTimes);
+  };
+  std::size_t live = 0;
+  auto cancel_thirds = [&](int begin, int end) {
+    for (int i = begin; i < end; ++i) {
+      if (i % 3 != 0) continue;
+      ASSERT_TRUE(q.cancel(handles[i]));
+      --live;
+      ASSERT_FALSE(q.cancel(handles[i])) << "double cancel of event " << i;
+    }
+  };
+  for (int i = 0; i < kEvents; ++i) {
+    if (i == kEvents / 2) {
+      cancel_thirds(0, i);
+      ASSERT_EQ(q.pending(), live);
+    }
+    handles.push_back(q.schedule_at(time_of(i), [&order, i] {
+      order.push_back(i);
+    }));
+    ++live;
+  }
+  ASSERT_EQ(q.pending(), live);
+  cancel_thirds(kEvents / 2, kEvents);
+  ASSERT_EQ(q.pending(), live);
+
+  while (q.step()) {
+    --live;
+    ASSERT_EQ(q.pending(), live);
+  }
+  EXPECT_EQ(live, 0u);
+  EXPECT_TRUE(q.empty());
+
+  std::vector<int> expected;
+  for (int i = 0; i < kEvents; ++i) {
+    if (i % 3 != 0) expected.push_back(i);
+  }
+  std::stable_sort(expected.begin(), expected.end(), [&](int a, int b) {
+    return time_of(a) < time_of(b);
+  });
+  EXPECT_EQ(order, expected);
+
+  // Every handle is spent: executed ones and cancelled ones alike.
+  for (int i = 0; i < kEvents; i += 7) {
+    EXPECT_FALSE(q.cancel(handles[i]));
+  }
 }
 
 TEST(Noise, NoneIsExact) {
