@@ -152,8 +152,47 @@ void DataDirectory::make_room(SpaceId space, std::uint64_t needed,
   }
 }
 
+std::uint64_t DataDirectory::resolve(AccessList& accesses,
+                                     const char* offset_error,
+                                     const char* range_error, SizeBy size_by) {
+  versa::LockGuard lock(mutex_);
+  const std::uint64_t stamp = ++stamp_;
+  std::uint64_t data_set_size = 0;
+  for (Access& access : accesses) {
+    RegionState& rs = state_at(access.region);
+    const std::uint64_t size = rs.desc.size;
+    if (access.length == 0) {
+      VERSA_CHECK_MSG(access.offset < size, offset_error);
+      access.length = size - access.offset;
+    }
+    VERSA_CHECK_MSG(access.offset + access.length <= size, range_error);
+    if (rs.stamp == stamp) continue;  // region already counted
+    rs.stamp = stamp;
+    data_set_size += size_by == SizeBy::kRegion ? size : access.length;
+  }
+  return data_set_size;
+}
+
+ResolvedArg DataDirectory::describe_one(const Access& access,
+                                        const RegionDesc& desc) {
+  void* ptr = desc.host_ptr == nullptr
+                  ? nullptr
+                  : static_cast<char*>(desc.host_ptr) + access.offset;
+  const std::uint64_t size =
+      access.length != 0 ? access.length : desc.size - access.offset;
+  return ResolvedArg{ptr, size, access.region, access.offset};
+}
+
+void DataDirectory::describe(const AccessList& accesses,
+                             ResolvedArg* out) const {
+  versa::LockGuard lock(mutex_);
+  for (const Access& access : accesses) {
+    *out++ = describe_one(access, state_at(access.region).desc);
+  }
+}
+
 void DataDirectory::acquire(const AccessList& accesses, SpaceId space,
-                            TransferList& out) {
+                            TransferList& out, ResolvedArg* args) {
   VERSA_CHECK(space < machine_.space_count());
   versa::LockGuard lock(mutex_);
   // Pin the working set so evictions never victimize data this very task
@@ -168,6 +207,7 @@ void DataDirectory::acquire(const AccessList& accesses, SpaceId space,
 
   for (const Access& access : accesses) {
     RegionState& rs = state_at(access.region);
+    if (args != nullptr) *args++ = describe_one(access, rs.desc);
     rs.last_use = ++tick_;
     const bool valid_here = (rs.valid_mask & bit(space)) != 0;
     if (reads(access.mode) && !valid_here) {

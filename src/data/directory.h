@@ -67,13 +67,37 @@ class DataDirectory {
   std::size_t region_count() const;
   std::size_t live_region_count() const;
 
+  /// How resolve() sizes a data set: each distinct region counted once,
+  /// by its full size (the profile key of a submitted task, paper §IV-B
+  /// footnote 2) or by the length of its first clause (split children,
+  /// so different tilings land in different profile groups).
+  enum class SizeBy { kRegion, kAccessLength };
+
+  /// Validate and complete a task's clauses under one lock: an open
+  /// length (0) becomes "to the end of the region" (failing with
+  /// `offset_error` when the offset is past the end), and a clause that
+  /// ends past its region fails with `range_error`. Returns the data-set
+  /// size, each region counted once (O(accesses): regions are deduped by
+  /// a per-call stamp, not by rescanning the list).
+  std::uint64_t resolve(AccessList& accesses, const char* offset_error,
+                        const char* range_error,
+                        SizeBy size_by = SizeBy::kRegion);
+
+  /// Resolve `accesses` for a task body under one lock: writes one
+  /// ResolvedArg per clause, in order, to `out` (room for
+  /// accesses.size()).
+  void describe(const AccessList& accesses, ResolvedArg* out) const;
+
   /// Make every region accessed by `accesses` coherent for execution in
   /// `space`: appends the copies required to `out`, updates validity
   /// (writes invalidate other spaces) and evicts LRU copies if the space
   /// would overflow. Must be called in dependence order per task chain —
   /// the task graph orders conflicting acquires. Atomic as a whole to
-  /// every query.
-  void acquire(const AccessList& accesses, SpaceId space, TransferList& out);
+  /// every query. When `args` is non-null the same critical section also
+  /// describes the clauses into it (see describe()), so a task start
+  /// takes the lock once.
+  void acquire(const AccessList& accesses, SpaceId space, TransferList& out,
+               ResolvedArg* args = nullptr);
 
   /// Bytes that would need copying into `space` to run `accesses` there.
   /// Pure query — the affinity scheduler's cost function.
@@ -115,6 +139,7 @@ class DataDirectory {
     std::uint64_t valid_mask = 1;  ///< bit per space; bit 0 = host
     SpaceId dirty = kInvalidSpace;
     std::uint64_t last_use = 0;
+    std::uint64_t stamp = 0;  ///< last resolve() that counted the region
     bool pinned = false;   ///< set while part of an in-flight acquire
     bool removed = false;  ///< unregistered (tombstone; ids never reused)
   };
@@ -128,11 +153,15 @@ class DataDirectory {
   std::vector<std::uint64_t> used_ VERSA_GUARDED_BY(mutex_);
   TransferStats stats_ VERSA_GUARDED_BY(mutex_);
   std::uint64_t tick_ VERSA_GUARDED_BY(mutex_) = 0;
+  std::uint64_t stamp_ VERSA_GUARDED_BY(mutex_) = 0;
   std::uint64_t evictions_ VERSA_GUARDED_BY(mutex_) = 0;
   std::size_t live_regions_ VERSA_GUARDED_BY(mutex_) = 0;
 
   RegionState& state_at(RegionId id) VERSA_REQUIRES(mutex_);
   const RegionState& state_at(RegionId id) const VERSA_REQUIRES(mutex_);
+
+  /// One clause resolved against its region's descriptor.
+  static ResolvedArg describe_one(const Access& access, const RegionDesc& desc);
 
   /// Pick the source space for a copy into `to` (prefers host).
   SpaceId choose_source(const RegionState& rs, SpaceId to) const;

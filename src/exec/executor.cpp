@@ -12,11 +12,8 @@ thread_local TaskId tls_current_task = kInvalidTask;
 TaskId Executor::current_task() const { return tls_current_task; }
 
 WitnessLog Executor::run_body(const Task& task, const TaskVersion& version,
-                              WorkerId worker) {
+                              TaskContext& ctx) {
   WitnessLog witness;
-  if (!version.fn) return witness;
-  TaskContext ctx(task.accesses, port_->port_directory(), worker,
-                  version.device);
   if (port_->port_witnessing()) ctx.set_witness_log(&witness);
   const TaskId previous = tls_current_task;
   tls_current_task = task.id;

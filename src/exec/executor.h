@@ -23,9 +23,11 @@
 //
 // Both backends start a task the same way: under the runtime lock they
 // call Scheduler::task_started (which re-homes a stolen task and traces
-// the steal) and mark it running; then Executor::run_body runs the body
-// with its TaskContext, optional witness log and current-task marker; the
-// witnessed spans travel with the locked port_complete report.
+// the steal) and mark it running; then, for a task with a body, the
+// TaskContext's arguments are resolved in one directory critical section
+// and Executor::run_body runs the body with them, an optional witness log
+// and the current-task marker; the witnessed spans travel with the locked
+// port_complete report.
 #pragma once
 
 #include "data/directory.h"
@@ -85,10 +87,10 @@ class Executor {
 
   /// A scheduler placed `task` on `worker`'s queue (prefetch hook).
   /// Called with the runtime lock held; `task` is a stable reference into
-  /// the task graph (deque storage, never moved). Implementations must not
-  /// block: the sim backend acquires synchronously (modelled prefetch in
-  /// deterministic virtual time), the thread backend only wakes its
-  /// workers — the one that runs the task stages its data.
+  /// the task graph (chunked TaskStore, never moved). Implementations
+  /// must not block: the sim backend acquires synchronously (modelled
+  /// prefetch in deterministic virtual time), the thread backend only
+  /// wakes its workers — the one that runs the task stages its data.
   virtual void task_queued(Task& task, WorkerId worker) = 0;
 
   /// Ready work may exist for idle workers (pull-style schedulers).
@@ -125,14 +127,16 @@ class Executor {
  protected:
   ExecutorPort* port_ = nullptr;
 
-  /// Run `version`'s body, if it has one, for `task` on `worker`: build
-  /// the TaskContext (argument pointers resolve through the
-  /// self-synchronized directory, so no runtime lock is needed), attach a
-  /// witness log when port_witnessing(), and make `task` the calling
-  /// thread's current_task() for the body's duration. Returns the spans
-  /// the body witnessed, for port_complete.
+  /// Run `version`'s body for `task` with `ctx`, whose arguments the
+  /// caller has already resolved (one directory critical section:
+  /// describe, or acquire with an argument out-pointer): attach a witness
+  /// log when port_witnessing(), and make `task` the calling thread's
+  /// current_task() for the body's duration. Only a few stores separate
+  /// the caller from version.fn, so a caller that stamps the clock just
+  /// before this call times the body alone. Returns the spans the body
+  /// witnessed, for port_complete. `version.fn` must be set.
   WitnessLog run_body(const Task& task, const TaskVersion& version,
-                      WorkerId worker);
+                      TaskContext& ctx);
 };
 
 }  // namespace versa

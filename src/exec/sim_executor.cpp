@@ -89,7 +89,11 @@ void SimExecutor::start_task(WorkerId worker, TaskId id, bool occupy_worker) {
   // under the (recursive) runtime lock, which is what lets it re-enter
   // submit/taskwait. Its witnessed spans ride in the completion event.
   WitnessLog witness;
-  if (!fails) witness = run_body(task, version, worker);
+  if (!fails && version.fn) {
+    TaskContext ctx(task.accesses.size(), worker, version.device);
+    port_->port_directory().describe(task.accesses, ctx.resolved());
+    witness = run_body(task, version, ctx);
+  }
 
   // A nested taskwait inside the body advances virtual time; the parent
   // cannot complete before the clock it observed when its wait returned.

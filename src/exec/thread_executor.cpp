@@ -81,7 +81,7 @@ bool ThreadExecutor::run_one(WorkerId worker) {
     }
     if (id == kInvalidTask) return false;
 
-    task = &port_->port_graph().task(id);  // stable ref (deque storage)
+    task = &port_->port_graph().task(id);  // stable ref (chunked TaskStore)
     VERSA_CHECK(task->state == TaskState::kQueued);
     // The steal fast path cannot touch the graph: the thief re-homes the
     // task (and traces the steal) here, under the runtime lock.
@@ -92,15 +92,23 @@ bool ThreadExecutor::run_one(WorkerId worker) {
   }
 
   // Off the runtime lock: stage the data into the executing worker's
-  // space, once. The task is running, so its graph cannot retire (and
-  // its regions cannot be unregistered) until after this acquire.
+  // space, once, and resolve the body's arguments in the same data-lock
+  // critical section. The task is running, so its graph cannot retire
+  // (and its regions cannot be unregistered) until after this acquire.
   TransferList ops;  // accounting only — data lives in host storage
+  TaskContext ctx(version->fn ? task->accesses.size() : 0, worker,
+                  version->device);
   port_->port_directory().acquire(task->accesses,
-                                  machine_.worker(worker).space, ops);
+                                  machine_.worker(worker).space, ops,
+                                  version->fn ? ctx.resolved() : nullptr);
+  // The body timer starts here, after staging: a profile sample is the
+  // body (and the emulation padding below), not the runtime's lock waits.
+  // The body runs off-lock without touching shared runtime structures;
+  // its witnessed spans reach the sanitizer with the locked completion
+  // report.
   const Time start = now();
-  // The body runs off-lock without touching shared runtime structures; its
-  // witnessed spans reach the sanitizer with the locked completion report.
-  const WitnessLog witness = run_body(*task, *version, worker);
+  WitnessLog witness;
+  if (version->fn) witness = run_body(*task, *version, ctx);
   if (config_.emulate_costs && version->cost != nullptr) {
     // Device-speed emulation: pad the attempt out to the modelled
     // duration so wall-clock measurements carry the modelled ratios.

@@ -22,14 +22,6 @@ const WorkerDesc& Machine::worker(WorkerId id) const {
   return workers_[id];
 }
 
-std::size_t Machine::count_workers(DeviceKind kind) const {
-  std::size_t n = 0;
-  for (const auto& w : workers_) {
-    if (w.kind == kind) ++n;
-  }
-  return n;
-}
-
 double Machine::total_peak_flops() const {
   return std::accumulate(devices_.begin(), devices_.end(), 0.0,
                          [](double acc, const DeviceDesc& d) {
@@ -91,6 +83,7 @@ WorkerId Machine::Builder::add_worker(DeviceId device, std::string name) {
                         std::to_string(desc.id)
                   : std::move(name);
   machine_.workers_.push_back(desc);
+  ++machine_.workers_per_kind_[static_cast<std::size_t>(desc.kind)];
   return desc.id;
 }
 

@@ -5,6 +5,7 @@
 // topology.
 #pragma once
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -28,8 +29,11 @@ class Machine {
   std::size_t worker_count() const { return workers_.size(); }
   std::size_t space_count() const { return spaces_.size(); }
 
-  /// Number of workers whose device kind matches.
-  std::size_t count_workers(DeviceKind kind) const;
+  /// Number of workers whose device kind matches (counted as workers are
+  /// added, so O(1)).
+  std::size_t count_workers(DeviceKind kind) const {
+    return workers_per_kind_[static_cast<std::size_t>(kind)];
+  }
 
   /// Sum of device peak FLOP rates (reporting only).
   double total_peak_flops() const;
@@ -43,6 +47,7 @@ class Machine {
   std::vector<DeviceDesc> devices_;
   std::vector<MemorySpaceDesc> spaces_;
   std::vector<WorkerDesc> workers_;
+  std::array<std::size_t, 2> workers_per_kind_{};  ///< indexed by DeviceKind
   Interconnect interconnect_;
 };
 

@@ -160,7 +160,9 @@ TaskId Runtime::submit(TaskTypeId type, AccessList accesses,
   versa::RecursiveLockGuard lock(mutex_);
   maybe_load_profile();
 
-  const std::uint64_t data_set_size = resolve_accesses(
+  // Resolve open-ended lengths and size the data set with every region
+  // counted once (paper footnote 2), under one directory lock.
+  const std::uint64_t data_set_size = directory_.resolve(
       accesses, "access offset out of range", "access range exceeds region");
 
   // Adaptive granularity hook: may re-tile the submission into children
@@ -177,25 +179,6 @@ TaskId Runtime::submit(TaskTypeId type, AccessList accesses,
                            executor_->current_task());
   register_and_release(task);
   return task.id;
-}
-
-std::uint64_t Runtime::resolve_accesses(AccessList& accesses,
-                                        const char* offset_error,
-                                        const char* range_error) const {
-  // Resolve open-ended lengths and compute the data-set size with every
-  // region counted once (paper footnote 2).
-  std::uint64_t data_set_size = 0;
-  for (std::size_t i = 0; i < accesses.size(); ++i) {
-    Access& access = accesses[i];
-    const RegionDesc& desc = directory_.region(access.region);
-    if (access.length == 0) {
-      VERSA_CHECK_MSG(access.offset < desc.size, offset_error);
-      access.length = desc.size - access.offset;
-    }
-    VERSA_CHECK_MSG(access.offset + access.length <= desc.size, range_error);
-    if (first_access_to_region(accesses, i)) data_set_size += desc.size;
-  }
-  return data_set_size;
 }
 
 Task& Runtime::create_task(TaskTypeId type, AccessList accesses,
@@ -342,20 +325,18 @@ bool Runtime::granular_submit(TaskTypeId type, AccessList& accesses,
 
       std::vector<TaskId> ready;
       for (AccessList& part : parts) {
-        std::uint64_t child_size = 0;
-        for (std::size_t i = 0; i < part.size(); ++i) {
-          const Access& access = part[i];
-          const RegionDesc& desc = directory_.region(access.region);
-          VERSA_CHECK_MSG(
-              access.length > 0 && access.offset < desc.size &&
-                  access.offset + access.length <= desc.size,
-              "split recipe produced an out-of-range access");
-          // Child data-set sizes come from the access *lengths* (each
-          // region once), not the full region sizes: different tilings
-          // must land in different profile groups for the controller to
-          // learn from both.
-          if (first_access_to_region(part, i)) child_size += access.length;
+        const char* split_error =
+            "split recipe produced an out-of-range access";
+        for (const Access& access : part) {
+          VERSA_CHECK_MSG(access.length > 0, split_error);
         }
+        // Child data-set sizes come from the access *lengths* (each
+        // region once), not the full region sizes: different tilings
+        // must land in different profile groups for the controller to
+        // learn from both.
+        const std::uint64_t child_size =
+            directory_.resolve(part, split_error, split_error,
+                               DataDirectory::SizeBy::kAccessLength);
         Task& child = graph_.create_task(recipe->child_type, std::move(part),
                                          child_size, std::string(),
                                          options.graph);
@@ -397,7 +378,7 @@ void Runtime::flush_fuse_window() {
   AccessList fused = recipe->fuse(lists);
   const char* fuse_error = "fuse recipe produced an out-of-range access";
   const std::uint64_t fused_size =
-      resolve_accesses(fused, fuse_error, fuse_error);
+      directory_.resolve(fused, fuse_error, fuse_error);
 
   const Time stamp = now();
   for (std::size_t i = 1; i < members.size(); ++i) {
@@ -590,7 +571,7 @@ void Runtime::set_fuse_recipe(TaskTypeId type, core::FuseRecipe recipe) {
 }
 
 void Runtime::task_assigned(TaskId task, WorkerId worker) {
-  // Hand the executor a stable task reference (deque storage).
+  // Hand the executor a stable task reference (chunked TaskStore).
   executor_->task_queued(graph_.task(task), worker);
 }
 

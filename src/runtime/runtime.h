@@ -270,12 +270,6 @@ class Runtime final : public SchedulerContext, public ExecutorPort {
   ProfileStore make_profile_store() const;
   void maybe_load_profile() VERSA_REQUIRES(mutex_);
   void maybe_save_profile();
-  /// Resolve open-ended access lengths against their regions (aborting
-  /// with the given messages on a bad offset or range) and return the
-  /// data-set size, each region counted once (paper footnote 2).
-  std::uint64_t resolve_accesses(AccessList& accesses,
-                                 const char* offset_error,
-                                 const char* range_error) const;
   /// Create a submitted task in the graph with the options' label, graph
   /// and priority, stamp its submit time, and attribute it to `parent`
   /// (the task whose body submitted it, or kInvalidTask).

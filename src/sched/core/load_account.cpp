@@ -1,6 +1,7 @@
 #include "sched/core/load_account.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/check.h"
@@ -74,15 +75,84 @@ Ticks LoadAccount::effective(const TaskEntry& entry,
   return bucket.price.value_or(entry.charge);
 }
 
+std::size_t LoadAccount::EntryTable::home(TaskId task) const {
+  // Fibonacci hashing: task ids are dense and sequential, the multiply
+  // spreads them over the high bits, which the shift keeps.
+  const int bits = std::countr_zero(slots_.size());
+  return static_cast<std::size_t>((task * 0x9e3779b97f4a7c15ull) >>
+                                  (64 - bits));
+}
+
+void LoadAccount::EntryTable::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 64 : old.size() * 2, Slot{});
+  size_ = 0;
+  for (const Slot& slot : old) {
+    if (slot.task != kInvalidTask) insert(slot.task, slot.entry);
+  }
+}
+
+std::size_t LoadAccount::EntryTable::probe(TaskId task) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(task);
+  while (slots_[i].task != task && slots_[i].task != kInvalidTask) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+bool LoadAccount::EntryTable::insert(TaskId task, const TaskEntry& entry) {
+  VERSA_CHECK(task != kInvalidTask);
+  if ((size_ + 1) * 2 > slots_.size()) grow();
+  Slot& slot = slots_[probe(task)];
+  if (slot.task == task) return false;
+  slot.task = task;
+  slot.entry = entry;
+  ++size_;
+  return true;
+}
+
+LoadAccount::TaskEntry* LoadAccount::EntryTable::find(TaskId task) {
+  if (slots_.empty()) return nullptr;
+  Slot& slot = slots_[probe(task)];
+  return slot.task == task ? &slot.entry : nullptr;
+}
+
+bool LoadAccount::EntryTable::take(TaskId task, TaskEntry& out) {
+  if (slots_.empty()) return false;
+  std::size_t hole = probe(task);
+  if (slots_[hole].task != task) return false;
+  out = slots_[hole].entry;
+  // Backward-shift erase: pull each later member of the probe run into
+  // the hole unless its home lies cyclically in (hole, next].
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t next = (hole + 1) & mask; slots_[next].task != kInvalidTask;
+       next = (next + 1) & mask) {
+    const std::size_t want = home(slots_[next].task);
+    const bool stays = hole <= next ? (hole < want && want <= next)
+                                    : (hole < want || want <= next);
+    if (stays) continue;
+    slots_[hole] = slots_[next];
+    hole = next;
+  }
+  slots_[hole].task = kInvalidTask;
+  --size_;
+  return true;
+}
+
+void LoadAccount::EntryTable::clear() {
+  for (Slot& slot : slots_) slot.task = kInvalidTask;
+  size_ = 0;
+}
+
 Duration LoadAccount::on_push(TaskId task, const PriceKey& key,
                               WorkerId worker, Duration estimate) {
   VERSA_CHECK(worker < queued_.size());
   Bucket& bucket = bucket_of(key);
   const Ticks charge =
       bucket.price.has_value() ? *bucket.price : to_ticks(estimate);
-  const auto [it, inserted] =
-      entries_.try_emplace(task, TaskEntry{key, worker, charge});
-  VERSA_CHECK_MSG(inserted, "task pushed twice into the load account");
+  VERSA_CHECK_MSG(entries_.insert(task, TaskEntry{key, worker, charge}),
+                  "task pushed twice into the load account");
   WorkerShare& share = bucket.shares[worker];
   ++share.count;
   share.charged += charge;
@@ -95,11 +165,9 @@ Duration LoadAccount::on_push(TaskId task, const PriceKey& key,
 }
 
 Duration LoadAccount::on_pop(TaskId task, WorkerId worker) {
-  const auto it = entries_.find(task);
-  VERSA_CHECK_MSG(it != entries_.end(), "pop of an untracked task");
-  const TaskEntry entry = it->second;
+  TaskEntry entry;
+  VERSA_CHECK_MSG(entries_.take(task, entry), "pop of an untracked task");
   VERSA_CHECK_MSG(entry.worker == worker, "pop from the wrong worker");
-  entries_.erase(it);
   Bucket& bucket = bucket_of(entry.key);
   const Ticks charge = effective(entry, bucket);
   WorkerShare& share = bucket.shares[worker];
@@ -125,9 +193,9 @@ void LoadAccount::on_settle(WorkerId worker) {
 }
 
 void LoadAccount::on_steal(TaskId task, WorkerId victim, WorkerId thief) {
-  const auto it = entries_.find(task);
-  VERSA_CHECK_MSG(it != entries_.end(), "steal of an untracked task");
-  TaskEntry& entry = it->second;
+  TaskEntry* found = entries_.find(task);
+  VERSA_CHECK_MSG(found != nullptr, "steal of an untracked task");
+  TaskEntry& entry = *found;
   VERSA_CHECK_MSG(entry.worker == victim, "steal from the wrong victim");
   VERSA_CHECK(thief < queued_.size());
   Bucket& bucket = bucket_of(entry.key);

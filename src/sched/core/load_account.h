@@ -36,10 +36,13 @@
 // O(log workers + distance moved).
 //
 // Every hot operation is allocation-free once the account has seen its
-// keys: the index is sized in reset(), and each price bucket holds a dense
-// per-worker share vector sized when the bucket is created. The only
-// allocation left is on_push's per-task entry, which backs the "pushed
-// twice", "untracked pop" and "wrong worker" checks.
+// keys and its peak queue depth: the index is sized in reset(), each
+// price bucket holds a dense per-worker share vector sized when the
+// bucket is created, and the per-task entries (push-time charge, price
+// key and worker, which back the "pushed twice", "untracked pop" and
+// "wrong worker" checks) live in an open-addressed table with no node per
+// task. The table only grows, doubling when half full, so its size follows
+// the peak number of queued tasks, never the run's history.
 //
 // Thread-safety: none of its own, by design — the LoadAccount is a plain
 // data structure. Since the ThreadExecutor lock split it is shared between
@@ -167,13 +170,40 @@ class LoadAccount {
     Ticks charge = 0;  ///< push-time charge, never rewritten
   };
 
+  /// TaskId -> TaskEntry, open-addressed with linear probing and
+  /// backward-shift erase (no tombstones): a flat slot array, no node per
+  /// task, doubled when half full.
+  class EntryTable {
+   public:
+    /// Insert; false (and no change) if `task` is already present.
+    bool insert(TaskId task, const TaskEntry& entry);
+    /// The entry of `task`, or nullptr.
+    TaskEntry* find(TaskId task);
+    /// Move `task`'s entry into `out` and remove it; false if absent.
+    bool take(TaskId task, TaskEntry& out);
+    std::size_t size() const { return size_; }
+    void clear();
+
+   private:
+    struct Slot {
+      TaskId task = kInvalidTask;  ///< kInvalidTask marks an empty slot
+      TaskEntry entry;
+    };
+    std::size_t home(TaskId task) const;
+    /// Slot index holding `task`, or the empty slot ending its probe run.
+    std::size_t probe(TaskId task) const;
+    void grow();
+    std::vector<Slot> slots_;  ///< power-of-two size, or empty
+    std::size_t size_ = 0;
+  };
+
   std::vector<Ticks> queued_;
   std::vector<Ticks> running_;
   std::vector<std::uint32_t> counts_;
   std::vector<DeviceKind> kinds_;
   std::array<KindIndex, 2> index_;  ///< one per DeviceKind
   std::unordered_map<PriceKey, Bucket, PriceKeyHash> buckets_;
-  std::unordered_map<TaskId, TaskEntry> entries_;
+  EntryTable entries_;
 
   /// The key's bucket, created with one empty share per worker.
   Bucket& bucket_of(const PriceKey& key);

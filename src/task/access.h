@@ -48,16 +48,15 @@ struct Access {
 
 using AccessList = std::vector<Access>;
 
-/// True if `accesses[i]` is the first access to its region: counts each
-/// region once (paper footnote 2) without allocating — access lists are
-/// a handful of clauses, so the quadratic scan beats a set.
-inline bool first_access_to_region(const AccessList& accesses,
-                                   std::size_t i) {
-  for (std::size_t j = 0; j < i; ++j) {
-    if (accesses[j].region == accesses[i].region) return false;
-  }
-  return true;
-}
+/// One access clause resolved against its region for a task body: the
+/// host pointer of the clause's first byte (nullptr for virtual regions),
+/// its byte size, and where it starts within the region.
+struct ResolvedArg {
+  void* ptr = nullptr;
+  std::uint64_t size = 0;
+  RegionId region = 0;
+  std::uint64_t offset = 0;
+};
 
 /// One byte span a task body actually touched, reported through the
 /// AccessWitness API (DESIGN.md §12). Unlike Access, `length` is always

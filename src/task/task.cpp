@@ -1,7 +1,6 @@
 #include "task/task.h"
 
 #include "common/check.h"
-#include "data/directory.h"
 
 namespace versa {
 
@@ -21,37 +20,33 @@ const char* to_string(TaskState state) {
   return "?";
 }
 
-TaskContext::TaskContext(const AccessList& accesses,
-                         const DataDirectory& directory, WorkerId worker,
+TaskContext::TaskContext(std::size_t arg_count, WorkerId worker,
                          DeviceKind device)
-    : worker_(worker), device_(device) {
-  args_.reserve(accesses.size());
-  for (const Access& access : accesses) {
-    const RegionDesc& desc = directory.region(access.region);
-    void* ptr = desc.host_ptr == nullptr
-                    ? nullptr
-                    : static_cast<char*>(desc.host_ptr) + access.offset;
-    const std::uint64_t size =
-        access.length != 0 ? access.length : desc.size - access.offset;
-    args_.push_back(ResolvedArg{ptr, size, access.region, access.offset});
+    : args_(inline_.data()),
+      count_(arg_count),
+      worker_(worker),
+      device_(device) {
+  if (arg_count > kInlineArgs) {
+    spill_ = std::make_unique<ResolvedArg[]>(arg_count);
+    args_ = spill_.get();
   }
 }
 
 void* TaskContext::arg(std::size_t index) const {
-  VERSA_CHECK(index < args_.size());
+  VERSA_CHECK(index < count_);
   return args_[index].ptr;
 }
 
 std::uint64_t TaskContext::arg_size(std::size_t index) const {
-  VERSA_CHECK(index < args_.size());
+  VERSA_CHECK(index < count_);
   return args_[index].size;
 }
 
 void AccessWitness::span(std::size_t index, AccessMode mode,
                          std::uint64_t off, std::uint64_t len) {
   if (ctx_.witness_ == nullptr) return;
-  VERSA_CHECK(index < ctx_.args_.size());
-  const TaskContext::ResolvedArg& arg = ctx_.args_[index];
+  VERSA_CHECK(index < ctx_.count_);
+  const ResolvedArg& arg = ctx_.args_[index];
   if (off >= arg.size) return;
   const std::uint64_t avail = arg.size - off;
   const std::uint64_t span_len = len < avail ? len : avail;

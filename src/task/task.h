@@ -6,17 +6,20 @@
 // exposes the accessed regions (and their host storage, when present).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/types.h"
 #include "task/access.h"
 
 namespace versa {
 
-class DataDirectory;
+/// Index into a TaskGraph's successor-edge pool; kNoEdge ends a list.
+using EdgeId = std::uint32_t;
+constexpr EdgeId kNoEdge = ~EdgeId{0};
 
 enum class TaskState : std::uint8_t {
   kCreated,   ///< submitted, dependencies unsatisfied
@@ -28,13 +31,22 @@ enum class TaskState : std::uint8_t {
 
 const char* to_string(TaskState state);
 
-/// Execution-time view handed to task bodies. Argument pointers/sizes are
-/// resolved at construction (under the runtime lock); bodies then run
-/// lock-free on the thread backend without touching shared structures.
+/// Execution-time view handed to task bodies. The executor sizes it for
+/// the task's accesses and fills the resolved arguments in one directory
+/// critical section (DataDirectory::describe, or acquire on the thread
+/// backend) before the body runs; bodies then read them lock-free without
+/// touching shared structures. Up to kInlineArgs arguments live inside the
+/// context; only wider access lists spill to the heap.
 class TaskContext {
  public:
-  TaskContext(const AccessList& accesses, const DataDirectory& directory,
-              WorkerId worker, DeviceKind device);
+  static constexpr std::size_t kInlineArgs = 8;
+
+  TaskContext(std::size_t arg_count, WorkerId worker, DeviceKind device);
+  TaskContext(const TaskContext&) = delete;
+  TaskContext& operator=(const TaskContext&) = delete;
+
+  /// Storage for the arg_count() resolved arguments, in clause order.
+  ResolvedArg* resolved() { return args_; }
 
   /// Host pointer of the i-th access clause (nullptr for virtual regions).
   void* arg(std::size_t index) const;
@@ -42,7 +54,7 @@ class TaskContext {
   /// Byte size of the i-th access clause.
   std::uint64_t arg_size(std::size_t index) const;
 
-  std::size_t arg_count() const { return args_.size(); }
+  std::size_t arg_count() const { return count_; }
 
   WorkerId worker() const { return worker_; }
   DeviceKind device() const { return device_; }
@@ -54,13 +66,10 @@ class TaskContext {
 
  private:
   friend class AccessWitness;
-  struct ResolvedArg {
-    void* ptr;
-    std::uint64_t size;
-    RegionId region;
-    std::uint64_t offset;  ///< resolved start within the region
-  };
-  std::vector<ResolvedArg> args_;
+  std::array<ResolvedArg, kInlineArgs> inline_;
+  std::unique_ptr<ResolvedArg[]> spill_;
+  ResolvedArg* args_;
+  std::size_t count_;
   WorkerId worker_;
   DeviceKind device_;
   WitnessLog* witness_ = nullptr;
@@ -167,9 +176,12 @@ struct Task {
   TaskTypeId origin_type = kInvalidTaskType;
   std::uint64_t origin_size = 0;
 
-  /// Dependency bookkeeping (guarded by the runtime lock).
+  /// Dependency bookkeeping (guarded by the runtime lock). Successors
+  /// form a list threaded through the graph's edge pool, head and tail
+  /// here, in edge-creation order (TaskGraph::successors reads it).
   std::uint32_t remaining_deps = 0;
-  std::vector<TaskId> successors;
+  EdgeId first_successor = kNoEdge;
+  EdgeId last_successor = kNoEdge;
 
   /// Timeline (virtual time under SimExecutor, wall time otherwise).
   Time submit_time = 0.0;

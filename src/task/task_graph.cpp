@@ -13,8 +13,9 @@ Task& TaskGraph::create_task(TaskTypeId type, AccessList accesses,
                              std::uint64_t data_set_size, std::string label,
                              GraphId graph) {
   VERSA_CHECK(graph < graphs_.size());
-  Task task;
-  task.id = static_cast<TaskId>(tasks_.size());
+  const TaskId id = static_cast<TaskId>(tasks_.size());
+  Task& task = tasks_.emplace_back();
+  task.id = id;
   task.type = type;
   task.accesses = std::move(accesses);
   task.data_set_size = data_set_size;
@@ -22,10 +23,9 @@ Task& TaskGraph::create_task(TaskTypeId type, AccessList accesses,
   task.graph = graph;
   task.tenant = graphs_[graph].tenant;
   add_users(task.accesses);
-  tasks_.push_back(std::move(task));
   ++unfinished_;
   ++graphs_[graph].unfinished;
-  return tasks_.back();
+  return task;
 }
 
 GraphId TaskGraph::open_graph(TenantId tenant) {
@@ -50,9 +50,17 @@ std::uint32_t TaskGraph::add_dependencies(Task& task,
     VERSA_CHECK_MSG(pred_id != task.id, "task cannot depend on itself");
     Task& pred = tasks_[pred_id];
     if (pred.state == TaskState::kFinished) continue;
-    pred.successors.push_back(task.id);
+    // Append at the tail: successors are released in creation order.
+    VERSA_CHECK_MSG(edges_.size() < kNoEdge, "successor edge pool is full");
+    const EdgeId edge = static_cast<EdgeId>(edges_.size());
+    edges_.push_back(Edge{task.id, kNoEdge});
+    if (pred.last_successor == kNoEdge) {
+      pred.first_successor = edge;
+    } else {
+      edges_[pred.last_successor].next = edge;
+    }
+    pred.last_successor = edge;
     ++live;
-    ++edges_;
   }
   task.remaining_deps = live;
   return live;
@@ -70,7 +78,8 @@ void TaskGraph::mark_finished(TaskId id, Time now,
   VERSA_CHECK(graphs_[task.graph].unfinished > 0);
   --graphs_[task.graph].unfinished;
   drop_users(task.accesses);
-  for (TaskId succ_id : task.successors) {
+  for (EdgeId e = task.first_successor; e != kNoEdge; e = edges_[e].next) {
+    const TaskId succ_id = edges_[e].successor;
     Task& succ = tasks_[succ_id];
     VERSA_CHECK(succ.remaining_deps > 0);
     if (--succ.remaining_deps == 0) {
@@ -83,7 +92,8 @@ void TaskGraph::finish_stub(TaskId id, Time now) {
   Task& task = this->task(id);
   VERSA_CHECK_MSG(task.state == TaskState::kCreated,
                   "finish_stub on a task the scheduler saw");
-  VERSA_CHECK_MSG(task.successors.empty() && task.remaining_deps == 0,
+  VERSA_CHECK_MSG(
+      task.first_successor == kNoEdge && task.remaining_deps == 0,
                   "finish_stub on a task with dependence edges");
   task.state = TaskState::kFinished;
   task.finish_time = now;
@@ -103,24 +113,29 @@ void TaskGraph::replace_accesses(Task& task, AccessList accesses) {
 }
 
 std::uint32_t TaskGraph::region_users(RegionId region) const {
-  return region < region_users_.size() ? region_users_[region] : 0;
+  return region < regions_.size() ? regions_[region].users : 0;
 }
 
 void TaskGraph::add_users(const AccessList& accesses) {
-  for (std::size_t i = 0; i < accesses.size(); ++i) {
-    if (!first_access_to_region(accesses, i)) continue;
-    const RegionId region = accesses[i].region;
-    if (region >= region_users_.size()) region_users_.resize(region + 1, 0);
-    ++region_users_[region];
+  const std::uint64_t stamp = ++stamp_;
+  for (const Access& access : accesses) {
+    if (access.region >= regions_.size()) regions_.resize(access.region + 1);
+    RegionUse& use = regions_[access.region];
+    if (use.stamp == stamp) continue;  // region already counted
+    use.stamp = stamp;
+    ++use.users;
   }
 }
 
 void TaskGraph::drop_users(const AccessList& accesses) {
-  for (std::size_t i = 0; i < accesses.size(); ++i) {
-    if (!first_access_to_region(accesses, i)) continue;
-    const RegionId region = accesses[i].region;
-    VERSA_CHECK(region < region_users_.size() && region_users_[region] > 0);
-    --region_users_[region];
+  const std::uint64_t stamp = ++stamp_;
+  for (const Access& access : accesses) {
+    VERSA_CHECK(access.region < regions_.size());
+    RegionUse& use = regions_[access.region];
+    if (use.stamp == stamp) continue;
+    use.stamp = stamp;
+    VERSA_CHECK(use.users > 0);
+    --use.users;
   }
 }
 
@@ -134,13 +149,18 @@ const Task& TaskGraph::task(TaskId id) const {
   return tasks_[id];
 }
 
+TaskGraph::SuccessorRange TaskGraph::successors(TaskId id) const {
+  return SuccessorRange(&edges_, task(id).first_successor);
+}
+
 void TaskGraph::reset() {
-  tasks_.clear();
+  tasks_.reset();
   graphs_.clear();
   graphs_.push_back(GraphInfo{});
-  region_users_.clear();
+  edges_.clear();
+  regions_.clear();
+  stamp_ = 0;
   unfinished_ = 0;
-  edges_ = 0;
 }
 
 }  // namespace versa

@@ -1,19 +1,24 @@
 // Task graph bookkeeping: storage, dependence edges, readiness propagation.
 //
 // The graph owns every submitted Task for the lifetime of a run (ids are
-// indices), counts unsatisfied predecessors, and releases successors on
-// completion. It also counts, per region, the unfinished tasks that name
-// it, so retiring a region never scans the task history. Concurrency
+// indices into a chunked TaskStore, so references stay valid as it
+// grows), counts unsatisfied predecessors, and releases successors on
+// completion. Successor lists are threaded through one edge pool per
+// graph, appended at the tail, so a task's successors are released in
+// edge-creation order without a per-task container. The graph also
+// counts, per region, the unfinished tasks that name it, so retiring a
+// region never scans the task history. Every per-task step is O(accesses
+// + edges) and allocation-free once the pools have grown. Concurrency
 // control lives one level up, in Runtime — the graph itself is
 // single-threaded by contract.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "task/task.h"
+#include "task/task_store.h"
 
 namespace versa {
 
@@ -63,18 +68,22 @@ class TaskGraph {
   Task& task(TaskId id);
   const Task& task(TaskId id) const;
 
+  /// Range over one task's successor ids, in edge-creation order.
+  class SuccessorRange;
+  SuccessorRange successors(TaskId id) const;
+
   std::size_t size() const { return tasks_.size(); }
   std::size_t unfinished() const { return unfinished_; }
   bool all_finished() const { return unfinished_ == 0; }
 
-  /// Iterate all tasks (reporting).
-  const std::deque<Task>& tasks() const { return tasks_; }
+  /// Iterate all tasks in id order (reporting).
+  const TaskStore& tasks() const { return tasks_; }
 
   /// Drop all tasks (between benchmark repetitions).
   void reset();
 
   /// Total dependence edges added (diagnostics).
-  std::uint64_t edge_count() const { return edges_; }
+  std::uint64_t edge_count() const { return edges_.size(); }
 
  private:
   /// One graph root's bookkeeping; index in graphs_ is the GraphId.
@@ -83,17 +92,65 @@ class TaskGraph {
     std::size_t unfinished = 0;
   };
 
+  /// One successor edge: the dependent task and the next edge of the
+  /// same predecessor's list.
+  struct Edge {
+    TaskId successor;
+    EdgeId next;
+  };
+
   /// Count or uncount `accesses`' distinct regions in region_users_.
   void add_users(const AccessList& accesses);
   void drop_users(const AccessList& accesses);
+  /// Per-region user count, and the stamp add_users/drop_users dedupe an
+  /// access list with: a region counts once per call, when its stamp
+  /// differs from the call's.
+  struct RegionUse {
+    std::uint64_t stamp = 0;
+    std::uint32_t users = 0;
+  };
 
-  std::deque<Task> tasks_;
+  TaskStore tasks_;
   std::vector<GraphInfo> graphs_;
-  /// Unfinished users per region, indexed by RegionId (directory ids are
-  /// dense and never reused).
-  std::vector<std::uint32_t> region_users_;
+  /// Successor edges of every task, linked per predecessor.
+  std::vector<Edge> edges_;
+  /// Indexed by RegionId (directory ids are dense and never reused).
+  std::vector<RegionUse> regions_;
+  std::uint64_t stamp_ = 0;
   std::size_t unfinished_ = 0;
-  std::uint64_t edges_ = 0;
+};
+
+class TaskGraph::SuccessorRange {
+ public:
+  class iterator {
+   public:
+    TaskId operator*() const { return (*pool_)[edge_].successor; }
+    iterator& operator++() {
+      edge_ = (*pool_)[edge_].next;
+      return *this;
+    }
+    bool operator==(const iterator& other) const {
+      return edge_ == other.edge_;
+    }
+
+   private:
+    friend class SuccessorRange;
+    iterator(const std::vector<Edge>* pool, EdgeId edge)
+        : pool_(pool), edge_(edge) {}
+    const std::vector<Edge>* pool_;
+    EdgeId edge_;
+  };
+
+  iterator begin() const { return iterator(pool_, first_); }
+  iterator end() const { return iterator(pool_, kNoEdge); }
+  bool empty() const { return first_ == kNoEdge; }
+
+ private:
+  friend class TaskGraph;
+  SuccessorRange(const std::vector<Edge>* pool, EdgeId first)
+      : pool_(pool), first_(first) {}
+  const std::vector<Edge>* pool_;
+  EdgeId first_;
 };
 
 }  // namespace versa

@@ -189,7 +189,7 @@ TEST(GranularityDepProperty, SplitGraphMatchesSerialOracle) {
     const std::size_t n = graph.size();
     std::vector<std::vector<char>> reach(n, std::vector<char>(n, 0));
     for (const Task& task : graph.tasks()) {
-      for (TaskId succ : task.successors) reach[task.id][succ] = 1;
+      for (TaskId succ : graph.successors(task.id)) reach[task.id][succ] = 1;
     }
     close(reach);
 

@@ -111,6 +111,85 @@ TEST(LoadAccount, IndexOrdersByBusyThenCountThenId) {
   EXPECT_EQ(account.least_busy(DeviceKind::kCuda), 3u);
 }
 
+TEST(LoadAccount, ManyQueuedTasksSurviveGrowthAndOutOfOrderPops) {
+  // The per-task entries live in an open-addressed table: grow it well
+  // past its first size, then pop in an order unrelated to push order so
+  // erases shift probe runs around, and check every entry is still found
+  // with its own charge.
+  LoadAccount account;
+  account.reset(make_minotauro_node(2, 1));
+  const PriceKey key{0, 0, 100};
+  constexpr TaskId kTasks = 1000;
+  for (TaskId task = 0; task < kTasks; ++task) {
+    account.on_push(task * 7919, key, task % 2,
+                    1e-6 * static_cast<double>(task + 1));
+  }
+  EXPECT_EQ(account.tracked_tasks(), kTasks);
+  Rng rng(7);
+  std::vector<TaskId> order(kTasks);
+  for (TaskId task = 0; task < kTasks; ++task) order[task] = task;
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.next_below(i)]);
+  }
+  for (TaskId task : order) {
+    const Duration charge = account.on_pop(task * 7919, task % 2);
+    EXPECT_EQ(to_ticks(charge), to_ticks(1e-6 * static_cast<double>(task + 1)));
+  }
+  EXPECT_EQ(account.tracked_tasks(), 0u);
+  EXPECT_EQ(account.queued_ticks(0), 0);
+  EXPECT_EQ(account.queued_ticks(1), 0);
+}
+
+TEST(LoadAccountDeathTest, MisuseAborts) {
+  const PriceKey key{0, 0, 100};
+  auto fresh = [] {
+    LoadAccount account;
+    account.reset(make_minotauro_node(2, 1));
+    return account;
+  };
+  EXPECT_DEATH(
+      {
+        LoadAccount account = fresh();
+        account.on_push(1, key, 0, 1e-3);
+        account.on_push(1, key, 1, 1e-3);
+      },
+      "task pushed twice into the load account");
+  EXPECT_DEATH(
+      {
+        LoadAccount account = fresh();
+        account.on_pop(1, 0);
+      },
+      "pop of an untracked task");
+  EXPECT_DEATH(
+      {
+        LoadAccount account = fresh();
+        account.on_push(1, key, 0, 1e-3);
+        account.on_pop(1, 0);
+        account.on_pop(1, 0);
+      },
+      "pop of an untracked task");
+  EXPECT_DEATH(
+      {
+        LoadAccount account = fresh();
+        account.on_push(1, key, 0, 1e-3);
+        account.on_pop(1, 1);
+      },
+      "pop from the wrong worker");
+  EXPECT_DEATH(
+      {
+        LoadAccount account = fresh();
+        account.on_steal(1, 0, 1);
+      },
+      "steal of an untracked task");
+  EXPECT_DEATH(
+      {
+        LoadAccount account = fresh();
+        account.on_push(1, key, 0, 1e-3);
+        account.on_steal(1, 1, 0);
+      },
+      "steal from the wrong victim");
+}
+
 // Randomized op-sequence check against an independent per-task reference:
 // every queued task is priced at the key's latest reprice mean when one is
 // known, else its push-time charge — summed per worker in exact ticks. A

@@ -3,9 +3,11 @@
 // determinism, taskwait semantics, and multi-scheduler smoke coverage.
 #include <gtest/gtest.h>
 
+#include <string>
 #include "machine/presets.h"
 #include "runtime/runtime.h"
 #include "sched/scheduler_factory.h"
+#include "util/lock_order.h"
 
 namespace versa {
 namespace {
@@ -16,6 +18,42 @@ RuntimeConfig sim_config(const std::string& scheduler = "versioning") {
   config.scheduler = scheduler;
   config.noise.kind = sim::NoiseKind::kNone;  // deterministic durations
   return config;
+}
+
+/// `data` lock acquisitions `op` takes on the calling thread.
+template <typename Op>
+std::uint64_t data_locks(Op&& op) {
+  const std::uint64_t before =
+      lock_order::acquisitions(lock_order::kLockRankData);
+  op();
+  return lock_order::acquisitions(lock_order::kLockRankData) - before;
+}
+
+TEST(RuntimeSimLockBudget, TaskPathDataLocksDoNotGrowWithAccesses) {
+  // Count, don't time. A submit resolves its clauses in one critical
+  // section (DataDirectory::resolve) and the placement's prefetch acquires
+  // in one more; the start describes the body's arguments in a third.
+  // None of them may take the lock once per access.
+  const bool was_enforced = lock_order::enforced();
+  lock_order::set_enforced(true);
+  for (std::size_t k : {1u, 8u, 64u}) {
+    const Machine machine = make_smp_machine(1);
+    Runtime rt(machine, sim_config());
+    const TaskTypeId t = rt.declare_task("t");
+    rt.add_version(t, DeviceKind::kSmp, "v", [](TaskContext&) {},
+                   make_constant_cost(1e-3));
+    AccessList accesses;
+    for (std::size_t i = 0; i < k; ++i) {
+      accesses.push_back(
+          Access::inout(rt.register_data("r" + std::to_string(i), 64)));
+    }
+    const std::uint64_t locks = data_locks([&] {
+      rt.submit(t, accesses);
+      rt.taskwait_noflush();
+    });
+    EXPECT_EQ(locks, 3u) << k << " accesses";
+  }
+  lock_order::set_enforced(was_enforced);
 }
 
 TEST(RuntimeSim, SingleTaskRunsForItsModelledDuration) {

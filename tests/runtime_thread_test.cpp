@@ -3,6 +3,7 @@
 // submission, and versioning on measured wall-clock durations.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -10,6 +11,7 @@
 
 #include "machine/presets.h"
 #include "runtime/runtime.h"
+#include "util/lock_order.h"
 
 namespace versa {
 namespace {
@@ -19,6 +21,35 @@ RuntimeConfig thread_config(const std::string& scheduler = "versioning") {
   config.backend = Backend::kThreads;
   config.scheduler = scheduler;
   return config;
+}
+
+TEST(RuntimeThreadsLockBudget, TaskStartTakesOneDataLock) {
+  // One worker runs both tasks, so the `data` lock acquisitions its thread
+  // made between the two body entries are exactly the second task's
+  // start: DataDirectory::acquire stages the data and resolves the body's
+  // arguments in the same critical section, whatever the access count.
+  const bool was_enforced = lock_order::enforced();
+  lock_order::set_enforced(true);
+  for (std::size_t k : {1u, 8u, 64u}) {
+    const Machine machine = make_smp_machine(1);
+    Runtime rt(machine, thread_config());
+    std::vector<std::uint64_t> at_entry;  // written by the one worker only
+    const TaskTypeId t = rt.declare_task("t");
+    rt.add_version(t, DeviceKind::kSmp, "v", [&](TaskContext&) {
+      at_entry.push_back(lock_order::acquisitions(lock_order::kLockRankData));
+    });
+    AccessList accesses;
+    for (std::size_t i = 0; i < k; ++i) {
+      accesses.push_back(
+          Access::in(rt.register_data("r" + std::to_string(i), 64)));
+    }
+    rt.submit(t, {accesses.front()});
+    rt.submit(t, accesses);
+    rt.taskwait_noflush();
+    ASSERT_EQ(at_entry.size(), 2u);
+    EXPECT_EQ(at_entry[1] - at_entry[0], 1u) << k << " accesses";
+  }
+  lock_order::set_enforced(was_enforced);
 }
 
 TEST(RuntimeThreads, ChainOfIncrementsIsSequential) {

@@ -11,6 +11,7 @@
 #include "task/access.h"
 #include "task/dependency_analyzer.h"
 #include "task/task_graph.h"
+#include "task/task_store.h"
 #include "task/version_registry.h"
 
 namespace versa {
@@ -341,6 +342,76 @@ TEST(TaskGraph, ResetDropsEverything) {
   graph.reset();
   EXPECT_EQ(graph.size(), 0u);
   EXPECT_TRUE(graph.all_finished());
+}
+
+TEST(TaskGraph, SuccessorsReleaseInEdgeCreationOrder) {
+  // Edges are appended at the tail of the predecessor's list, so a
+  // completion releases successors in the order their edges were made,
+  // which is not the order of their ids here.
+  TaskGraph graph;
+  Task& root = graph.create_task(0, {}, 0, "root");
+  std::vector<TaskId> kids;
+  for (int i = 0; i < 5; ++i) {
+    kids.push_back(graph.create_task(0, {}, 0, "kid").id);
+  }
+  graph.add_dependencies(root, {});
+  const std::vector<TaskId> order = {kids[3], kids[0], kids[4], kids[1],
+                                     kids[2]};
+  for (TaskId id : order) graph.add_dependencies(graph.task(id), {root.id});
+  std::vector<TaskId> listed;
+  for (TaskId succ : graph.successors(root.id)) listed.push_back(succ);
+  EXPECT_EQ(listed, order);
+  EXPECT_TRUE(graph.successors(kids[0]).empty());
+
+  root.state = TaskState::kRunning;
+  std::vector<TaskId> ready;
+  graph.mark_finished(root.id, 1.0, ready);
+  EXPECT_EQ(ready, order);
+}
+
+TEST(TaskStore, AddressesStayStableAcrossChunkGrowth) {
+  TaskStore store;
+  const std::size_t n = 3 * TaskStore::kChunkTasks + 5;
+  std::vector<const Task*> addresses;
+  for (std::size_t i = 0; i < n; ++i) {
+    Task& task = store.emplace_back();
+    task.id = i;
+    addresses.push_back(&task);
+  }
+  ASSERT_EQ(store.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(&store[i], addresses[i]) << i;
+    EXPECT_EQ(store[i].id, i);
+  }
+}
+
+TEST(TaskStore, IterationFollowsIdOrder) {
+  TaskStore store;
+  const std::size_t n = 2 * TaskStore::kChunkTasks + 1;
+  for (std::size_t i = 0; i < n; ++i) store.emplace_back().id = i;
+  TaskId expected = 0;
+  for (const Task& task : store) EXPECT_EQ(task.id, expected++);
+  EXPECT_EQ(expected, n);
+}
+
+TEST(TaskStore, ResetThenReuse) {
+  TaskStore store;
+  for (std::size_t i = 0; i < TaskStore::kChunkTasks + 3; ++i) {
+    Task& task = store.emplace_back();
+    task.label = "a label long enough to leave the small-string buffer";
+    task.accesses.push_back(Access::in(static_cast<RegionId>(i)));
+  }
+  store.reset();
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_TRUE(store.begin() == store.end());
+  // A reused slot is a freshly constructed task.
+  Task& task = store.emplace_back();
+  EXPECT_EQ(task.id, kInvalidTask);
+  EXPECT_TRUE(task.accesses.empty());
+  EXPECT_TRUE(task.label.empty());
+  EXPECT_EQ(task.first_successor, kNoEdge);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(&store[0], &task);
 }
 
 TEST(Task, DataSetSizeFieldDefaults) {
