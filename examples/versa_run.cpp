@@ -8,9 +8,12 @@
 //   versa_run --app matmul --machine-file node.txt --trace out.json
 //
 // Run with --help for the full flag list.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -68,16 +71,21 @@ void print_usage() {
       "  --list-policies                print the valid policy names and\n"
       "                                 exit\n"
       "  --variant <hyb|gpu|smp>        application version set\n"
-      "  --smp <n> --gpus <n>           MinoTauro-node resources\n"
+      "  --smp <1-12> --gpus <0-2>      MinoTauro-node resources\n"
       "  --machine-file <path>          load machine description instead\n"
-      "  --n <elems> --block <elems>    problem/tile size override\n"
+      "  --n <elems> --block <elems>    problem/tile size override (matmul,\n"
+      "                                 cholesky); --block must divide --n\n"
       "  --generations <n>              PBPI generations\n"
-      "  --lambda <n>                   learning threshold\n"
+      "  --lambda <n>                   learning threshold (>= 1)\n"
       "  --granularity <off|auto|N>     adaptive task granularity\n"
-      "                                 (DESIGN.md s11): auto enables the\n"
-      "                                 profile-guided split/fuse\n"
-      "                                 controller, an integer N > 1 always\n"
-      "                                 splits recipe-covered tasks N ways;\n"
+      "                                 (DESIGN.md s11, matmul only): auto\n"
+      "                                 splits or fuses matmul tiles, but\n"
+      "                                 only in (type, size) groups the\n"
+      "                                 profile already knows, so a cold\n"
+      "                                 single run never re-tiles; warm it\n"
+      "                                 with --profile-save, then rerun\n"
+      "                                 with --profile-load. An integer\n"
+      "                                 N > 1 always splits N ways;\n"
       "                                 default off (env VERSA_GRANULARITY)\n"
       "  --sanitize <off|spec|race>     dependence-spec sanitizer mode\n"
       "  --sanitize-csv <path>          write the sanitizer findings as\n"
@@ -100,7 +108,51 @@ void print_usage() {
       "  --drift                        drift-adaptive relearning\n");
 }
 
+// Parses the whole of `text` as a decimal integer in [lo, hi]; trailing
+// characters ("4096x"), signs, non-numbers and overflow are all rejected.
+template <typename T>
+bool parse_number(const std::string& flag, const char* text, T lo, T hi,
+                  T& out) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, error] = std::from_chars(text, end, value);
+  if (error != std::errc() || ptr != end || value < lo || value > hi) {
+    std::fprintf(stderr,
+                 "invalid %s '%s' (expected an integer in [%llu, %llu])\n",
+                 flag.c_str(), text, static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi));
+    return false;
+  }
+  out = value;
+  return true;
+}
+
+// The apps CHECK that the block edge divides the matrix edge; reject a bad
+// pair here, as a usage error, before anything is built.
+bool check_sizes(const Options& options) {
+  std::size_t n = 0;
+  std::size_t block = 0;
+  if (options.app == "matmul") {
+    n = apps::MatmulParams{}.n;
+    block = apps::MatmulParams{}.tile;
+  } else if (options.app == "cholesky") {
+    n = apps::CholeskyParams{}.n;
+    block = apps::CholeskyParams{}.block;
+  } else {
+    return true;
+  }
+  if (options.n != 0) n = options.n;
+  if (options.block != 0) block = options.block;
+  if (n % block != 0) {
+    std::fprintf(stderr, "block edge %zu does not divide matrix edge %zu\n",
+                 block, n);
+    return false;
+  }
+  return true;
+}
+
 bool parse_args(int argc, char** argv, Options& options) {
+  constexpr std::size_t kMaxEdge = std::size_t{1} << 20;
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
       std::fprintf(stderr, "missing value for %s\n", argv[i]);
@@ -146,15 +198,27 @@ bool parse_args(int argc, char** argv, Options& options) {
     } else if (flag == "--variant") {
       options.variant = value;
     } else if (flag == "--smp") {
-      options.smp = std::strtoull(value, nullptr, 10);
+      if (!parse_number<std::size_t>(flag, value, 1, 12, options.smp)) {
+        return false;
+      }
     } else if (flag == "--gpus") {
-      options.gpus = std::strtoull(value, nullptr, 10);
+      if (!parse_number<std::size_t>(flag, value, 0, 2, options.gpus)) {
+        return false;
+      }
     } else if (flag == "--n") {
-      options.n = std::strtoull(value, nullptr, 10);
+      if (!parse_number<std::size_t>(flag, value, 1, kMaxEdge, options.n)) {
+        return false;
+      }
     } else if (flag == "--block") {
-      options.block = std::strtoull(value, nullptr, 10);
+      if (!parse_number<std::size_t>(flag, value, 1, kMaxEdge,
+                                     options.block)) {
+        return false;
+      }
     } else if (flag == "--generations") {
-      options.generations = std::strtoull(value, nullptr, 10);
+      if (!parse_number<std::size_t>(flag, value, 1, 1000000,
+                                     options.generations)) {
+        return false;
+      }
     } else if (flag == "--granularity") {
       options.granularity = value;
     } else if (flag == "--sanitize") {
@@ -162,9 +226,17 @@ bool parse_args(int argc, char** argv, Options& options) {
     } else if (flag == "--sanitize-csv") {
       options.sanitize_csv = value;
     } else if (flag == "--lambda") {
-      options.lambda = static_cast<std::uint32_t>(std::strtoul(value, nullptr, 10));
+      if (!parse_number<std::uint32_t>(
+              flag, value, 1, std::numeric_limits<std::uint32_t>::max(),
+              options.lambda)) {
+        return false;
+      }
     } else if (flag == "--seed") {
-      options.seed = std::strtoull(value, nullptr, 10);
+      if (!parse_number<std::uint64_t>(
+              flag, value, 0, std::numeric_limits<std::uint64_t>::max(),
+              options.seed)) {
+        return false;
+      }
     } else if (flag == "--machine-file") {
       options.machine_file = value;
     } else if (flag == "--trace") {
@@ -201,6 +273,7 @@ int main(int argc, char** argv) {
     print_usage();
     return 2;
   }
+  if (!check_sizes(options)) return 2;
 
   Machine machine = [&] {
     if (!options.machine_file.empty()) {

@@ -27,7 +27,6 @@ CholeskyApp::CholeskyApp(Runtime& rt, CholeskyParams params)
                   "matrix edge must be a multiple of the block edge");
   blocks_ = params_.n / params_.block;
   register_versions();
-  register_granularity();
   register_blocks();
 }
 
@@ -99,38 +98,6 @@ void CholeskyApp::register_versions() {
         kernels::sgemm_nt_block(a, b, c, nb);
       },
       kernels::magma_sgemm_block(nb));
-}
-
-void CholeskyApp::register_granularity() {
-  if (rt_.granularity() == nullptr) return;
-  const std::size_t nb = params_.block;
-
-  // gemm is the dominant task of the trailing update and the only one
-  // whose C block depends row-wise on exactly one input (C_ij row r needs
-  // A_ik row r and all of A_jk), so it is the one worth re-tiling.
-  t_gemm_band_ = rt_.declare_task("gemm_band");
-  rt_.add_version(
-      t_gemm_band_, DeviceKind::kCuda, "magma",
-      [nb](TaskContext& ctx) {
-        auto* a = static_cast<const float*>(ctx.arg(0));
-        auto* b = static_cast<const float*>(ctx.arg(1));
-        auto* c = static_cast<float*>(ctx.arg(2));
-        if (a == nullptr) return;
-        AccessWitness witness(ctx);
-        witness.read(0);
-        witness.read(1);
-        witness.read_write(2);
-        const std::size_t rows = ctx.arg_size(0) / (nb * sizeof(float));
-        kernels::sgemm_nt_band(a, b, c, nb, rows);
-      },
-      kernels::gemm_band_cost(nb, sizeof(float),
-                              kernels::Throughput::kMagmaSgemm, 0.0));
-
-  core::SplitRecipe split;
-  split.child_type = t_gemm_band_;
-  split.max_factor = 8;
-  split.partition = core::row_band_partition(nb * sizeof(float));
-  rt_.set_split_recipe(t_gemm_, std::move(split));
 }
 
 void CholeskyApp::register_blocks() {

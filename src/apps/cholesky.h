@@ -48,9 +48,6 @@ class CholeskyApp {
   std::size_t task_count() const;
 
   TaskTypeId potrf_type() const { return t_potrf_; }
-  /// Adaptive-granularity sub-kernel type (DESIGN.md §11): a row band of
-  /// one gemm update. kInvalidTaskType when the controller is off.
-  TaskTypeId gemm_band_type() const { return t_gemm_band_; }
   VersionId potrf_gpu_version() const { return v_potrf_gpu_; }
   VersionId potrf_smp_version() const { return v_potrf_smp_; }
 
@@ -65,7 +62,6 @@ class CholeskyApp {
   TaskTypeId t_trsm_ = kInvalidTaskType;
   TaskTypeId t_syrk_ = kInvalidTaskType;
   TaskTypeId t_gemm_ = kInvalidTaskType;
-  TaskTypeId t_gemm_band_ = kInvalidTaskType;
   VersionId v_potrf_gpu_ = kInvalidVersion;
   VersionId v_potrf_smp_ = kInvalidVersion;
 
@@ -76,7 +72,6 @@ class CholeskyApp {
 
   std::size_t block_index(std::size_t i, std::size_t j) const;
   void register_versions();
-  void register_granularity();
   void register_blocks();
 };
 

@@ -109,20 +109,6 @@ void sgemm_nt_block(const float* a, const float* b, float* c, std::size_t n) {
   }
 }
 
-
-void sgemm_nt_band(const float* a, const float* b, float* c, std::size_t n,
-                   std::size_t rows) {
-  for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double acc = c[i * n + j];
-      for (std::size_t k = 0; k < n; ++k) {
-        acc -= static_cast<double>(a[i * n + k]) * b[j * n + k];
-      }
-      c[i * n + j] = static_cast<float>(acc);
-    }
-  }
-}
-
 void lu0_block(float* a, std::size_t n) {
   for (std::size_t k = 0; k < n; ++k) {
     const float pivot = a[k * n + k];
@@ -161,19 +147,6 @@ void bdiv_block(const float* diag, float* b, std::size_t n) {
 
 void bmod_block(const float* a, const float* b, float* c, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = 0; k < n; ++k) {
-      const float aik = a[i * n + k];
-      for (std::size_t j = 0; j < n; ++j) {
-        c[i * n + j] -= aik * b[k * n + j];
-      }
-    }
-  }
-}
-
-
-void bmod_band(const float* a, const float* b, float* c, std::size_t n,
-               std::size_t rows) {
-  for (std::size_t i = 0; i < rows; ++i) {
     for (std::size_t k = 0; k < n; ++k) {
       const float aik = a[i * n + k];
       for (std::size_t j = 0; j < n; ++j) {

@@ -36,9 +36,6 @@ void ssyrk_block(const float* a, float* c, std::size_t n);
 
 /// General update: C <- C - A * B^T.
 void sgemm_nt_block(const float* a, const float* b, float* c, std::size_t n);
-/// Row-band variant: `a`/`c` cover `rows` consecutive rows, `b` is full.
-void sgemm_nt_band(const float* a, const float* b, float* c, std::size_t n,
-                   std::size_t rows);
 
 // --- single-precision blocked sparse LU kernels (row-major) --------------
 /// In-place LU of a diagonal block without pivoting (caller guarantees
@@ -55,9 +52,6 @@ void bdiv_block(const float* diag, float* b, std::size_t n);
 
 /// Trailing update: C <- C - A * B.
 void bmod_block(const float* a, const float* b, float* c, std::size_t n);
-/// Row-band variant: `a`/`c` cover `rows` consecutive rows, `b` is full.
-void bmod_band(const float* a, const float* b, float* c, std::size_t n,
-               std::size_t rows);
 
 // --- PBPI-style likelihood arithmetic ------------------------------------
 /// Per-site partial likelihood update over a slice: a smooth, strictly

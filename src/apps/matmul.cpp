@@ -125,7 +125,6 @@ void MatmulApp::register_granularity() {
 
   core::SplitRecipe split;
   split.child_type = band_type_;
-  split.max_factor = 8;
   // Row bands: C row i = f(A row i, full B), so splitting accesses 0 (A)
   // and 2 (C) into `factor` row bands while keeping B whole is exact.
   split.partition = core::row_band_partition(row_bytes);

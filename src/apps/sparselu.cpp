@@ -20,7 +20,6 @@ SparseLuApp::SparseLuApp(Runtime& rt, SparseLuParams params)
     data_.resize(params_.blocks * params_.blocks);
   }
   register_versions();
-  register_granularity();
   build_pattern();
 }
 
@@ -154,40 +153,6 @@ void SparseLuApp::register_versions() {
     rt_.add_version(t_bmod_, DeviceKind::kSmp, "smp", bmod_body,
                     gpu_cost(flops_bmod, 7e9));
   }
-}
-
-void SparseLuApp::register_granularity() {
-  if (rt_.granularity() == nullptr) return;
-  const std::size_t bs = params_.block_size;
-
-  // bmod dominates the factorization (one task per (i, k, j) triple) and
-  // C row r depends only on A row r plus the full B block, so row-band
-  // re-tiling is exact.
-  t_bmod_band_ = rt_.declare_task("bmod_band");
-  const TaskFn band_body = [bs](TaskContext& ctx) {
-    auto* a = static_cast<const float*>(ctx.arg(0));
-    auto* b = static_cast<const float*>(ctx.arg(1));
-    auto* c = static_cast<float*>(ctx.arg(2));
-    if (a == nullptr) return;
-    AccessWitness witness(ctx);
-    witness.read(0);
-    witness.read(1);
-    witness.read_write(2);
-    const std::size_t rows = ctx.arg_size(0) / (bs * sizeof(float));
-    kernels::bmod_band(a, b, c, bs, rows);
-  };
-  rt_.add_version(t_bmod_band_, DeviceKind::kCuda, "gpu", band_body,
-                  kernels::gemm_band_cost(bs, sizeof(float), 500e9, 0.0));
-  if (params_.hybrid) {
-    rt_.add_version(t_bmod_band_, DeviceKind::kSmp, "smp", band_body,
-                    kernels::gemm_band_cost(bs, sizeof(float), 7e9, 0.0));
-  }
-
-  core::SplitRecipe split;
-  split.child_type = t_bmod_band_;
-  split.max_factor = 8;
-  split.partition = core::row_band_partition(bs * sizeof(float));
-  rt_.set_split_recipe(t_bmod_, std::move(split));
 }
 
 void SparseLuApp::submit_all() {

@@ -48,9 +48,6 @@ class SparseLuApp {
 
   TaskTypeId lu0_type() const { return t_lu0_; }
   TaskTypeId bmod_type() const { return t_bmod_; }
-  /// Adaptive-granularity sub-kernel type (DESIGN.md §11): a row band of
-  /// one bmod update. kInvalidTaskType when the controller is off.
-  TaskTypeId bmod_band_type() const { return t_bmod_band_; }
 
   /// Real-compute mode: max |block - reference| over all live blocks,
   /// where the reference is a sequential replay of the same algorithm.
@@ -67,7 +64,6 @@ class SparseLuApp {
   TaskTypeId t_fwd_ = kInvalidTaskType;
   TaskTypeId t_bdiv_ = kInvalidTaskType;
   TaskTypeId t_bmod_ = kInvalidTaskType;
-  TaskTypeId t_bmod_band_ = kInvalidTaskType;
 
   /// kInvalidRegion-like sentinel: 0 is a valid region id, so presence is
   /// tracked separately.
@@ -83,7 +79,6 @@ class SparseLuApp {
   void materialize(std::size_t i, std::size_t j, bool randomize);
 
   void register_versions();
-  void register_granularity();
   void build_pattern();
 };
 

@@ -273,7 +273,7 @@ bool Runtime::granular_submit(TaskTypeId type, AccessList& accesses,
       fuse != nullptr && fuse_window_.open && fuse_window_.type == type &&
       fuse_window_.graph == options.graph && fuse_window_.parent == parent &&
       fuse_window_.priority == options.priority &&
-      fuse_window_.members.size() < fuse_window_.limit &&
+      fuse_window_.members.size() < fuse->window &&
       fuse->can_fuse(graph_.task(fuse_window_.members.back()).accesses,
                      accesses);
   if (!joins) flush_fuse_window();
@@ -293,13 +293,11 @@ bool Runtime::granular_submit(TaskTypeId type, AccessList& accesses,
         fuse_window_.graph = options.graph;
         fuse_window_.parent = parent;
         fuse_window_.priority = options.priority;
-        fuse_window_.limit = std::max(
-            2u, std::min(fuse->window, granularity_->config().fuse_window));
         fuse_window_.members.clear();
       }
       fuse_window_.members.push_back(task.id);
       out = task.id;
-      if (fuse_window_.members.size() >= fuse_window_.limit) {
+      if (fuse_window_.members.size() >= fuse->window) {
         flush_fuse_window();
       }
       return true;

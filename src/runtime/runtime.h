@@ -101,15 +101,16 @@ class Runtime final : public SchedulerContext, public ExecutorPort {
   // --- adaptive granularity (DESIGN.md §11) -------------------------------
   /// The split/fuse controller, or nullptr when --granularity=off (the
   /// default). Mutable controller state is runtime-lock serialized; read
-  /// stats()/breakdown() quiescent (after waits).
+  /// stats() quiescent (after waits).
   core::GranularityController* granularity() { return granularity_.get(); }
   const core::GranularityController* granularity() const {
     return granularity_.get();
   }
 
   /// Register how `type` re-tiles / coalesces (see granularity.h). No-ops
-  /// when the controller is off, so apps can register unconditionally
-  /// without perturbing figure runs.
+  /// when the controller is off; apps check granularity() first and skip
+  /// declaring their child and fused types, so off-mode runs keep the
+  /// pre-controller task-type ids.
   void set_split_recipe(TaskTypeId type, core::SplitRecipe recipe);
   void set_fuse_recipe(TaskTypeId type, core::FuseRecipe recipe);
 
@@ -262,7 +263,6 @@ class Runtime final : public SchedulerContext, public ExecutorPort {
     GraphId graph = kDefaultGraph;
     TaskId parent = kInvalidTask;
     int priority = 0;
-    std::uint32_t limit = 0;
     std::vector<TaskId> members;
   };
   FuseWindow fuse_window_ VERSA_GUARDED_BY(mutex_);

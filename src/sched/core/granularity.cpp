@@ -8,6 +8,42 @@
 #include "common/check.h"
 
 namespace versa::core {
+namespace {
+
+// Decision constants (DESIGN.md §11 lists them with their reasons).
+
+/// Estimated per-task runtime overhead (submission + scheduling +
+/// dispatch), seconds. Floors the split rule and drives the fuse rule.
+constexpr double kOverheadEstimate = 20e-6;
+
+/// Split rule: re-tile when the group mean exceeds
+/// kSplitThreshold * max(busy spread, 32 * kOverheadEstimate).
+constexpr double kSplitThreshold = 2.0;
+
+/// Fuse rule: coalesce siblings when the group mean is below
+/// kFuseThreshold * kOverheadEstimate.
+constexpr double kFuseThreshold = 4.0;
+
+/// Upper bound on the split factor, in auto and fixed mode alike.
+constexpr std::uint32_t kMaxFactor = 8;
+
+/// Reversal CUSUM: an outcome is "losing" when it exceeds the profiled
+/// baseline by more than kReversalMargin (plus the per-task overhead the
+/// decision added or saved); a cumulative excess above
+/// kReversalThreshold * baseline reverses the decision for the group.
+constexpr double kReversalMargin = 0.10;
+constexpr double kReversalThreshold = 3.0;
+
+/// Upper bound on a fuse recipe's window.
+constexpr std::uint32_t kMaxFuseWindow = 4;
+
+static_assert(kSplitThreshold > 0.0 && kOverheadEstimate > 0.0);
+// decide() doubles the factor from 2, so a power-of-two cap is never
+// overshot.
+static_assert(kMaxFactor >= 2 && (kMaxFactor & (kMaxFactor - 1)) == 0);
+static_assert(kMaxFuseWindow >= 2);
+
+}  // namespace
 
 const char* to_string(GranularityMode mode) {
   switch (mode) {
@@ -79,8 +115,6 @@ row_band_partition(std::uint64_t row_bytes) {
 GranularityController::GranularityController(GranularityConfig config)
     : config_(config) {
   VERSA_CHECK(config_.mode != GranularityMode::kOff);
-  VERSA_CHECK(config_.split_threshold > 0.0);
-  VERSA_CHECK(config_.overhead_estimate > 0.0);
 }
 
 void GranularityController::set_split_recipe(TaskTypeId type,
@@ -94,7 +128,7 @@ void GranularityController::set_fuse_recipe(TaskTypeId type,
                                             FuseRecipe recipe) {
   VERSA_CHECK(recipe.fused_type != kInvalidTaskType);
   VERSA_CHECK(recipe.can_fuse != nullptr && recipe.fuse != nullptr);
-  VERSA_CHECK(recipe.window >= 2);
+  VERSA_CHECK(recipe.window >= 2 && recipe.window <= kMaxFuseWindow);
   fuse_recipes_[type] = std::move(recipe);
 }
 
@@ -149,9 +183,8 @@ GranularityDecision GranularityController::decide(TaskTypeId type,
     if (split == nullptr || config_.fixed_factor < 2) {
       return GranularityDecision::kKeep;
     }
-    factor = std::min(config_.fixed_factor, split->max_factor);
-    return factor >= 2 ? GranularityDecision::kSplit
-                       : GranularityDecision::kKeep;
+    factor = std::min(config_.fixed_factor, kMaxFactor);
+    return GranularityDecision::kSplit;
   }
 
   // kAuto: no profiled mean for the group yet means we are still in the
@@ -160,124 +193,91 @@ GranularityDecision GranularityController::decide(TaskTypeId type,
   const std::optional<Duration> mean = baseline_mean(type, data_set_size);
   if (!mean) return GranularityDecision::kKeep;
 
-  if (fuse != nullptr && (group == nullptr || !group->fuse_reversed) &&
-      *mean < config_.fuse_threshold * config_.overhead_estimate) {
+  if (fuse != nullptr && (group == nullptr || !group->fuse.reversed) &&
+      *mean < kFuseThreshold * kOverheadEstimate) {
     return GranularityDecision::kFuse;
   }
 
-  if (split != nullptr && (group == nullptr || !group->split_reversed)) {
+  if (split != nullptr && (group == nullptr || !group->split.reversed)) {
     // The tile is "too coarse" when its own mean dominates the current
     // imbalance of the per-worker finish-time estimates: placing it
     // anywhere moves that worker's finish time far past the others, so
     // sub-tiles would let the slow devices share the work. The overhead
     // floor keeps a freshly-idle machine (spread 0) from splitting tasks
     // already near the overhead scale.
-    const Duration floor =
-        std::max(spread, 32.0 * config_.overhead_estimate);
-    if (*mean > config_.split_threshold * floor) {
-      const std::uint32_t max_factor =
-          std::min(config_.max_factor, split->max_factor);
+    const Duration floor = std::max(spread, 32.0 * kOverheadEstimate);
+    if (*mean > kSplitThreshold * floor) {
       // Smallest power-of-two factor that brings the per-child mean under
-      // the threshold, clamped to the recipe's bound.
-      std::uint32_t chosen = 2;
-      while (chosen < max_factor &&
-             *mean / chosen > config_.split_threshold * floor) {
-        chosen *= 2;
+      // the threshold, capped at kMaxFactor.
+      factor = 2;
+      while (factor < kMaxFactor && *mean / factor > kSplitThreshold * floor) {
+        factor *= 2;
       }
-      factor = std::min(chosen, max_factor);
-      if (factor >= 2) return GranularityDecision::kSplit;
+      return GranularityDecision::kSplit;
     }
   }
   return GranularityDecision::kKeep;
+}
+
+std::optional<Duration> GranularityController::feedback_baseline(
+    TaskTypeId type, std::uint64_t data_set_size) const {
+  if (config_.mode != GranularityMode::kAuto) return std::nullopt;
+  const std::optional<Duration> baseline =
+      baseline_mean(type, data_set_size);
+  if (!baseline || *baseline <= 0.0) return std::nullopt;
+  return baseline;
+}
+
+bool GranularityController::cusum_step(Cusum& cusum, double excess,
+                                       double limit) {
+  if (cusum.reversed) return false;
+  cusum.sum = std::max(0.0, cusum.sum + excess);
+  if (cusum.sum <= limit) return false;
+  cusum.reversed = true;
+  cusum.sum = 0.0;
+  ++stats_.reversals;
+  return true;
 }
 
 bool GranularityController::record_split_outcome(TaskTypeId type,
                                                  std::uint64_t data_set_size,
                                                  Duration children_total,
                                                  std::uint32_t children) {
-  GroupState& group = group_state(type, data_set_size);
-  ++group.splits;
-  group.children_created += children;
   ++stats_.splits;
   stats_.children_created += children;
-  if (config_.mode != GranularityMode::kAuto || group.split_reversed) {
-    return false;
-  }
   const std::optional<Duration> baseline =
-      baseline_mean(type, data_set_size);
-  if (!baseline || *baseline <= 0.0) return false;
+      feedback_baseline(type, data_set_size);
+  if (!baseline) return false;
   // CUSUM on the excess of the children's summed time over the profiled
   // single-task baseline (allowing the margin plus the overhead the extra
   // tasks genuinely cost). A split that pays off drains the accumulator;
   // one that keeps losing trips the alarm and is reversed for the group.
   const double excess =
-      children_total - *baseline * (1.0 + config_.reversal_margin) -
-      static_cast<double>(children) * config_.overhead_estimate;
-  group.split_cusum = std::max(0.0, group.split_cusum + excess);
-  if (group.split_cusum > config_.reversal_threshold * *baseline) {
-    group.split_reversed = true;
-    group.split_cusum = 0.0;
-    ++group.reversals;
-    ++stats_.reversals;
-    return true;
-  }
-  return false;
+      children_total - *baseline * (1.0 + kReversalMargin) -
+      static_cast<double>(children) * kOverheadEstimate;
+  return cusum_step(group_state(type, data_set_size).split, excess,
+                    kReversalThreshold * *baseline);
 }
 
 bool GranularityController::record_fuse_outcome(TaskTypeId type,
                                                 std::uint64_t data_set_size,
                                                 Duration fused_total,
                                                 std::uint32_t fused) {
-  GroupState& group = group_state(type, data_set_size);
-  ++group.fuses;
+  ++stats_.fuses;
   // tasks_fused counts *absorbed* submissions: a fused batch of N stands
   // for N - 1 tasks that never dispatched.
-  const std::uint32_t absorbed = fused > 0 ? fused - 1 : 0;
-  group.tasks_fused += absorbed;
-  ++stats_.fuses;
-  stats_.tasks_fused += absorbed;
-  if (config_.mode != GranularityMode::kAuto || group.fuse_reversed) {
-    return false;
-  }
+  stats_.tasks_fused += fused > 0 ? fused - 1 : 0;
   const std::optional<Duration> baseline =
-      baseline_mean(type, data_set_size);
-  if (!baseline || *baseline <= 0.0) return false;
+      feedback_baseline(type, data_set_size);
+  if (!baseline) return false;
   // Fusing pays when one fused execution beats `fused` separate ones
   // (which each also paid the per-task overhead the fusion saved).
+  const double count = static_cast<double>(fused);
   const double separate =
-      static_cast<double>(fused) *
-      (*baseline * (1.0 + config_.reversal_margin) + config_.overhead_estimate);
-  const double excess = fused_total - separate;
-  group.fuse_cusum = std::max(0.0, group.fuse_cusum + excess);
-  if (group.fuse_cusum >
-      config_.reversal_threshold * *baseline * static_cast<double>(fused)) {
-    group.fuse_reversed = true;
-    group.fuse_cusum = 0.0;
-    ++group.reversals;
-    ++stats_.reversals;
-    return true;
-  }
-  return false;
-}
-
-std::vector<GranularityController::GroupRow> GranularityController::breakdown()
-    const {
-  std::vector<GroupRow> rows;
-  rows.reserve(groups_.size());
-  for (const auto& [key, state] : groups_) {
-    GroupRow row;
-    row.type = key.first;
-    row.group = key.second;
-    row.splits = state.splits;
-    row.fuses = state.fuses;
-    row.reversals = state.reversals;
-    row.children_created = state.children_created;
-    row.tasks_fused = state.tasks_fused;
-    row.split_reversed = state.split_reversed;
-    row.fuse_reversed = state.fuse_reversed;
-    rows.push_back(row);
-  }
-  return rows;
+      count * (*baseline * (1.0 + kReversalMargin) + kOverheadEstimate);
+  return cusum_step(group_state(type, data_set_size).fuse,
+                    fused_total - separate,
+                    kReversalThreshold * *baseline * count);
 }
 
 }  // namespace versa::core

@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,37 +54,15 @@ enum class GranularityMode : std::uint8_t {
 
 const char* to_string(GranularityMode mode);
 
+/// The two settable values. The decision constants (thresholds, overhead
+/// estimate, factor cap, reversal CUSUM, fuse-window cap) are fixed in
+/// granularity.cpp and listed in DESIGN.md §11.
 struct GranularityConfig {
   GranularityMode mode = GranularityMode::kOff;
 
-  /// kFixed: split every recipe-covered submission this many ways.
+  /// kFixed: split every recipe-covered submission this many ways (capped
+  /// at 8).
   std::uint32_t fixed_factor = 1;
-
-  /// kAuto split rule: re-tile when the group mean exceeds
-  /// split_threshold * max(busy spread, 32 * overhead_estimate).
-  double split_threshold = 2.0;
-
-  /// Estimated per-task runtime overhead (submission + scheduling +
-  /// dispatch), seconds. Floors the split rule and drives the fuse rule.
-  double overhead_estimate = 20e-6;
-
-  /// kAuto fuse rule: coalesce siblings when the group mean is below
-  /// fuse_threshold * overhead_estimate.
-  double fuse_threshold = 4.0;
-
-  /// Upper bound on the split factor (also clamped per recipe).
-  std::uint32_t max_factor = 8;
-
-  /// Reversal CUSUM: a split/fuse outcome is "losing" when it exceeds the
-  /// profiled baseline by more than reversal_margin (plus the per-child
-  /// overhead the decision added); the cumulative excess raising above
-  /// reversal_threshold * baseline reverses the decision for the group.
-  double reversal_margin = 0.10;
-  double reversal_threshold = 3.0;
-
-  /// Global cap on sibling submissions coalesced into one fused task
-  /// (each recipe may bound itself tighter).
-  std::uint32_t fuse_window = 4;
 };
 
 /// Parse a --granularity / VERSA_GRANULARITY value: "off", "auto", or an
@@ -99,7 +78,6 @@ bool parse_granularity(const std::string& text, GranularityConfig& config);
 /// the factor does not divide the tile).
 struct SplitRecipe {
   TaskTypeId child_type = kInvalidTaskType;
-  std::uint32_t max_factor = 8;
   std::function<bool(const AccessList&, std::uint32_t factor,
                      std::vector<AccessList>& parts)>
       partition;
@@ -114,7 +92,8 @@ struct SplitRecipe {
 std::function<bool(const AccessList&, std::uint32_t, std::vector<AccessList>&)>
 row_band_partition(std::uint64_t row_bytes);
 
-/// How an app coalesces sibling submissions of one task type. `can_fuse`
+/// How an app coalesces sibling submissions of one task type. `window`
+/// (2 to 4) is how many submissions one fused task may absorb; `can_fuse`
 /// says whether a new submission may join a window whose last member has
 /// the given access list; `fuse` builds the fused task's access list from
 /// the members' lists (order preserved).
@@ -159,8 +138,8 @@ class GranularityController {
   bool record_fuse_outcome(TaskTypeId type, std::uint64_t data_set_size,
                            Duration fused_total, std::uint32_t fused);
 
-  /// Group key the feedback and breakdown are bucketed by: the profile's
-  /// grouping when a table is attached, the raw size otherwise.
+  /// Group key the feedback is bucketed by: the profile's grouping when a
+  /// table is attached, the raw size otherwise.
   std::uint64_t group_key(std::uint64_t data_set_size) const;
 
   struct Stats {
@@ -172,39 +151,33 @@ class GranularityController {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Per-(type, group) decision history for reporting.
-  struct GroupRow {
-    TaskTypeId type = kInvalidTaskType;
-    std::uint64_t group = 0;
-    std::uint64_t splits = 0;
-    std::uint64_t fuses = 0;
-    std::uint64_t reversals = 0;
-    std::uint64_t children_created = 0;
-    std::uint64_t tasks_fused = 0;
-    bool split_reversed = false;
-    bool fuse_reversed = false;
-  };
-  std::vector<GroupRow> breakdown() const;
-
   const GranularityConfig& config() const { return config_; }
 
  private:
+  /// One reversal detector: the cumulative excess of a decision's outcomes
+  /// over what keeping the original tiling would have cost.
+  struct Cusum {
+    double sum = 0.0;
+    bool reversed = false;
+  };
   struct GroupState {
-    std::uint64_t splits = 0;
-    std::uint64_t fuses = 0;
-    std::uint64_t reversals = 0;
-    std::uint64_t children_created = 0;
-    std::uint64_t tasks_fused = 0;
-    double split_cusum = 0.0;
-    double fuse_cusum = 0.0;
-    bool split_reversed = false;
-    bool fuse_reversed = false;
+    Cusum split;
+    Cusum fuse;
   };
 
   /// Mean of the group's fastest known version at the original key —
   /// the baseline both the decision and the reversal compare against.
   std::optional<Duration> baseline_mean(TaskTypeId type,
                                         std::uint64_t data_set_size) const;
+
+  /// The baseline an auto-mode outcome is judged against, or nullopt when
+  /// no CUSUM step applies (not auto mode, or no positive baseline yet).
+  std::optional<Duration> feedback_baseline(TaskTypeId type,
+                                            std::uint64_t data_set_size) const;
+
+  /// Adds `excess` to the detector (floored at 0) and reverses the
+  /// decision once the sum passes `limit`. Returns true on that reversal.
+  bool cusum_step(Cusum& cusum, double excess, double limit);
 
   GroupState& group_state(TaskTypeId type, std::uint64_t data_set_size);
   const GroupState* find_group(TaskTypeId type,

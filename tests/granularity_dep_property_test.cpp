@@ -38,7 +38,6 @@ constexpr std::uint64_t kAlign = 512;
 core::SplitRecipe chunk_recipe(TaskTypeId child_type) {
   core::SplitRecipe recipe;
   recipe.child_type = child_type;
-  recipe.max_factor = 8;
   recipe.partition = [](const AccessList& parent, std::uint32_t factor,
                         std::vector<AccessList>& parts) {
     for (const Access& access : parent) {

@@ -50,7 +50,6 @@ std::string write_hints() {
 core::SplitRecipe chunk_recipe(TaskTypeId child_type) {
   core::SplitRecipe recipe;
   recipe.child_type = child_type;
-  recipe.max_factor = 8;
   recipe.partition = [](const AccessList& parent, std::uint32_t factor,
                         std::vector<AccessList>& parts) {
     for (const Access& access : parent) {
@@ -200,14 +199,6 @@ TEST(GranularityStress, ConcurrentSplitAndFuseReconcileExactly) {
   sessions[0].wait(result.graph);
   EXPECT_EQ(controller->stats().fuses, fuses_before + 1);
   EXPECT_GE(controller->stats().tasks_fused, 3u);
-
-  // Quiescent reads of the per-group breakdown must see every decision.
-  std::uint64_t breakdown_splits = 0;
-  for (const core::GranularityController::GroupRow& row :
-       controller->breakdown()) {
-    breakdown_splits += row.splits;
-  }
-  EXPECT_EQ(breakdown_splits, controller->stats().splits);
 }
 
 }  // namespace
