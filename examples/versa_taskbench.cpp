@@ -20,6 +20,7 @@
 //   versa_taskbench --family stencil --backend threads --sched-trace t.csv
 //
 // Run with --help for the full flag list.
+#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
@@ -27,6 +28,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -99,7 +101,45 @@ void print_usage() {
       "  --list-families            print valid family names and exit\n");
 }
 
+// Parses the whole of `text` as a decimal integer in [lo, hi]; trailing
+// characters ("4x"), signs, non-numbers and overflow are all rejected.
+template <typename T>
+bool parse_number(const std::string& flag, const char* text, T lo, T hi,
+                  T& out) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, error] = std::from_chars(text, end, value);
+  if (error != std::errc() || ptr != end || value < lo || value > hi) {
+    std::fprintf(stderr,
+                 "invalid %s '%s' (expected an integer in [%llu, %llu])\n",
+                 flag.c_str(), text, static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi));
+    return false;
+  }
+  out = value;
+  return true;
+}
+
+// Parses the whole of `text` as a finite number in (lo, hi].
+bool parse_real(const std::string& flag, const char* text, double lo,
+                double hi, double& out) {
+  const char* end = text + std::strlen(text);
+  double value = 0.0;
+  const auto [ptr, error] = std::from_chars(text, end, value);
+  if (error != std::errc() || ptr != end || !std::isfinite(value) ||
+      value <= lo || value > hi) {
+    std::fprintf(stderr, "invalid %s '%s' (expected a number in (%g, %g])\n",
+                 flag.c_str(), text, lo, hi);
+    return false;
+  }
+  out = value;
+  return true;
+}
+
 bool parse_args(int argc, char** argv, Options& options) {
+  // Graph shape bounds keep a typo from asking for billions of tasks.
+  constexpr std::uint32_t kMaxShape = 1u << 16;
+  constexpr std::uint64_t kMaxPayload = 1ull << 32;
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
       std::fprintf(stderr, "missing value for %s\n", argv[i]);
@@ -144,29 +184,50 @@ bool parse_args(int argc, char** argv, Options& options) {
     } else if (flag == "--backend") {
       options.backend = value;
     } else if (flag == "--width") {
-      options.width = static_cast<std::uint32_t>(std::strtoul(value, nullptr, 10));
+      if (!parse_number(flag, value, 1u, kMaxShape, options.width)) {
+        return false;
+      }
     } else if (flag == "--steps") {
-      options.steps = static_cast<std::uint32_t>(std::strtoul(value, nullptr, 10));
+      if (!parse_number(flag, value, 1u, kMaxShape, options.steps)) {
+        return false;
+      }
     } else if (flag == "--payload") {
-      options.payload = std::strtoull(value, nullptr, 10);
+      if (!parse_number<std::uint64_t>(flag, value, 0, kMaxPayload,
+                                       options.payload)) {
+        return false;
+      }
     } else if (flag == "--fan") {
-      options.fan = static_cast<std::uint32_t>(std::strtoul(value, nullptr, 10));
+      if (!parse_number(flag, value, 1u, kMaxShape, options.fan)) {
+        return false;
+      }
     } else if (flag == "--seed") {
-      options.seed = std::strtoull(value, nullptr, 10);
+      if (!parse_number<std::uint64_t>(
+              flag, value, 0, std::numeric_limits<std::uint64_t>::max(),
+              options.seed)) {
+        return false;
+      }
     } else if (flag == "--smp") {
-      options.smp = std::strtoull(value, nullptr, 10);
+      if (!parse_number<std::size_t>(flag, value, 1, 12, options.smp)) {
+        return false;
+      }
     } else if (flag == "--gpus") {
-      options.gpus = std::strtoull(value, nullptr, 10);
+      if (!parse_number<std::size_t>(flag, value, 0, 2, options.gpus)) {
+        return false;
+      }
     } else if (flag == "--task-cost") {
-      options.task_cost = std::strtod(value, nullptr);
+      if (!parse_real(flag, value, 0.0, 1e3, options.task_cost)) return false;
     } else if (flag == "--metg-lo") {
-      options.metg_lo = std::strtod(value, nullptr);
+      if (!parse_real(flag, value, 0.0, 1e3, options.metg_lo)) return false;
     } else if (flag == "--metg-hi") {
-      options.metg_hi = std::strtod(value, nullptr);
+      if (!parse_real(flag, value, 0.0, 1e3, options.metg_hi)) return false;
     } else if (flag == "--metg-target") {
-      options.metg_target = std::strtod(value, nullptr);
+      if (!parse_real(flag, value, 0.0, 1.0, options.metg_target)) {
+        return false;
+      }
     } else if (flag == "--metg-tol") {
-      options.metg_tolerance = std::strtod(value, nullptr);
+      if (!parse_real(flag, value, 1.0, 1e6, options.metg_tolerance)) {
+        return false;
+      }
     } else if (flag == "--json") {
       options.json_path = value;
     } else if (flag == "--sched-trace") {
@@ -326,6 +387,11 @@ int main(int argc, char** argv) {
   } else {
     std::fprintf(stderr, "unknown backend '%s' (sim, threads or both)\n",
                  options.backend.c_str());
+    return 2;
+  }
+
+  if (options.metg && options.metg_lo >= options.metg_hi) {
+    std::fprintf(stderr, "--metg-lo must be below --metg-hi\n");
     return 2;
   }
 

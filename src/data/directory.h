@@ -14,7 +14,9 @@
 // Thread-safety: the directory is internally synchronized and every public
 // method is callable WITHOUT the runtime lock (DESIGN.md §9). One mutex
 // (class `data`, rank 13) guards all region state, so every query and
-// every mutation sees one consistent directory state. On the thread
+// every mutation sees one consistent directory state. On the sim backend
+// that mutex is covered by the runtime lock (cover_lock_with): callers
+// must then hold the runtime lock instead. On the thread
 // backend an acquire is bookkeeping only (the data stays in host
 // storage), so a single short critical section costs less than any
 // finer-grained scheme would save (DESIGN.md §13).
@@ -129,6 +131,14 @@ class DataDirectory {
 
   /// Plain-value snapshot of the transfer accounting.
   TransferStats stats() const;
+
+  /// Cover the directory mutex with lock class `outer`
+  /// (versa::Mutex::cover_with): the sim runtime calls every method under
+  /// its own lock. Call before the directory is shared with a thread.
+  void cover_lock_with(const lock_order::LockClass& outer) {
+    mutex_.cover_with(outer);
+  }
+  bool lock_covered() const { return mutex_.covered(); }
 
   /// Number of evictions performed due to capacity pressure.
   std::uint64_t eviction_count() const;

@@ -26,6 +26,14 @@ Runtime::Runtime(const Machine& machine, RuntimeConfig config)
   scheduler_ = make_scheduler(config_.scheduler, config_.profile);
   VERSA_CHECK_MSG(scheduler_ != nullptr, "unknown scheduler name");
   scheduler_->attach(*this);
+  if (config_.backend == Backend::kSim) {
+    // From here on the sim backend runs every directory, account and
+    // queue operation under the runtime lock (on the calling thread,
+    // inside the event loop), so those inner mutexes skip their native
+    // locks (DESIGN.md §9). attach() above still locked them natively.
+    directory_.cover_lock_with(lock_order::kLockRankRuntime);
+    scheduler_->cover_locks_with(lock_order::kLockRankRuntime);
+  }
   if (config_.sched_trace) {
     scheduler_->decision_trace().enable(kSchedTraceCapacity);
   }
@@ -634,7 +642,11 @@ ProfileLoadResult Runtime::profile_load_result() const {
   return profile_load_;
 }
 
-TransferStats Runtime::transfer_stats() const { return directory_.stats(); }
+TransferStats Runtime::transfer_stats() const {
+  // The runtime lock covers the directory's on the sim backend.
+  versa::RecursiveLockGuard lock(mutex_);
+  return directory_.stats();
+}
 
 const std::vector<TransferRecord>* Runtime::transfer_records() const {
   const auto* sim = dynamic_cast<const SimExecutor*>(executor_.get());

@@ -27,6 +27,9 @@
 // it synchronizes itself (one mutex of class `data`), so lookups,
 // transfer_cost pricing, and the thread backend's worker-side staging run
 // WITHOUT the runtime lock — its accessors carry no runtime capability.
+// On the sim backend the runtime lock covers the directory, account and
+// queue mutexes, which then skip their native locks (DESIGN.md §9):
+// there, read data_directory() with port_mutex() held.
 #pragma once
 
 #include <memory>

@@ -9,7 +9,20 @@ void WorkerQueues::reset(std::size_t worker_count) {
   shards_.reserve(worker_count);
   for (std::size_t i = 0; i < worker_count; ++i) {
     shards_.push_back(std::make_unique<Shard>());
+    if (cover_ != nullptr) shards_.back()->mutex.cover_with(*cover_);
   }
+}
+
+void WorkerQueues::cover_with(const lock_order::LockClass& outer) {
+  cover_ = &outer;
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    shard->mutex.cover_with(outer);
+  }
+}
+
+bool WorkerQueues::covered(WorkerId worker) const {
+  VERSA_CHECK(worker < shards_.size());
+  return shards_[worker]->mutex.covered();
 }
 
 void WorkerQueues::push(WorkerId worker, const QueueEntry& entry) {

@@ -7,7 +7,8 @@
 // with each other, and victim selection for stealing reads only the
 // atomic lengths (no locks at all). Producers insert straight into the
 // shard under its mutex: an entry is poppable and stealable as soon as
-// push() returns.
+// push() returns. On the sim backend the runtime lock covers every shard
+// mutex (cover_with), so the shards cost no native lock there.
 //
 // A QueueEntry is just the task id and its priority (the insertion key):
 // the pop fast path never takes the runtime lock, so it never reads the
@@ -41,8 +42,15 @@ struct QueueEntry {
 
 class WorkerQueues {
  public:
-  /// Rebuild with `worker_count` empty shards.
+  /// Rebuild with `worker_count` empty shards (covered like the old ones
+  /// when cover_with was called).
   void reset(std::size_t worker_count);
+
+  /// Cover every shard mutex, present and rebuilt, with lock class
+  /// `outer` (versa::Mutex::cover_with). Call before the queues are
+  /// shared with another thread.
+  void cover_with(const lock_order::LockClass& outer);
+  bool covered(WorkerId worker) const;
 
   /// Priority insertion into `worker`'s shard under its queue mutex: walk
   /// back past queued entries with strictly lower priority (stable within
@@ -78,6 +86,7 @@ class WorkerQueues {
 
   /// unique_ptr because a Shard (mutex + atomic) is immovable.
   std::vector<std::unique_ptr<Shard>> shards_;
+  const lock_order::LockClass* cover_ = nullptr;
 };
 
 }  // namespace versa::core

@@ -14,6 +14,8 @@ void Scheduler::task_failed(Task&, WorkerId) {}
 
 Duration Scheduler::estimated_busy(WorkerId) const { return 0.0; }
 
+void Scheduler::cover_locks_with(const lock_order::LockClass&) {}
+
 void Scheduler::task_started(Task& task, WorkerId worker) {
   if (task.assigned_worker == worker) return;
   if (trace_.enabled()) {
@@ -45,20 +47,25 @@ void QueueScheduler::attach(SchedulerContext& ctx) {
   queues_.reset(ctx.machine().worker_count());
   versa::LockGuard lock(account_mutex_);
   account_.reset(ctx.machine());
-  reprices_ = 0;
-  shard_pushes_ = 0;
+  reprices_.store(0, std::memory_order_relaxed);
+  shard_pushes_.store(0, std::memory_order_relaxed);
+}
+
+void QueueScheduler::cover_locks_with(const lock_order::LockClass& outer) {
+  account_mutex_.cover_with(outer);
+  queues_.cover_with(outer);
 }
 
 void QueueScheduler::reprice(const core::PriceKey& key,
                              std::optional<Duration> mean) {
   versa::LockGuard lock(account_mutex_);
   account_.reprice(key, mean);
-  ++reprices_;
+  reprices_.store(reprices_.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
 }
 
 std::uint64_t QueueScheduler::reprice_requests() const {
-  versa::LockGuard lock(account_mutex_);
-  return reprices_;
+  return reprices_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t QueueScheduler::reprice_flushes() const {
@@ -66,8 +73,7 @@ std::uint64_t QueueScheduler::reprice_flushes() const {
 }
 
 std::uint64_t QueueScheduler::buffer_push_batches() const {
-  versa::LockGuard lock(account_mutex_);
-  return shard_pushes_;
+  return shard_pushes_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t QueueScheduler::price_group(const Task& task) const {
@@ -96,7 +102,8 @@ void QueueScheduler::push_to_worker(Task& task, VersionId version,
     task.scheduler_estimate =
         account_.on_push(task.id, core::PriceKey{task.type, version, group},
                          worker, info.estimate);
-    ++shard_pushes_;
+    shard_pushes_.store(shard_pushes_.load(std::memory_order_relaxed) + 1,
+                        std::memory_order_relaxed);
   }
   queues_.push(worker, core::QueueEntry{task.id, task.priority});
   if (trace_.enabled()) {

@@ -26,6 +26,7 @@
 // classes and ranking are documented in DESIGN.md §9.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -99,6 +100,12 @@ class Scheduler {
   /// True if some ready task has not been handed to a worker yet.
   virtual bool has_pending() const = 0;
 
+  /// Cover the policy's own mutexes with lock class `outer`
+  /// (versa::Mutex::cover_with): the runtime calls this at construction
+  /// when every policy call, the dequeue fast path included, arrives
+  /// under its lock (the sim backend). Policies without mutexes ignore it.
+  virtual void cover_locks_with(const lock_order::LockClass& outer);
+
   /// Decision-trace ring shared by every policy: disabled (and free) by
   /// default; the runtime enables it on --sched-trace / VERSA_SCHED_TRACE
   /// and src/perf/sched_trace.h renders it after the run. Plain data
@@ -137,7 +144,9 @@ struct PushInfo {
 /// arrive under the runtime lock, which orders them against the task
 /// graph. push_to_worker charges the account and then inserts straight
 /// into the worker's shard; a profile-mean move re-prices the account at
-/// once (reprice), so every decision reads fully re-priced state.
+/// once (reprice), so every decision reads fully re-priced state. On the
+/// sim backend the runtime lock covers both lock kinds (cover_locks_with),
+/// so the lock-taking accessors below need it held there.
 class QueueScheduler : public Scheduler {
  public:
   void attach(SchedulerContext& ctx) override;
@@ -149,7 +158,9 @@ class QueueScheduler : public Scheduler {
 
   /// Re-price observability (tests, the end-to-end harness): profile-mean
   /// moves seen, and LoadAccount::reprice calls issued. Every move
-  /// re-prices at once, so the two counts are equal.
+  /// re-prices at once, so the two counts are equal. These counters and
+  /// buffer_push_batches() take no lock, so a monitor may read them
+  /// without the runtime lock on either backend.
   std::uint64_t reprice_requests() const;
   std::uint64_t reprice_flushes() const;
 
@@ -171,6 +182,13 @@ class QueueScheduler : public Scheduler {
   /// estimates, matching the historical behaviour).
   Duration estimated_busy(WorkerId worker) const override;
 
+  /// Covers the account mutex and every queue shard (sim backend).
+  void cover_locks_with(const lock_order::LockClass& outer) override;
+  bool account_lock_covered() const { return account_mutex_.covered(); }
+  bool queue_lock_covered(WorkerId worker) const {
+    return queues_.covered(worker);
+  }
+
   void task_completed(Task& task, WorkerId worker, Duration measured) override;
   void task_failed(Task& task, WorkerId worker) override;
 
@@ -184,7 +202,8 @@ class QueueScheduler : public Scheduler {
                       const PushInfo& info = PushInfo());
 
   /// The profile mean of `key` moved (nullopt = forgotten): re-price the
-  /// account at once. Safe from any thread (takes the account lock).
+  /// account at once. Takes the account lock: safe from any thread on the
+  /// thread backend, under the runtime lock on the sim backend.
   void reprice(const core::PriceKey& key, std::optional<Duration> mean);
 
   /// Size-group component of the account price key for `task` (policies
@@ -210,8 +229,10 @@ class QueueScheduler : public Scheduler {
   core::WorkerQueues queues_;
   bool stealing_ = false;
 
-  std::uint64_t reprices_ VERSA_GUARDED_BY(account_mutex_) = 0;
-  std::uint64_t shard_pushes_ VERSA_GUARDED_BY(account_mutex_) = 0;
+  /// Written only under account_mutex_ (one writer at a time, so a
+  /// relaxed load and store count exactly), read lock-free.
+  std::atomic<std::uint64_t> reprices_{0};
+  std::atomic<std::uint64_t> shard_pushes_{0};
 
   TaskId steal_for(WorkerId thief);
 };

@@ -12,6 +12,13 @@
 // acquisition is rank-validated in debug builds, so dynamic tests
 // corroborate what the static analysis proves.
 //
+// A Mutex can be covered by an outer lock class (cover_with): when every
+// acquisition already happens under that outer lock, as on the sim
+// backend where the runtime lock serializes everything, lock()/unlock()
+// skip the native mutex and cost only the checker's inline flag test.
+// The static analysis is unchanged: a covered capability is still
+// acquired and released at the same program points.
+//
 // Usage:
 //   versa::Mutex mu_{lock_order::kLockRankAccount};
 //   int shared_ VERSA_GUARDED_BY(mu_);
@@ -25,7 +32,6 @@
 #pragma once
 
 #include <mutex>
-#include <optional>
 
 #include "util/lock_order.h"
 
@@ -63,13 +69,21 @@ class VERSA_CAPABILITY("mutex") Mutex {
   Mutex& operator=(const Mutex&) = delete;
 
   void lock() VERSA_ACQUIRE() {
-    lock_order::on_acquire(*cls_);
-    m_.lock();
+    lock_order::on_acquire(*cls_, cover_);
+    if (cover_ == nullptr) m_.lock();
   }
   void unlock() VERSA_RELEASE() {
-    m_.unlock();
+    if (cover_ == nullptr) m_.unlock();
     lock_order::on_release(*cls_);
   }
+
+  /// Declare that every acquisition of this mutex happens while the
+  /// calling thread holds a lock of class `outer`, so lock()/unlock()
+  /// skip the native mutex and only keep the lock-order bookkeeping (an
+  /// enforced checker reports a covered acquisition made without `outer`
+  /// held). Call before the mutex is shared with any other thread.
+  void cover_with(const lock_order::LockClass& outer) { cover_ = &outer; }
+  bool covered() const { return cover_ != nullptr; }
 
   /// Dynamic stand-in where the static analysis loses track (callback
   /// boundaries): validates against the calling thread's held-lock stack
@@ -80,11 +94,14 @@ class VERSA_CAPABILITY("mutex") Mutex {
   }
 
   const lock_order::LockClass& lock_class() const { return *cls_; }
+  /// The native mutex, for condition-variable waits (BasicUniqueLock),
+  /// which lock it directly: never cover a mutex that is waited on.
   native_type& native_handle() { return m_; }
 
  private:
   native_type m_;
   const lock_order::LockClass* cls_;
+  const lock_order::LockClass* cover_ = nullptr;
 };
 
 /// Recursive mutex with a named (reentrant) lock class. Kept for the one
@@ -143,23 +160,27 @@ class VERSA_SCOPED_CAPABILITY BasicLockGuard {
 template <typename MutexT>
 class VERSA_SCOPED_CAPABILITY BasicUniqueLock {
  public:
-  explicit BasicUniqueLock(MutexT& m) VERSA_ACQUIRE(m) : m_(m) {
-    lock_order::on_acquire(m_.lock_class());
-    native_.emplace(m_.native_handle());
-  }
+  explicit BasicUniqueLock(MutexT& m) VERSA_ACQUIRE(m)
+      : m_(m), native_(checked_native(m)) {}
   ~BasicUniqueLock() VERSA_RELEASE() {
-    native_.reset();
+    native_.unlock();
     lock_order::on_release(m_.lock_class());
   }
 
   BasicUniqueLock(const BasicUniqueLock&) = delete;
   BasicUniqueLock& operator=(const BasicUniqueLock&) = delete;
 
-  std::unique_lock<typename MutexT::native_type>& native() { return *native_; }
+  std::unique_lock<typename MutexT::native_type>& native() { return native_; }
 
  private:
+  /// Records the acquisition before native_ locks the mutex.
+  static typename MutexT::native_type& checked_native(MutexT& m) {
+    lock_order::on_acquire(m.lock_class());
+    return m.native_handle();
+  }
+
   MutexT& m_;
-  std::optional<std::unique_lock<typename MutexT::native_type>> native_;
+  std::unique_lock<typename MutexT::native_type> native_;
 };
 
 using LockGuard = BasicLockGuard<Mutex>;

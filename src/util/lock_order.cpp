@@ -35,8 +35,6 @@ bool default_enforced() {
 #endif
 }
 
-std::atomic<bool> g_enforced{default_enforced()};
-
 void abort_handler(const char* report) {
   std::fprintf(stderr, "%s\n", report);
   std::abort();
@@ -60,10 +58,24 @@ void report_violation(const LockClass& acquiring, const LockClass& held) {
   g_handler.load(std::memory_order_acquire)(report);
 }
 
+void report_uncovered(const LockClass& acquiring, const LockClass& cover) {
+  char report[256];
+  std::snprintf(report, sizeof(report),
+                "versa: covered lock '%s' (rank %d) acquired without its "
+                "cover '%s' (rank %d) held by the calling thread (held "
+                "depth %zu)",
+                acquiring.name, acquiring.rank, cover.name, cover.rank,
+                tls_held.size());
+  g_handler.load(std::memory_order_acquire)(report);
+}
+
 }  // namespace
 
-void on_acquire(const LockClass& cls) {
-  if (!g_enforced.load(std::memory_order_relaxed)) return;
+namespace detail {
+
+std::atomic<bool> g_enforced{default_enforced()};
+
+void on_acquire_enforced(const LockClass& cls, const LockClass* cover) {
   if (!tls_held.empty()) {
     const LockClass& top = *tls_held.back();
     const bool reentry = &top == &cls && cls.reentrant;
@@ -71,12 +83,12 @@ void on_acquire(const LockClass& cls) {
       report_violation(cls, top);
     }
   }
+  if (cover != nullptr && !holds(*cover)) report_uncovered(cls, *cover);
   tls_held.push_back(&cls);
   ++tls_acquired[&cls];
 }
 
-void on_release(const LockClass& cls) {
-  if (!g_enforced.load(std::memory_order_relaxed)) return;
+void on_release_enforced(const LockClass& cls) {
   // Pop the innermost entry of this class. Out-of-order releases are legal
   // with scoped guards of different classes, hence the backwards search.
   for (auto it = tls_held.rbegin(); it != tls_held.rend(); ++it) {
@@ -88,6 +100,8 @@ void on_release(const LockClass& cls) {
   // Releasing a lock the stack never saw: the checker was toggled on
   // mid-flight. Ignore rather than misreport.
 }
+
+}  // namespace detail
 
 std::size_t held_depth() { return tls_held.size(); }
 
@@ -104,7 +118,7 @@ bool holds(const LockClass& cls) {
 }
 
 void assert_holds(const LockClass& cls) {
-  if (!g_enforced.load(std::memory_order_relaxed)) return;
+  if (!detail::g_enforced.load(std::memory_order_relaxed)) return;
   if (holds(cls)) return;
   char report[256];
   std::snprintf(report, sizeof(report),
@@ -114,10 +128,12 @@ void assert_holds(const LockClass& cls) {
   g_handler.load(std::memory_order_acquire)(report);
 }
 
-bool enforced() { return g_enforced.load(std::memory_order_relaxed); }
+bool enforced() {
+  return detail::g_enforced.load(std::memory_order_relaxed);
+}
 
 void set_enforced(bool on) {
-  g_enforced.store(on, std::memory_order_relaxed);
+  detail::g_enforced.store(on, std::memory_order_relaxed);
 }
 
 ViolationHandler set_violation_handler(ViolationHandler handler) {

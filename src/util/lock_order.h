@@ -12,12 +12,21 @@
 // inverted acquisition, with both lock classes named — it does not need
 // the second thread of the cycle to actually block.
 //
+// A lock can be *covered* by an outer class (versa::Mutex::cover_with):
+// every acquisition of it already happens under a lock of that class, so
+// the wrapper skips its native mutex. The bookkeeping here stays the
+// same for a covered lock, so rank checks still run and acquisitions()
+// counts it as before; in addition, each covered acquisition reports a
+// violation if the calling thread does not hold the covering class.
+//
 // The checker is enabled by default in debug builds (NDEBUG unset),
 // disabled in release builds, and either default can be overridden with
 // the VERSA_LOCK_ORDER environment variable ("1"/"0") or set_enforced().
-// When disabled, the per-acquisition cost is one relaxed atomic load.
+// When disabled, on_acquire/on_release are inline and cost one relaxed
+// atomic load and one branch.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -45,13 +54,29 @@ extern const LockClass kLockRankAccount;   ///< rank 20: QueueScheduler account/
 extern const LockClass kLockRankQueue;     ///< rank 30: per-worker queue shards
 extern const LockClass kLockRankExecWake;  ///< rank 50: ThreadExecutor wake epoch
 
+namespace detail {
+extern std::atomic<bool> g_enforced;
+void on_acquire_enforced(const LockClass& cls, const LockClass* cover);
+void on_release_enforced(const LockClass& cls);
+}  // namespace detail
+
 /// Record an acquisition of `cls` by the calling thread, reporting a
-/// violation first if it inverts the documented order. Called by the
+/// violation first if it inverts the documented order, or if `cover` is
+/// set and the thread holds no lock of that class. Called by the
 /// annotated_sync wrappers immediately before the underlying lock.
-void on_acquire(const LockClass& cls);
+inline void on_acquire(const LockClass& cls,
+                       const LockClass* cover = nullptr) {
+  if (detail::g_enforced.load(std::memory_order_relaxed)) {
+    detail::on_acquire_enforced(cls, cover);
+  }
+}
 
 /// Record a release (pops the innermost held entry of `cls`).
-void on_release(const LockClass& cls);
+inline void on_release(const LockClass& cls) {
+  if (detail::g_enforced.load(std::memory_order_relaxed)) {
+    detail::on_release_enforced(cls);
+  }
+}
 
 /// Depth of the calling thread's held-lock stack (tests).
 std::size_t held_depth();

@@ -77,6 +77,7 @@ TEST(SimExec, StolenTaskReacquiresForTheThiefSpace) {
     used.insert(task.assigned_worker);
   }
   EXPECT_EQ(used.size(), 2u);
+  versa::RecursiveLockGuard lock(rt.port_mutex());  // covers the directory
   EXPECT_TRUE(rt.data_directory().is_valid_in(hot, machine.worker(1).space));
   EXPECT_TRUE(rt.data_directory().is_valid_in(hot, machine.worker(2).space));
 }

@@ -5,6 +5,7 @@
 // via gtest death tests.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "util/annotated_sync.h"
@@ -173,6 +174,39 @@ TEST_F(LockOrderTest, DisabledCheckerIsSilent) {
   low.assert_held();
   EXPECT_TRUE(g_captured.empty()) << g_captured;
   EXPECT_EQ(lock_order::held_depth(), 0u);
+}
+
+TEST_F(LockOrderTest, CoveredMutexSkipsItsNativeLockAndChecksItsCover) {
+  Mutex outer(kLow);
+  Mutex inner(kHigh);
+  inner.cover_with(kLow);
+  {
+    LockGuard o(outer);
+    const std::uint64_t before = lock_order::acquisitions(kHigh);
+    LockGuard i(inner);
+    // Bookkeeping as for any lock: on the stack and counted.
+    EXPECT_EQ(lock_order::held_depth(), 2u);
+    EXPECT_EQ(lock_order::acquisitions(kHigh), before + 1);
+    // The native mutex was not taken.
+    ASSERT_TRUE(inner.native_handle().try_lock());
+    inner.native_handle().unlock();
+    EXPECT_TRUE(g_captured.empty()) << g_captured;
+  }
+  { LockGuard i(inner); }  // cover not held
+  EXPECT_NE(g_captured.find("covered lock 'test.high'"), std::string::npos)
+      << g_captured;
+  EXPECT_NE(g_captured.find("'test.low'"), std::string::npos) << g_captured;
+  EXPECT_EQ(lock_order::held_depth(), 0u);
+
+  // With the checker off a covered lock still skips its native mutex.
+  g_captured.clear();
+  lock_order::set_enforced(false);
+  {
+    LockGuard i(inner);
+    ASSERT_TRUE(inner.native_handle().try_lock());
+    inner.native_handle().unlock();
+  }
+  EXPECT_TRUE(g_captured.empty()) << g_captured;
 }
 
 TEST_F(LockOrderTest, UniqueLockParticipatesInTheStack) {

@@ -33,6 +33,8 @@ std::uint32_t scanned_users(const TaskGraph& graph, RegionId region) {
 
 /// Every region ever registered (live or retired) agrees with the scan.
 void expect_counts_match(Runtime& rt, const std::string& where) {
+  // The runtime lock covers the directory's on the sim backend.
+  versa::RecursiveLockGuard lock(rt.port_mutex());
   const TaskGraph& graph = rt.task_graph();
   for (RegionId r = 0; r < rt.data_directory().region_count(); ++r) {
     ASSERT_EQ(graph.region_users(r), scanned_users(graph, r))

@@ -149,7 +149,10 @@ TEST(RuntimeSim, TaskwaitOnFlushesOnlyThatRegion) {
   rt.submit(t, {Access::inout(b)});
   rt.taskwait_on(a);
   EXPECT_EQ(rt.transfer_stats().output_bytes, 1'000'000u);
-  EXPECT_TRUE(rt.data_directory().is_valid_in(a, kHostSpace));
+  {
+    versa::RecursiveLockGuard lock(rt.port_mutex());  // covers the directory
+    EXPECT_TRUE(rt.data_directory().is_valid_in(a, kHostSpace));
+  }
   rt.taskwait();
   EXPECT_EQ(rt.transfer_stats().output_bytes, 3'000'000u);
 }
@@ -306,6 +309,7 @@ void run_host_over_commit(bool prefetch) {
   rt.submit(t, {Access::inout(b)});
   rt.taskwait();
   EXPECT_EQ(rt.run_stats().total_tasks(), 2u);
+  versa::RecursiveLockGuard lock(rt.port_mutex());  // covers the directory
   EXPECT_TRUE(rt.data_directory().is_valid_in(a, kHostSpace));
   EXPECT_TRUE(rt.data_directory().is_valid_in(b, kHostSpace));
 }

@@ -51,11 +51,19 @@ TEST(SparseLu, FillInMaterializesNewRegions) {
   params.block_size = 8;
   params.density = 0.4;
   SparseLuApp app(rt, params);
-  const std::size_t before = rt.data_directory().region_count();
+  // Directory reads hold the runtime lock, which covers the directory's
+  // on the sim backend.
+  const std::size_t before = [&] {
+    versa::RecursiveLockGuard lock(rt.port_mutex());
+    return rt.data_directory().region_count();
+  }();
   app.run();
   EXPECT_GT(app.fill_in_count(), 0u);
-  EXPECT_EQ(rt.data_directory().region_count(),
-            before + app.fill_in_count());
+  {
+    versa::RecursiveLockGuard lock(rt.port_mutex());
+    EXPECT_EQ(rt.data_directory().region_count(),
+              before + app.fill_in_count());
+  }
   EXPECT_GT(app.task_count(), params.blocks);  // lu0 per step plus panels
   EXPECT_EQ(rt.run_stats().total_tasks(), app.task_count());
 }

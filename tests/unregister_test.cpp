@@ -25,6 +25,9 @@ TEST(Unregister, ReleasesSpaceBytesEverywhere) {
   rt.taskwait();
 
   const SpaceId gpu = machine.worker(1).space;
+  // Directory reads hold the runtime lock, which covers the directory's
+  // on the sim backend; unregister_data re-enters it.
+  versa::RecursiveLockGuard lock(rt.port_mutex());
   EXPECT_GT(rt.data_directory().used_bytes(gpu), 0u);
   const std::uint64_t host_before =
       rt.data_directory().used_bytes(kHostSpace);
@@ -59,6 +62,7 @@ TEST(Unregister, LiveRegionCountTracks) {
   Runtime rt(machine, sim_config());
   const RegionId a = rt.register_data("a", 64);
   rt.register_data("b", 64);
+  versa::RecursiveLockGuard lock(rt.port_mutex());  // covers the directory
   EXPECT_EQ(rt.data_directory().live_region_count(), 2u);
   rt.unregister_data(a);
   EXPECT_EQ(rt.data_directory().live_region_count(), 1u);

@@ -168,6 +168,7 @@ TEST(VersioningInternals, CompletionRepricesOncePerMeanMove) {
 
   auto* qs = dynamic_cast<QueueScheduler*>(&rt.scheduler());
   ASSERT_NE(qs, nullptr);
+  versa::RecursiveLockGuard lock(rt.port_mutex());  // covers the account
   EXPECT_EQ(qs->reprice_requests(), 4u);  // one per completion record
   EXPECT_EQ(qs->reprice_flushes(), 4u);
   (void)qs->estimated_busy(0);  // a decision read applies nothing further

@@ -91,6 +91,16 @@ TEST(WorkerQueues, ResetDropsQueuedWork) {
   EXPECT_FALSE(queues.pop_front(0).has_value());
 }
 
+TEST(WorkerQueues, ResetKeepsTheCoverOnRebuiltShards) {
+  WorkerQueues queues;
+  queues.reset(1);
+  EXPECT_FALSE(queues.covered(0));
+  queues.cover_with(lock_order::kLockRankRuntime);
+  EXPECT_TRUE(queues.covered(0));
+  queues.reset(3);
+  for (WorkerId w = 0; w < 3; ++w) EXPECT_TRUE(queues.covered(w)) << w;
+}
+
 TEST(WorkerQueues, ConcurrentPushPopStealDrainsExactly) {
   // One producer pushes into a shard while its owner pops from the front
   // and a thief steals from the back: every entry must surface exactly
