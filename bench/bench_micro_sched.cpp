@@ -8,6 +8,9 @@
 // profile table on every decision — O(versions x workers x queue depth) per
 // placement. Each measured step places one task and retires one from the
 // receiving worker, so the queue depth stays pinned at the Arg value.
+//
+// BM_LearningPoolDrain prices a completion while the learning pool is
+// full of one blocked group's tasks (the paper-sim learning window).
 #include <benchmark/benchmark.h>
 
 #include <deque>
@@ -183,6 +186,47 @@ void BM_LeastBusyLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 24);
 }
 BENCHMARK(BM_LeastBusyLookup);
+
+/// One completion cycle (place, pop, complete) of a reliable-group task
+/// while the learning pool holds Arg tasks of one blocked group: the
+/// group's learning slots are all taken by runs that never finish, so
+/// every completion's pool drain fails that group. The drain tries the
+/// group once and stops, so the ns per cycle should not grow with Arg.
+void BM_LearningPoolDrain(benchmark::State& state) {
+  const std::size_t pooled = static_cast<std::size_t>(state.range(0));
+  BenchContext ctx(make_fat_node());
+  VersioningScheduler sched;
+  sched.attach(ctx);
+  // Tasks of 4x the size form a second group, primed past λ.
+  constexpr std::uint64_t kReliableSize = 4 * kTaskSize;
+  ProfileTable& profile = sched.mutable_profile();
+  const Duration mean = 1e-3;
+  for (VersionId v : ctx.registry_.versions(ctx.type_)) {
+    profile.prime(ctx.type_, v, profile.group_key(kReliableSize), mean, 16);
+  }
+  // Fill the learning group's slots and start those runs, then pool the
+  // rest; every worker queue ends empty.
+  for (std::size_t in_pool = 0; in_pool < pooled;) {
+    Task& task = ctx.ready_task();
+    sched.task_ready(task);
+    if (task.assigned_worker == kInvalidWorker) {
+      ++in_pool;
+    } else {
+      benchmark::DoNotOptimize(sched.pop_task(task.assigned_worker));
+    }
+  }
+  // One task reused for every cycle keeps the graph from growing.
+  Task& task = ctx.graph_.create_task(ctx.type_, {}, kReliableSize, "");
+  for (auto _ : state) {
+    task.state = TaskState::kReady;
+    sched.task_ready(task);
+    const WorkerId worker = task.assigned_worker;
+    benchmark::DoNotOptimize(sched.pop_task(worker));
+    sched.task_completed(task, worker, mean);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LearningPoolDrain)->Arg(16)->Arg(256)->Arg(1024);
 
 }  // namespace
 }  // namespace versa

@@ -23,6 +23,7 @@ void LoadAccount::reset(const Machine& machine) {
   running_.assign(n, 0);
   counts_.assign(n, 0);
   kinds_.assign(n, DeviceKind::kSmp);
+  positions_.assign(n, 0);
   for (KindIndex& index : index_) index.clear();
   buckets_.clear();
   entries_.clear();
@@ -30,7 +31,12 @@ void LoadAccount::reset(const Machine& machine) {
     kinds_[w.id] = w.kind;
     index_of(w.id).push_back(index_key(w.id));
   }
-  for (KindIndex& index : index_) std::sort(index.begin(), index.end());
+  for (KindIndex& index : index_) {
+    std::sort(index.begin(), index.end());
+    for (std::uint32_t i = 0; i < index.size(); ++i) {
+      positions_[std::get<2>(index[i])] = i;
+    }
+  }
 }
 
 LoadAccount::IndexKey LoadAccount::index_key(WorkerId worker) const {
@@ -44,21 +50,22 @@ LoadAccount::KindIndex& LoadAccount::index_of(WorkerId worker) {
 template <typename Fn>
 void LoadAccount::mutate(WorkerId worker, Fn&& fn) {
   KindIndex& index = index_of(worker);
-  auto at = std::lower_bound(index.begin(), index.end(), index_key(worker));
-  VERSA_CHECK(at != index.end() && std::get<2>(*at) == worker);
+  std::uint32_t at = positions_[worker];
+  VERSA_CHECK(at < index.size() && std::get<2>(index[at]) == worker);
   fn();
-  *at = index_key(worker);
+  index[at] = index_key(worker);
   // Only this entry changed, so the rest of the index is still sorted:
-  // swap it towards the front or the back until its neighbours agree.
-  // Keys are unique (the worker id breaks every tie).
-  while (at != index.begin() && *at < *(at - 1)) {
-    std::iter_swap(at, at - 1);
-    --at;
-  }
-  while (at + 1 != index.end() && *(at + 1) < *at) {
-    std::iter_swap(at, at + 1);
-    ++at;
-  }
+  // swap it towards the front or the back until its neighbours agree,
+  // moving each displaced neighbour's position with it. Keys are unique
+  // (the worker id breaks every tie).
+  const auto swap_with = [&](std::uint32_t other) {
+    std::swap(index[at], index[other]);
+    positions_[std::get<2>(index[at])] = at;
+    at = other;
+  };
+  while (at > 0 && index[at] < index[at - 1]) swap_with(at - 1);
+  while (at + 1 < index.size() && index[at + 1] < index[at]) swap_with(at + 1);
+  positions_[worker] = at;
 }
 
 LoadAccount::Bucket& LoadAccount::bucket_of(const PriceKey& key) {

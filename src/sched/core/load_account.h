@@ -30,10 +30,11 @@
 // The account also maintains, per device kind, a finish-time index: a flat
 // vector of (busy, queued count, worker id) kept sorted, so a least-busy
 // lookup reads the front and an earliest-executor walk iterates in busy
-// order instead of sweeping every worker and rescanning its queue. A
-// mutation finds the one worker's entry by binary search on its old key,
-// rewrites it and slides it to its sorted place by neighbour swaps,
-// O(log workers + distance moved).
+// order instead of sweeping every worker and rescanning its queue. It
+// also keeps each worker's position in its kind's index, so a
+// mutation goes straight to the one worker's entry, rewrites it and slides
+// it to its sorted place by neighbour swaps (updating the positions of the
+// entries it passes), O(distance moved) with no search.
 //
 // Every hot operation is allocation-free once the account has seen its
 // keys and its peak queue depth: the index is sized in reset(), each
@@ -202,6 +203,8 @@ class LoadAccount {
   std::vector<std::uint32_t> counts_;
   std::vector<DeviceKind> kinds_;
   std::array<KindIndex, 2> index_;  ///< one per DeviceKind
+  /// Each worker's position in its kind's index.
+  std::vector<std::uint32_t> positions_;
   std::unordered_map<PriceKey, Bucket, PriceKeyHash> buckets_;
   EntryTable entries_;
 

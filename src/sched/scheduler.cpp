@@ -119,7 +119,10 @@ void QueueScheduler::push_to_worker(Task& task, VersionId version,
 
 TaskId QueueScheduler::pop_task(WorkerId worker) {
   // The queue path never needs the runtime lock; under it this is simply
-  // the same dequeue, serialized.
+  // the same dequeue, serialized. Every push happens under the runtime
+  // lock, so here a zero length mirror is exact and, with no steal to
+  // try, a miss needs no shard lock.
+  if (!stealing_ && queues_.length(worker) == 0) return kInvalidTask;
   return try_pop_queued(worker);
 }
 

@@ -150,6 +150,12 @@ struct PushInfo {
 class QueueScheduler : public Scheduler {
  public:
   void attach(SchedulerContext& ctx) override;
+  /// The runtime-locked dequeue (the sim pump, the thread fallback). A
+  /// policy that does not steal answers a miss from the shard's atomic
+  /// length without taking the shard lock: every push happens under the
+  /// runtime lock, so the length cannot grow while this runs and a zero
+  /// read is exact. try_pop_queued, which runs without the runtime lock,
+  /// always takes the shard lock.
   TaskId pop_task(WorkerId worker) override;
   TaskId try_pop_queued(WorkerId worker) override;
   /// Some worker queue holds an entry: read from the shards' length

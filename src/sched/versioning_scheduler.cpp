@@ -24,6 +24,7 @@ void VersioningScheduler::attach(SchedulerContext& ctx) {
       });
   learning_executions_ = 0;
   pool_.clear();
+  pooled_per_group_.clear();
   learning_inflight_.clear();
   rr_cursor_.clear();
 }
@@ -151,20 +152,39 @@ bool VersioningScheduler::try_place(Task& task) {
 
 void VersioningScheduler::task_ready(Task& task) {
   if (!try_place(task)) {
-    pool_.push_back(task.id);
+    const GroupKey group = group_of(task);
+    pool_.push_back({task.id, group});
+    ++pooled_per_group_[group];
   }
 }
 
 void VersioningScheduler::drain_pool() {
-  // Rotate the pool once in place: placed tasks leave, the rest go back
-  // to the tail in their original order.
-  for (std::size_t n = pool_.size(); n > 0; --n) {
-    const TaskId id = pool_.front();
-    pool_.pop_front();
-    if (!try_place(ctx_->graph().task(id))) {
-      pool_.push_back(id);
+  // One in-order pass: placed tasks leave, the rest keep their order. A
+  // group whose try_place failed stays blocked for the rest of the pass
+  // (exact, see the declaration), and the pass ends once every unscanned
+  // task belongs to a blocked group.
+  blocked_groups_.clear();
+  const std::size_t end = pool_.size();
+  std::size_t unblocked = end;  // pooled, not in a blocked group
+  std::size_t kept = 0;
+  std::size_t next = 0;
+  for (; next < end && unblocked > 0; ++next) {
+    const PooledTask pooled = pool_[next];
+    if (std::find(blocked_groups_.begin(), blocked_groups_.end(),
+                  pooled.group) == blocked_groups_.end()) {
+      if (try_place(ctx_->graph().task(pooled.id))) {
+        --pooled_per_group_[pooled.group];
+        --unblocked;
+        continue;
+      }
+      // This task and every later one of its group stay.
+      blocked_groups_.push_back(pooled.group);
+      unblocked -= pooled_per_group_[pooled.group];
     }
+    pool_[kept++] = pooled;
   }
+  pool_.erase(pool_.begin() + static_cast<std::ptrdiff_t>(kept),
+              pool_.begin() + static_cast<std::ptrdiff_t>(next));
 }
 
 void VersioningScheduler::assign_earliest_executor(Task& task) {
@@ -254,42 +274,47 @@ void VersioningScheduler::assign_earliest_executor(Task& task) {
 
 TaskId VersioningScheduler::pull_from_pool(WorkerId worker) {
   const DeviceKind kind = ctx_->machine().worker(worker).kind;
-  for (auto it = pool_.begin(); it != pool_.end(); ++it) {
-    Task& task = ctx_->graph().task(*it);
-    // Candidate versions of this task runnable on the idle worker.
-    VersionId under_sampled = kInvalidVersion;
-    VersionId fastest = kInvalidVersion;
-    Duration fastest_mean = 0.0;
-    for (VersionId v : ctx_->registry().versions(task.type)) {
-      if (ctx_->registry().version(v).device != kind) continue;
-      if (profile_->count(task.type, v, task.data_set_size) < config_.lambda &&
-          under_sampled == kInvalidVersion) {
-        under_sampled = v;
-      }
-      const auto mean = profile_->mean(task.type, v, task.data_set_size);
-      if (mean && (fastest == kInvalidVersion || *mean < fastest_mean)) {
-        fastest = v;
-        fastest_mean = *mean;
-      }
-    }
-    VersionId choice = under_sampled != kInvalidVersion ? under_sampled
-                                                        : fastest;
-    if (choice == kInvalidVersion) {
-      // No mean yet and nothing under-sampled can only happen when some
-      // other device is still learning; run any version of our kind.
-      for (VersionId v : ctx_->registry().versions(task.type)) {
-        if (ctx_->registry().version(v).device == kind) {
-          choice = v;
-          break;
+  const VersionRegistry& registry = ctx_->registry();
+  // The first pooled task whose type has a version of this worker's kind;
+  // only that task's version choice is computed.
+  VersionId first_of_kind = kInvalidVersion;
+  const auto it = std::find_if(
+      pool_.begin(), pool_.end(), [&](const PooledTask& pooled) {
+        for (VersionId v : registry.versions(pooled.group.first)) {
+          if (registry.version(v).device == kind) {
+            first_of_kind = v;
+            return true;
+          }
         }
-      }
+        return false;
+      });
+  if (it == pool_.end()) return kInvalidTask;
+  Task& task = ctx_->graph().task(it->id);
+  VersionId under_sampled = kInvalidVersion;
+  VersionId fastest = kInvalidVersion;
+  Duration fastest_mean = 0.0;
+  for (VersionId v : registry.versions(task.type)) {
+    if (registry.version(v).device != kind) continue;
+    if (profile_->count(task.type, v, task.data_set_size) < config_.lambda &&
+        under_sampled == kInvalidVersion) {
+      under_sampled = v;
     }
-    if (choice == kInvalidVersion) continue;  // task not for this device
-    pool_.erase(it);
-    push_learning(task, choice, worker);
-    return QueueScheduler::pop_task(worker);
+    const auto mean = profile_->mean(task.type, v, task.data_set_size);
+    if (mean && (fastest == kInvalidVersion || *mean < fastest_mean)) {
+      fastest = v;
+      fastest_mean = *mean;
+    }
   }
-  return kInvalidTask;
+  // Under-sampled first, then the fastest known. With neither (no mean
+  // yet and nothing under-sampled, which only happens while some other
+  // device is still learning) run the first version of our kind.
+  const VersionId choice = under_sampled != kInvalidVersion ? under_sampled
+                           : fastest != kInvalidVersion     ? fastest
+                                                            : first_of_kind;
+  --pooled_per_group_[it->group];
+  pool_.erase(it);
+  push_learning(task, choice, worker);
+  return QueueScheduler::pop_task(worker);
 }
 
 TaskId VersioningScheduler::pop_task(WorkerId worker) {

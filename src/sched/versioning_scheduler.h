@@ -33,7 +33,6 @@
 // learning phase for that new group only.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <vector>
 
@@ -95,8 +94,22 @@ class VersioningScheduler : public QueueScheduler {
   std::uint64_t learning_executions_ = 0;
   std::optional<ProfileTable> profile_;  // built at attach (needs registry)
 
-  /// Ready tasks not yet assigned to any worker (learning back-pressure).
-  std::deque<TaskId> pool_;
+  struct PooledTask {
+    TaskId id;
+    GroupKey group;
+  };
+
+  /// Ready tasks not yet assigned to any worker (learning back-pressure),
+  /// in arrival order.
+  std::vector<PooledTask> pool_;
+
+  /// Pooled task count per group: drain_pool stops once every task left
+  /// to scan belongs to a group that failed in the same pass.
+  std::map<GroupKey, std::uint32_t> pooled_per_group_;
+
+  /// Groups whose try_place failed in the current drain_pool pass
+  /// (scratch storage, kept to avoid a per-pass allocation).
+  std::vector<GroupKey> blocked_groups_;
 
   /// Learning-phase in-flight run count per (group, version).
   std::map<std::pair<GroupKey, VersionId>, std::uint32_t> learning_inflight_;
@@ -124,7 +137,13 @@ class VersioningScheduler : public QueueScheduler {
   /// false if it must wait in the pool.
   bool try_place(Task& task);
 
-  /// Place every placeable pooled task, preserving order.
+  /// Place every placeable pooled task in pool order, preserving the
+  /// order of the rest. At most one try_place per (type, size group) fails
+  /// per pass: a failure depends only on the group's profile counts and
+  /// learning in-flight counts, which a placement of another group cannot
+  /// move and one of its own can only raise, so the group's later tasks
+  /// stay without another try, and the pass ends once every unscanned
+  /// task belongs to a group that failed.
   void drain_pool();
 
   void assign_earliest_executor(Task& task);
@@ -134,8 +153,9 @@ class VersioningScheduler : public QueueScheduler {
 
   WorkerId least_busy_worker(const TaskVersion& version) const;
 
-  /// Pool fallback for an idle worker: pick a pooled task + version for
-  /// this worker's device kind (under-sampled first, then fastest known).
+  /// Pool fallback for an idle worker: the first pooled task whose type
+  /// has a version of this worker's device kind, with that kind's
+  /// under-sampled version first, then its fastest known one.
   TaskId pull_from_pool(WorkerId worker);
 };
 

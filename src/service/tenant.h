@@ -24,7 +24,8 @@ struct TenantQuota {
   /// of this tenant's live graphs.
   std::uint64_t max_bytes = UINT64_MAX;
   /// Fair-share weight (>= 1): relative completed-task share this tenant
-  /// receives while backlogged against other tenants.
+  /// receives while backlogged against other tenants. A session opened
+  /// with weight 0 has every submission rejected as kMalformedSpec.
   std::uint32_t weight = 1;
 };
 

@@ -28,7 +28,6 @@ const char* to_string(RejectReason reason) {
 }
 
 TenantId TenantRegistry::register_tenant(std::string name, TenantQuota quota) {
-  VERSA_CHECK_MSG(quota.weight >= 1, "tenant weight must be at least 1");
   Entry entry;
   entry.name = std::move(name);
   entry.quota = quota;
@@ -68,6 +67,14 @@ Rejected TenantRegistry::admit(TenantId tenant, std::uint64_t tasks,
     rejected.reason = RejectReason::kUnknownTenant;
     rejected.detail = "tenant id " + std::to_string(tenant) +
                       " was never registered with the service";
+    return rejected;
+  }
+  if (entry->quota.weight == 0) {
+    rejected.reason = RejectReason::kMalformedSpec;
+    rejected.detail = "tenant '" + entry->name +
+                      "' was opened with fair-share weight 0; a weight must "
+                      "be at least 1";
+    ++entry->stats.rejected_graphs;
     return rejected;
   }
   // Subtraction form: the additive check (`in_flight + tasks > quota`)

@@ -29,7 +29,8 @@ class TenantRegistry {
 
   /// Register a tenant and return its id (dense, starting at 1 — tenant 0
   /// is the implicit default owner of non-service graphs and is never
-  /// handed out here).
+  /// handed out here). A quota with weight 0 registers the tenant in a
+  /// rejected state: admit() turns every graph away as kMalformedSpec.
   TenantId register_tenant(std::string name, TenantQuota quota);
 
   std::size_t tenant_count() const;
@@ -39,7 +40,8 @@ class TenantRegistry {
   /// Check-and-charge: admit a graph of `tasks` tasks and `bytes` region
   /// bytes for `tenant`. On success the quotas are charged and the
   /// returned Rejected converts to false; on failure nothing is charged
-  /// and the reason/detail describe the violated quota.
+  /// and the reason/detail describe the violated quota (or, for a tenant
+  /// registered with weight 0, name the weight).
   Rejected admit(TenantId tenant, std::uint64_t tasks, std::uint64_t bytes);
 
   /// A graph retired cleanly: return its charge and count its tasks.

@@ -40,6 +40,9 @@ Session VersaService::open_session(std::string name, TenantQuota quota) {
     versa::LockGuard lock(mutex_);
     tenant = registry_.register_tenant(std::move(name), quota);
   }
+  // A weight-0 tenant is registered rejected (admission turns every graph
+  // away) and never reaches the gate, which accepts only weights >= 1.
+  if (quota.weight == 0) return Session(this, tenant);
   // The gate's lanes are runtime-lock serialized (fair_share.h), so the
   // weight write takes the runtime lock like every other gate mutation.
   versa::RecursiveLockGuard lock(runtime_.port_mutex());

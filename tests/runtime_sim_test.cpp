@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+
+#include "apps/cholesky.h"
 #include "machine/presets.h"
 #include "runtime/runtime.h"
 #include "sched/scheduler_factory.h"
@@ -53,6 +55,38 @@ TEST(RuntimeSimLockBudget, TaskPathDataLocksDoNotGrowWithAccesses) {
     });
     EXPECT_EQ(locks, 3u) << k << " accesses";
   }
+  lock_order::set_enforced(was_enforced);
+}
+
+TEST(RuntimeSimLockBudget, CholeskyQueueAndAccountLocksPerTask) {
+  // Count, don't time. The sim pump asks every idle worker for work after
+  // every event; a miss on an empty shard must cost no queue lock, so the
+  // queue lock is taken about once per push and once per pop.
+  const bool was_enforced = lock_order::enforced();
+  lock_order::set_enforced(true);
+  const Machine machine = make_minotauro_node(8, 2);
+  Runtime rt(machine, sim_config());
+  apps::CholeskyParams params;
+  params.n = 16384;
+  params.block = 1024;
+  apps::CholeskyApp app(rt, params);
+  const auto count = [](const lock_order::LockClass& cls) {
+    return lock_order::acquisitions(cls);
+  };
+  const std::uint64_t queue_before = count(lock_order::kLockRankQueue);
+  const std::uint64_t account_before = count(lock_order::kLockRankAccount);
+  app.run();
+  const double tasks = static_cast<double>(app.task_count());
+  ASSERT_EQ(app.task_count(), 816u);
+  const double queue_per_task =
+      static_cast<double>(count(lock_order::kLockRankQueue) - queue_before) /
+      tasks;
+  const double account_per_task =
+      static_cast<double>(count(lock_order::kLockRankAccount) -
+                          account_before) /
+      tasks;
+  EXPECT_LE(queue_per_task, 2.0);
+  EXPECT_LE(account_per_task, 5.0);
   lock_order::set_enforced(was_enforced);
 }
 

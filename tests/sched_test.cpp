@@ -572,6 +572,89 @@ TEST_F(VersioningTest, BusyAccountingDrainsOnCompletion) {
   EXPECT_FALSE(sched.has_pending()) << "drained";
 }
 
+TEST_F(VersioningTest, PoolDrainPlacesFreedGroupInOrderAndKeepsBlockedOrder) {
+  // Two size groups of one type, λ = 1: each group's two learning runs
+  // (one per version) go out at once, and later tasks wait in the pool,
+  // alternating A, B, A, B. A stays blocked behind its in-flight runs;
+  // B's second completion makes it reliable.
+  ProfileConfig config;
+  config.lambda = 1;
+  VersioningScheduler sched(config);
+  sched.attach(ctx_);
+  const auto ready = [&](std::uint64_t size) -> Task& {
+    Task& task = ctx_.make_ready_task(type_, size);
+    sched.task_ready(task);
+    return task;
+  };
+  const auto complete = [&](Task& task, Duration duration) {
+    task.state = TaskState::kRunning;
+    std::vector<TaskId> next;
+    ctx_.graph_.mark_finished(task.id, ctx_.now_ += duration, next);
+    sched.task_completed(task, task.assigned_worker, duration);
+  };
+  Task& a1 = ready(1000);
+  Task& a2 = ready(1000);
+  Task& b1 = ready(5000);
+  Task& b2 = ready(5000);
+  Task& a3 = ready(1000);
+  Task& b3 = ready(5000);
+  Task& a4 = ready(1000);
+  Task& b4 = ready(5000);
+  for (const Task* pooled : {&a3, &b3, &a4, &b4}) {
+    ASSERT_EQ(pooled->assigned_worker, kInvalidWorker) << pooled->id;
+  }
+  // Start every learning run (GPU runs queue on the one GPU worker).
+  for (Task* run : {&a1, &a2, &b1, &b2}) {
+    ASSERT_EQ(sched.pop_task(run->assigned_worker), run->id);
+  }
+  Task& b_gpu = b1.chosen_version == gpu_ ? b1 : b2;
+  Task& b_smp = b1.chosen_version == gpu_ ? b2 : b1;
+  complete(b_gpu, 1e-3);
+  EXPECT_EQ(b3.assigned_worker, kInvalidWorker) << "B still learning";
+
+  const std::size_t before = ctx_.assignments.size();
+  complete(b_smp, 3e-3);
+  // B's tasks were placed in pool order, A's still wait.
+  ASSERT_EQ(ctx_.assignments.size(), before + 2);
+  EXPECT_EQ(ctx_.assignments[before].first, b3.id);
+  EXPECT_EQ(ctx_.assignments[before + 1].first, b4.id);
+  EXPECT_EQ(a3.assigned_worker, kInvalidWorker);
+  EXPECT_EQ(a4.assigned_worker, kInvalidWorker);
+  // Both B tasks went to the 1 ms GPU: the SMP workers' queues are empty,
+  // so their pops pull A's tasks from the pool in their original order.
+  ASSERT_EQ(b3.chosen_version, gpu_);
+  ASSERT_EQ(b4.chosen_version, gpu_);
+  EXPECT_EQ(sched.pop_task(0), a3.id);
+  EXPECT_EQ(sched.pop_task(1), a4.id);
+}
+
+TEST_F(VersioningTest, PoolPullSkipsTasksWithNoVersionForTheWorkerKind) {
+  // A GPU-only type at the pool's head: an idle SMP worker skips it and
+  // pulls the first pooled task whose type has an SMP version.
+  const TaskTypeId gpu_only = ctx_.registry_.declare_task("gpu_only");
+  ctx_.registry_.add_version(gpu_only, DeviceKind::kCuda, "gpu", nullptr,
+                             nullptr);
+  ProfileConfig config;
+  config.lambda = 1;
+  VersioningScheduler sched(config);
+  sched.attach(ctx_);
+  Task& c1 = ctx_.make_ready_task(gpu_only, 1000);
+  Task& c2 = ctx_.make_ready_task(gpu_only, 1000);
+  Task& t1 = ctx_.make_ready_task(type_, 1000);
+  Task& t2 = ctx_.make_ready_task(type_, 1000);
+  Task& t3 = ctx_.make_ready_task(type_, 1000);
+  for (Task* task : {&c1, &c2, &t1, &t2, &t3}) sched.task_ready(*task);
+  ASSERT_EQ(c2.assigned_worker, kInvalidWorker) << "c1 holds the GPU slot";
+  ASSERT_EQ(t3.assigned_worker, kInvalidWorker) << "t1, t2 learn";
+  const Task& t_smp = t1.chosen_version == smp_ ? t1 : t2;
+  const WorkerId idle = t_smp.assigned_worker == 0 ? 1 : 0;
+  ASSERT_EQ(sched.queue_length(idle), 0u);
+  EXPECT_EQ(sched.pop_task(idle), t3.id);
+  EXPECT_EQ(t3.chosen_version, smp_);
+  EXPECT_EQ(c2.assigned_worker, kInvalidWorker) << "c2 stays pooled";
+  EXPECT_TRUE(sched.has_pending());
+}
+
 TEST_F(VersioningTest, ProfileKeepsLearningInReliablePhase) {
   ProfileConfig config;
   config.lambda = 1;

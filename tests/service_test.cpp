@@ -48,6 +48,20 @@ TEST(TenantRegistry, UnknownTenantIsRejectedNotCharged) {
   EXPECT_STREQ(to_string(r.reason), "unknown-tenant");
 }
 
+TEST(TenantRegistry, ZeroWeightTenantIsRegisteredRejected) {
+  TenantRegistry registry;
+  TenantQuota zero;
+  zero.weight = 0;
+  const TenantId t = registry.register_tenant("weightless", zero);
+  EXPECT_TRUE(registry.known(t));
+  const Rejected r = registry.admit(t, 1, 64);
+  ASSERT_TRUE(static_cast<bool>(r));
+  EXPECT_EQ(r.reason, RejectReason::kMalformedSpec);
+  EXPECT_NE(r.detail.find("weight 0"), std::string::npos) << r.detail;
+  EXPECT_EQ(registry.stats(t).in_flight_tasks, 0u) << "nothing charged";
+  EXPECT_EQ(registry.stats(t).rejected_graphs, 1u);
+}
+
 TEST(TenantRegistry, TaskQuotaCheckAndCharge) {
   TenantRegistry registry;
   TenantQuota quota;
@@ -425,6 +439,44 @@ TEST_P(ServiceSpecFuzzTest, EverySpecCompletesOrIsTypedRejected) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ServiceSpecFuzzTest,
+                         testing::Values(Backend::kSim, Backend::kThreads),
+                         [](const testing::TestParamInfo<Backend>& info) {
+                           return info.param == Backend::kSim ? "sim"
+                                                              : "threads";
+                         });
+
+class ServiceZeroWeightTest : public testing::TestWithParam<Backend> {};
+
+TEST_P(ServiceZeroWeightTest, ZeroWeightTenantIsRejectedNotFatal) {
+  // Weight 0 has no fair share to give: the session opens in a rejected
+  // state, every submit comes back malformed-spec naming the weight, and
+  // the other tenants run as usual.
+  VersaServiceConfig config;
+  config.runtime.backend = GetParam();
+  ServiceFixture fx(config);
+  TenantQuota zero;
+  zero.weight = 0;
+  Session bad = fx.svc.open_session("weightless", zero);
+  Session good = fx.svc.open_session("weighted", {});
+  for (int i = 0; i < 3; ++i) {
+    const SubmitResult r = bad.submit(chain_spec(fx.work, 2));
+    ASSERT_FALSE(r.admitted());
+    EXPECT_EQ(r.rejected.reason, RejectReason::kMalformedSpec);
+    EXPECT_NE(r.rejected.detail.find("weight 0"), std::string::npos)
+        << r.rejected.detail;
+    EXPECT_EQ(r.graph, kInvalidGraph);
+  }
+  const TenantStats stats = bad.stats();
+  EXPECT_EQ(stats.rejected_graphs, 3u);
+  EXPECT_EQ(stats.admitted_graphs, 0u);
+  EXPECT_EQ(stats.in_flight_tasks, 0u);
+  const SubmitResult ok = good.submit(chain_spec(fx.work, 2));
+  ASSERT_TRUE(ok.admitted()) << ok.rejected.detail;
+  EXPECT_FALSE(static_cast<bool>(good.wait(ok.graph)));
+  EXPECT_EQ(good.stats().completed_tasks, 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, ServiceZeroWeightTest,
                          testing::Values(Backend::kSim, Backend::kThreads),
                          [](const testing::TestParamInfo<Backend>& info) {
                            return info.param == Backend::kSim ? "sim"
