@@ -1,5 +1,5 @@
-// Micro-benchmarks (google-benchmark) for the runtime's hot paths: event
-// queue churn, dependence analysis, directory acquires, profile updates,
+// Micro-benchmarks (google-benchmark) for the runtime's hot paths: sim
+// completion dispatch, dependence analysis, directory acquires, profile updates,
 // versioning decisions, and end-to-end task throughput in simulation.
 #include <benchmark/benchmark.h>
 
@@ -8,52 +8,44 @@
 #include "machine/presets.h"
 #include "runtime/runtime.h"
 #include "sched/profile_table.h"
-#include "sim/event_queue.h"
 #include "task/dependency_analyzer.h"
 
 namespace versa {
 namespace {
 
-void BM_EventQueueScheduleRun(benchmark::State& state) {
-  const std::size_t events = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    sim::EventQueue queue;
-    for (std::size_t i = 0; i < events; ++i) {
-      queue.schedule_at(static_cast<Time>(i % 97), [] {});
-    }
-    benchmark::DoNotOptimize(queue.run());
+void BM_SimDispatch(benchmark::State& state) {
+  // The sim completion loop at steady state: each iteration submits
+  // `tasks` independent tasks (one region each) to a versioning runtime on
+  // the 8 SMP + 2 GPU node and runs them to a noflush taskwait. Every
+  // task costs one placement, one pop, one completion with its re-price
+  // and one dispatch pass; the first iteration also pays the learning
+  // phase. ns_per_task is the wall time per simulated task.
+  const std::size_t tasks = static_cast<std::size_t>(state.range(0));
+  const Machine machine = make_minotauro_node(8, 2);
+  RuntimeConfig config;
+  config.backend = Backend::kSim;
+  config.scheduler = "versioning";
+  config.noise.kind = sim::NoiseKind::kNone;
+  Runtime rt(machine, config);
+  const TaskTypeId t = rt.declare_task("t");
+  rt.add_version(t, DeviceKind::kCuda, "g", nullptr, make_constant_cost(1e-3));
+  rt.add_version(t, DeviceKind::kSmp, "c", nullptr, make_constant_cost(4e-3));
+  std::vector<RegionId> regions;
+  for (std::size_t i = 0; i < tasks; ++i) {
+    regions.push_back(rt.register_data("r" + std::to_string(i), 1 << 12));
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_EventQueueScheduleRun)->Arg(64)->Arg(512);
-
-void BM_SimEventQueue(benchmark::State& state) {
-  // Steady state with `pending` events queued: each iteration runs one
-  // event, which schedules its replacement at a random later time, then
-  // schedules and cancels a transient event (the transfer engine's
-  // reschedule pattern). step and cancel are O(log n), so ns per step
-  // must stay flat across the Args.
-  struct Churn {
-    sim::EventQueue queue;
-    Rng rng{7};
-    void arm() {
-      queue.schedule_after(rng.uniform(0.5, 1.5), [this] { arm(); });
-    }
-  };
-  Churn churn;
-  const std::size_t pending = static_cast<std::size_t>(state.range(0));
-  for (std::size_t i = 0; i < pending; ++i) churn.arm();
   for (auto _ : state) {
-    churn.queue.step();
-    const sim::EventHandle transient =
-        churn.queue.schedule_after(0.25, [] {});
-    benchmark::DoNotOptimize(churn.queue.cancel(transient));
+    for (const RegionId r : regions) rt.submit(t, {Access::inout(r)});
+    rt.taskwait_noflush();
   }
-  state.counters["pending"] = static_cast<double>(churn.queue.pending());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  const double simulated = static_cast<double>(state.iterations()) *
+                           static_cast<double>(tasks);
+  state.counters["ns_per_task"] = benchmark::Counter(
+      simulated * 1e-9, benchmark::Counter::kIsRate |
+                            benchmark::Counter::kInvert);
+  state.SetItemsProcessed(static_cast<std::int64_t>(simulated));
 }
-BENCHMARK(BM_SimEventQueue)->Arg(2 << 10)->Arg(8 << 10)->Arg(32 << 10);
+BENCHMARK(BM_SimDispatch)->Arg(1 << 10)->Arg(8 << 10);
 
 void BM_DependencyAnalysisChain(benchmark::State& state) {
   const std::size_t tasks = static_cast<std::size_t>(state.range(0));

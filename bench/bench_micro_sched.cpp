@@ -11,6 +11,10 @@
 //
 // BM_LearningPoolDrain prices a completion while the learning pool is
 // full of one blocked group's tasks (the paper-sim learning window).
+//
+// BM_LoadAccountReprice prices a profile-mean move in the load account
+// when every SMP worker holds queued tasks of the key, followed by the
+// placement's read of the finish-time index (where the index is sorted).
 #include <benchmark/benchmark.h>
 
 #include <deque>
@@ -18,6 +22,7 @@
 
 #include "bench_context.h"
 #include "machine/presets.h"
+#include "sched/core/load_account.h"
 #include "sched/fifo_scheduler.h"
 #include "sched/versioning_scheduler.h"
 
@@ -227,6 +232,29 @@ void BM_LearningPoolDrain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LearningPoolDrain)->Arg(16)->Arg(256)->Arg(1024);
+
+void BM_LoadAccountReprice(benchmark::State& state) {
+  const Machine machine = make_minotauro_node(8, 2);  // 0-7 smp, 8-9 cuda
+  core::LoadAccount account;
+  account.reset(machine);
+  const core::PriceKey key{0, 0, kTaskSize};
+  TaskId next = 1;
+  for (WorkerId w = 0; w < 8; ++w) {
+    for (std::uint32_t i = 0; i <= w; ++i) {
+      account.on_push(next++, key, w, 1e-3);
+    }
+  }
+  // Alternate two means so every reprice moves all 8 shares.
+  bool low = false;
+  for (auto _ : state) {
+    low = !low;
+    account.reprice(key, low ? 1e-3 : 2e-3);
+    benchmark::DoNotOptimize(
+        account.workers_by_busy(DeviceKind::kSmp).front());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LoadAccountReprice);
 
 }  // namespace
 }  // namespace versa

@@ -196,17 +196,23 @@ void DataDirectory::acquire(const AccessList& accesses, SpaceId space,
   VERSA_CHECK(space < machine_.space_count());
   versa::LockGuard lock(mutex_);
   // Pin the working set so evictions never victimize data this very task
-  // is about to use.
+  // is about to use. Each clause's region is looked up (and checked) once,
+  // here; a region named by several clauses is pinned and counted once.
+  std::vector<RegionState*>& states = acquire_states_;
+  states.clear();
   std::uint64_t incoming = 0;
   for (const Access& access : accesses) {
     RegionState& rs = state_at(access.region);
+    states.push_back(&rs);
+    if (rs.pinned) continue;
     rs.pinned = true;
     if ((rs.valid_mask & bit(space)) == 0) incoming += rs.desc.size;
   }
   make_room(space, incoming, out);
 
-  for (const Access& access : accesses) {
-    RegionState& rs = state_at(access.region);
+  for (std::size_t i = 0; i < accesses.size(); ++i) {
+    const Access& access = accesses[i];
+    RegionState& rs = *states[i];
     if (args != nullptr) *args++ = describe_one(access, rs.desc);
     rs.last_use = ++tick_;
     const bool valid_here = (rs.valid_mask & bit(space)) != 0;
@@ -227,9 +233,7 @@ void DataDirectory::acquire(const AccessList& accesses, SpaceId space,
       rs.dirty = (space == kHostSpace) ? kInvalidSpace : space;
     }
   }
-  for (const Access& access : accesses) {
-    state_at(access.region).pinned = false;
-  }
+  for (RegionState* rs : states) rs->pinned = false;
 }
 
 std::uint64_t DataDirectory::bytes_missing(const AccessList& accesses,

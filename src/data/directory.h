@@ -11,6 +11,11 @@
 // must happen and accounts them (Input/Output/Device Tx, §V-A); executors
 // decide *when* they happen (and, in simulation, how long they take).
 //
+// An acquire is linear in the task's clauses: one pass pins the working
+// set, resolving each clause's region state once (a region named twice is
+// pinned and sized once), and the copy and unpin passes reuse those
+// states from member scratch storage, so no pass looks a region up again.
+//
 // Thread-safety: the directory is internally synchronized and every public
 // method is callable WITHOUT the runtime lock (DESIGN.md §9). One mutex
 // (class `data`, rank 13) guards all region state, so every query and
@@ -93,11 +98,12 @@ class DataDirectory {
   /// Make every region accessed by `accesses` coherent for execution in
   /// `space`: appends the copies required to `out`, updates validity
   /// (writes invalidate other spaces) and evicts LRU copies if the space
-  /// would overflow. Must be called in dependence order per task chain —
-  /// the task graph orders conflicting acquires. Atomic as a whole to
-  /// every query. When `args` is non-null the same critical section also
-  /// describes the clauses into it (see describe()), so a task start
-  /// takes the lock once.
+  /// would overflow; a region named by several clauses counts once
+  /// toward the room it needs. Must be called in dependence order per
+  /// task chain — the task graph orders conflicting acquires. Atomic as
+  /// a whole to every query. When `args` is non-null the same critical
+  /// section also describes the clauses into it (see describe()), so a
+  /// task start takes the lock once.
   void acquire(const AccessList& accesses, SpaceId space, TransferList& out,
                ResolvedArg* args = nullptr);
 
@@ -166,6 +172,10 @@ class DataDirectory {
   std::uint64_t stamp_ VERSA_GUARDED_BY(mutex_) = 0;
   std::uint64_t evictions_ VERSA_GUARDED_BY(mutex_) = 0;
   std::size_t live_regions_ VERSA_GUARDED_BY(mutex_) = 0;
+  /// acquire()'s per-clause region states, reused so a task start does no
+  /// allocation once the longest access list has been seen. Deque
+  /// elements never move, so the pointers stay valid for the call.
+  std::vector<RegionState*> acquire_states_ VERSA_GUARDED_BY(mutex_);
 
   RegionState& state_at(RegionId id) VERSA_REQUIRES(mutex_);
   const RegionState& state_at(RegionId id) const VERSA_REQUIRES(mutex_);

@@ -27,7 +27,7 @@ void SimExecutor::acquire_for(Task& task, SpaceId space) {
   TransferList& ops = transfer_scratch_;
   ops.clear();
   port_->port_directory().acquire(task.accesses, space, ops);
-  task.transfers_ready_time = engine_.enqueue(ops, queue_.now());
+  task.transfers_ready_time = engine_.enqueue(ops, now_);
   task.acquired_space = space;
   horizon_ = std::max(horizon_, task.transfers_ready_time);
 }
@@ -56,7 +56,7 @@ void SimExecutor::start_task(WorkerId worker, TaskId id, bool occupy_worker) {
   const SpaceId space = machine_.worker(worker).space;
   acquire_for(task, space);
 
-  const Time start = std::max(queue_.now(), task.transfers_ready_time);
+  const Time start = std::max(now_, task.transfers_ready_time);
   const Duration mean = version.cost != nullptr
                             ? version.cost->mean_duration(task.data_set_size)
                             : config_.default_task_duration;
@@ -97,10 +97,8 @@ void SimExecutor::start_task(WorkerId worker, TaskId id, bool occupy_worker) {
 
   // A nested taskwait inside the body advances virtual time; the parent
   // cannot complete before the clock it observed when its wait returned.
-  const Time finish = std::max(start + duration, queue_.now());
+  const Time finish = std::max(start + duration, now_);
   horizon_ = std::max(horizon_, finish);
-  // The completion record waits in a reused slot, so the event captures
-  // only {this, slot} and fits std::function's inline storage.
   if (free_completions_.empty()) {
     free_completions_.push_back(
         static_cast<std::uint32_t>(completions_.size()));
@@ -110,21 +108,21 @@ void SimExecutor::start_task(WorkerId worker, TaskId id, bool occupy_worker) {
   free_completions_.pop_back();
   completions_[slot] = {id,    worker, start, finish, occupy_worker,
                         fails, std::move(witness)};
-  queue_.schedule_at(finish, [this, slot] {
-    // Completion events fire from queue_.step() inside run_until, with
-    // the runtime lock held by the enclosing wait entry point; re-assert
-    // it for the analysis (a lambda is a separate function) and,
-    // dynamically, against the held-lock stack.
-    port_->port_mutex().assert_held();
-    complete(slot);
-  });
+  VERSA_CHECK_MSG(finish >= now_, "event scheduled in the past");
+  pending_.push_back(Pending{finish, next_seq_++, slot});
+  std::push_heap(pending_.begin(), pending_.end(), Later{});
 }
 
-void SimExecutor::complete(std::uint32_t slot) {
+bool SimExecutor::complete_next() {
+  if (pending_.empty()) return false;
+  std::pop_heap(pending_.begin(), pending_.end(), Later{});
+  const Pending next = pending_.back();
+  pending_.pop_back();
+  now_ = next.finish;
   // Move the record out first: the port calls below start new tasks,
   // which take completion slots and may grow the vector.
-  const Completion done = std::move(completions_[slot]);
-  free_completions_.push_back(slot);
+  const Completion done = std::move(completions_[next.slot]);
+  free_completions_.push_back(next.slot);
   if (done.occupy_worker) {
     busy_[done.worker] = false;
   }
@@ -134,7 +132,7 @@ void SimExecutor::complete(std::uint32_t slot) {
     port_->port_complete(done.id, done.worker, done.start, done.finish,
                          done.witness);
   }
-  pump();
+  return true;
 }
 
 void SimExecutor::pump() {
@@ -156,16 +154,12 @@ void SimExecutor::run_until(DonePredicate done) {
   const TaskGraph& graph = port_->port_graph();
   pump();
   while (!done(graph)) {
-    if (queue_.step()) {
-      pump();
-      continue;
-    }
+    // pump() left no idle worker with work it could pop, so with nothing
+    // pending no later step can make progress.
+    VERSA_CHECK_MSG(complete_next(),
+                    "simulation deadlock: unfinished tasks but no events "
+                    "(task with no runnable version, or scheduler bug)");
     pump();
-    if (queue_.empty() && !done(graph)) {
-      VERSA_CHECK_MSG(false,
-                      "simulation deadlock: unfinished tasks but no events "
-                      "(task with no runnable version, or scheduler bug)");
-    }
   }
 }
 
@@ -192,10 +186,14 @@ void SimExecutor::wait_children(TaskId parent) {
   versa::RecursiveLockGuard lock(port_->port_mutex());
   TaskGraph& graph = port_->port_graph();
   const WorkerId worker = graph.task(parent).assigned_worker;
-  while (graph.task(parent).live_children > 0) {
-    pump();  // children may be queued on idle workers with no event yet
+  if (graph.task(parent).live_children == 0) return;  // nothing to wait for
+  for (;;) {
+    // Children may be queued on idle workers with no event yet; and the
+    // completion that ends the wait still gets its pump before the parent
+    // resumes.
+    pump();
     if (graph.task(parent).live_children == 0) break;
-    if (queue_.step()) continue;
+    if (complete_next()) continue;
     // No events left but children remain: they can only be sitting on
     // this very worker's queue (it is busy with the waiting parent).
     // Inline-execute them — the OmpSs "task switching at a taskwait"
@@ -209,12 +207,12 @@ void SimExecutor::wait_children(TaskId parent) {
   }
 }
 
-Time SimExecutor::now() const { return queue_.now(); }
+Time SimExecutor::now() const { return now_; }
 
 Time SimExecutor::flush(const TransferList& ops) {
   // Called with the runtime lock held (taskwait flush path).
   port_->port_mutex().assert_held();
-  const Time done = engine_.enqueue(ops, queue_.now());
+  const Time done = engine_.enqueue(ops, now_);
   horizon_ = std::max(horizon_, done);
   return done;
 }

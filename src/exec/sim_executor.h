@@ -13,16 +13,19 @@
 // the whole event loop — the annotations are then truthful rather than
 // waived, and the recursive runtime mutex covers task bodies that re-enter
 // the public runtime API (nested submit / taskwait) from under the loop.
-// Completion callbacks scheduled on the event queue run inside that same
-// loop; they re-assert the capability (the analysis treats a lambda as a
-// separate function) and the assertion is corroborated at runtime by the
-// lock-order checker's held-lock stack.
+//
+// Events: the only event is a task completion, so the loop keeps its own
+// min-heap of (finish, seq, slot) entries instead of a general callback
+// queue. Equal finish times complete in start order (seq), each entry
+// names a reused completion record, and every completion is followed by
+// exactly one pump() of the idle workers, run by the wait loop that
+// popped it.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "exec/executor.h"
-#include "sim/event_queue.h"
 #include "sim/noise.h"
 #include "util/annotated_sync.h"
 
@@ -71,7 +74,6 @@ class SimExecutor final : public Executor {
   // Simulation state below is reached only with the runtime lock held
   // (entry points acquire it; task_assigned/flush arrive with it held by
   // contract and re-assert it).
-  sim::EventQueue queue_;
   TransferEngine engine_;
   std::vector<sim::NoiseModel> noise_;
   std::vector<bool> busy_;
@@ -95,6 +97,25 @@ class SimExecutor final : public Executor {
   std::vector<Completion> completions_;
   std::vector<std::uint32_t> free_completions_;
 
+  /// A pending completion: the record in `slot` fires at `finish`; `seq`
+  /// (start order) breaks ties so runs are deterministic.
+  struct Pending {
+    Time finish;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  struct Later {
+    bool operator()(const Pending& a, const Pending& b) const {
+      if (a.finish != b.finish) return a.finish > b.finish;
+      return a.seq > b.seq;
+    }
+  };
+  /// Min-heap on (finish, seq), kept with std::push_heap/pop_heap.
+  std::vector<Pending> pending_;
+  std::uint64_t next_seq_ = 0;
+  /// The virtual clock: the finish time of the last completion popped.
+  Time now_ = 0.0;
+
   /// Acquire `task`'s data for `space` and record its transfer-done time.
   void acquire_for(Task& task, SpaceId space)
       VERSA_REQUIRES(port_->port_mutex());
@@ -107,8 +128,9 @@ class SimExecutor final : public Executor {
   /// (it is already marked busy by the waiting parent).
   void start_task(WorkerId worker, TaskId id, bool occupy_worker = true)
       VERSA_REQUIRES(port_->port_mutex());
-  /// Report the completion recorded in `slot` and free the slot.
-  void complete(std::uint32_t slot) VERSA_REQUIRES(port_->port_mutex());
+  /// Pop the earliest pending completion, advance the clock to it and
+  /// report it. Returns false when nothing is pending. The caller pumps.
+  bool complete_next() VERSA_REQUIRES(port_->port_mutex());
   /// Drive the event loop until `done(graph)` holds (shared body of
   /// wait_all, wait_task and wait_graph).
   template <typename DonePredicate>

@@ -23,49 +23,18 @@ void LoadAccount::reset(const Machine& machine) {
   running_.assign(n, 0);
   counts_.assign(n, 0);
   kinds_.assign(n, DeviceKind::kSmp);
-  positions_.assign(n, 0);
   for (KindIndex& index : index_) index.clear();
   buckets_.clear();
   entries_.clear();
   for (const WorkerDesc& w : machine.workers()) {
     kinds_[w.id] = w.kind;
-    index_of(w.id).push_back(index_key(w.id));
+    index_[static_cast<std::size_t>(w.kind)].push_back(index_key(w.id));
   }
-  for (KindIndex& index : index_) {
-    std::sort(index.begin(), index.end());
-    for (std::uint32_t i = 0; i < index.size(); ++i) {
-      positions_[std::get<2>(index[i])] = i;
-    }
-  }
+  dirty_.fill(true);
 }
 
 LoadAccount::IndexKey LoadAccount::index_key(WorkerId worker) const {
   return {queued_[worker] + running_[worker], counts_[worker], worker};
-}
-
-LoadAccount::KindIndex& LoadAccount::index_of(WorkerId worker) {
-  return index_[static_cast<std::size_t>(kinds_[worker])];
-}
-
-template <typename Fn>
-void LoadAccount::mutate(WorkerId worker, Fn&& fn) {
-  KindIndex& index = index_of(worker);
-  std::uint32_t at = positions_[worker];
-  VERSA_CHECK(at < index.size() && std::get<2>(index[at]) == worker);
-  fn();
-  index[at] = index_key(worker);
-  // Only this entry changed, so the rest of the index is still sorted:
-  // swap it towards the front or the back until its neighbours agree,
-  // moving each displaced neighbour's position with it. Keys are unique
-  // (the worker id breaks every tie).
-  const auto swap_with = [&](std::uint32_t other) {
-    std::swap(index[at], index[other]);
-    positions_[std::get<2>(index[at])] = at;
-    at = other;
-  };
-  while (at > 0 && index[at] < index[at - 1]) swap_with(at - 1);
-  while (at + 1 < index.size() && index[at + 1] < index[at]) swap_with(at + 1);
-  positions_[worker] = at;
 }
 
 LoadAccount::Bucket& LoadAccount::bucket_of(const PriceKey& key) {
@@ -164,10 +133,9 @@ Duration LoadAccount::on_push(TaskId task, const PriceKey& key,
   ++share.count;
   share.charged += charge;
   share.frozen += charge;
-  mutate(worker, [&] {
-    queued_[worker] += charge;
-    ++counts_[worker];
-  });
+  queued_[worker] += charge;
+  ++counts_[worker];
+  touch(worker);
   return to_seconds(charge);
 }
 
@@ -183,20 +151,20 @@ Duration LoadAccount::on_pop(TaskId task, WorkerId worker) {
   share.charged -= charge;
   share.frozen -= entry.charge;
   if (share.count == 0) share = {};
-  mutate(worker, [&] {
-    queued_[worker] -= charge;
-    --counts_[worker];
-    // One running slot per worker, overwritten: nested-taskwait inline
-    // execution pops while the parent still runs, and the historical
-    // accounting kept only the latest estimate.
-    running_[worker] = charge;
-  });
+  queued_[worker] -= charge;
+  --counts_[worker];
+  // One running slot per worker, overwritten: nested-taskwait inline
+  // execution pops while the parent still runs, and the historical
+  // accounting kept only the latest estimate.
+  running_[worker] = charge;
+  touch(worker);
   return to_seconds(charge);
 }
 
 void LoadAccount::on_settle(WorkerId worker) {
   VERSA_CHECK(worker < running_.size());
-  mutate(worker, [&] { running_[worker] = 0; });
+  running_[worker] = 0;
+  touch(worker);
 }
 
 void LoadAccount::on_steal(TaskId task, WorkerId victim, WorkerId thief) {
@@ -218,14 +186,12 @@ void LoadAccount::on_steal(TaskId task, WorkerId victim, WorkerId thief) {
   to.charged += charge;
   to.frozen += entry.charge;
   entry.worker = thief;
-  mutate(victim, [&] {
-    queued_[victim] -= charge;
-    --counts_[victim];
-  });
-  mutate(thief, [&] {
-    queued_[thief] += charge;
-    ++counts_[thief];
-  });
+  queued_[victim] -= charge;
+  --counts_[victim];
+  queued_[thief] += charge;
+  ++counts_[thief];
+  touch(victim);
+  touch(thief);
 }
 
 void LoadAccount::reprice(const PriceKey& key, std::optional<Duration> mean) {
@@ -241,7 +207,8 @@ void LoadAccount::reprice(const PriceKey& key, std::optional<Duration> mean) {
     if (target == share.charged) continue;
     const Ticks delta = target - share.charged;
     share.charged = target;
-    mutate(worker, [&] { queued_[worker] += delta; });
+    queued_[worker] += delta;
+    touch(worker);
   }
 }
 
@@ -271,7 +238,18 @@ std::uint32_t LoadAccount::queued_count(WorkerId worker) const {
 
 const LoadAccount::KindIndex& LoadAccount::workers_by_busy(
     DeviceKind kind) const {
-  return index_[static_cast<std::size_t>(kind)];
+  const auto k = static_cast<std::size_t>(kind);
+  KindIndex& index = index_[k];
+  if (dirty_[k]) {
+    // The entries still name the kind's workers; refresh their keys and
+    // sort. Keys are unique (the worker id breaks every tie), so the
+    // order is the one a from-scratch sort gives. A kind has few workers
+    // and only some moved since the last read, so the sort is short.
+    for (IndexKey& key : index) key = index_key(std::get<2>(key));
+    std::sort(index.begin(), index.end());
+    dirty_[k] = false;
+  }
+  return index;
 }
 
 WorkerId LoadAccount::least_busy(DeviceKind kind) const {

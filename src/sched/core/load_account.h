@@ -28,13 +28,16 @@
 // patch per worker holding the key instead of one write per queued task.
 //
 // The account also maintains, per device kind, a finish-time index: a flat
-// vector of (busy, queued count, worker id) kept sorted, so a least-busy
+// vector of (busy, queued count, worker id) entries, so a least-busy
 // lookup reads the front and an earliest-executor walk iterates in busy
-// order instead of sweeping every worker and rescanning its queue. It
-// also keeps each worker's position in its kind's index, so a
-// mutation goes straight to the one worker's entry, rewrites it and slides
-// it to its sorted place by neighbour swaps (updating the positions of the
-// entries it passes), O(distance moved) with no search.
+// order instead of sweeping every worker and rescanning its queue. The
+// index is sorted when it is read, not when it changes: a mutation only
+// marks its worker's kind dirty, and the next read refreshes each entry
+// from the per-worker sums and sorts the vector in place. A task changes
+// the account about a dozen times (push, pop, settle, re-prices) but
+// reads it about once per placement, and every read still sees the same
+// (busy, queued count, id) order, so the walk and its pruning are
+// unchanged.
 //
 // Every hot operation is allocation-free once the account has seen its
 // keys and its peak queue depth: the index is sized in reset(), each
@@ -108,7 +111,7 @@ class LoadAccount {
   /// queued-count tie-break reproduces the historical least-busy rule
   /// (equal busy -> shorter queue -> lower id).
   using IndexKey = std::tuple<Ticks, std::uint32_t, WorkerId>;
-  using KindIndex = std::vector<IndexKey>;  ///< sorted ascending
+  using KindIndex = std::vector<IndexKey>;  ///< sorted ascending when read
 
   /// Rebuild for `machine`: every worker idle, index populated.
   void reset(const Machine& machine);
@@ -145,7 +148,9 @@ class LoadAccount {
   std::uint32_t queued_count(WorkerId worker) const;
 
   /// Workers of `kind` ordered by (busy, queued count, id); empty for
-  /// kinds with no workers.
+  /// kinds with no workers. Sorts the index first if a mutation touched
+  /// the kind since the last read (in place, no allocation). The
+  /// reference stays valid until the next mutation.
   const KindIndex& workers_by_busy(DeviceKind kind) const;
 
   /// Least-busy worker of `kind`, or kInvalidWorker.
@@ -202,22 +207,23 @@ class LoadAccount {
   std::vector<Ticks> running_;
   std::vector<std::uint32_t> counts_;
   std::vector<DeviceKind> kinds_;
-  std::array<KindIndex, 2> index_;  ///< one per DeviceKind
-  /// Each worker's position in its kind's index.
-  std::vector<std::uint32_t> positions_;
+  /// One per DeviceKind. Sorting on read changes neither the entries'
+  /// set nor any observable value, hence mutable.
+  mutable std::array<KindIndex, 2> index_;
+  /// A kind's index is stale: some worker of it changed since the sort.
+  mutable std::array<bool, 2> dirty_{};
   std::unordered_map<PriceKey, Bucket, PriceKeyHash> buckets_;
   EntryTable entries_;
 
   /// The key's bucket, created with one empty share per worker.
   Bucket& bucket_of(const PriceKey& key);
   Ticks effective(const TaskEntry& entry, const Bucket& bucket) const;
-  KindIndex& index_of(WorkerId worker);
   IndexKey index_key(WorkerId worker) const;
-
-  /// Apply a busy/count mutation to `worker`, then slide its index entry
-  /// to its sorted place.
-  template <typename Fn>
-  void mutate(WorkerId worker, Fn&& fn);
+  /// `worker`'s busy time or queued count changed: mark its kind's index
+  /// for a sort at the next read.
+  void touch(WorkerId worker) {
+    dirty_[static_cast<std::size_t>(kinds_[worker])] = true;
+  }
 };
 
 }  // namespace versa::core

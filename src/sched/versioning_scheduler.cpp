@@ -106,7 +106,7 @@ Duration VersioningScheduler::estimated_busy(WorkerId worker) const {
 WorkerId VersioningScheduler::least_busy_worker(
     const TaskVersion& version) const {
   // The finish-time index orders workers by (busy, queue length, id) —
-  // the historical tie-break — so this is one O(log workers) lookup.
+  // the historical tie-break — so this reads its front.
   versa::LockGuard lock(account_mutex_);
   return account_.least_busy(version.device);
 }

@@ -177,6 +177,28 @@ TEST(DirectoryEviction, LruCleanCopyIsDropped) {
   EXPECT_LE(dir.used_bytes(gpu_mem), 1000u);
 }
 
+TEST(DirectoryEviction, RegionNamedTwiceCountsOnceTowardRoom) {
+  // Two 3 GiB regions fit the 6 GiB GPU together. A task naming `b` in
+  // two clauses needs 3 GiB more, not 6: `a` must stay.
+  const Machine machine = make_minotauro_node(1, 1);
+  const SpaceId gpu_mem = machine.worker(1).space;
+  ASSERT_EQ(machine.space(gpu_mem).capacity, 6ull << 30);
+  DataDirectory dir(machine);
+  const RegionId a = dir.register_region("a", 3ull << 30);
+  const RegionId b = dir.register_region("b", 3ull << 30);
+  TransferList ops;
+  dir.acquire({Access::in(a)}, gpu_mem, ops);
+  ops.clear();
+  dir.acquire({Access::in(b), Access::inout(b)}, gpu_mem, ops);
+  EXPECT_EQ(dir.eviction_count(), 0u);
+  EXPECT_TRUE(dir.is_valid_in(a, gpu_mem));
+  EXPECT_TRUE(dir.is_valid_in(b, gpu_mem));
+  EXPECT_EQ(dir.dirty_space(b), gpu_mem);
+  ASSERT_EQ(ops.size(), 1u);  // b's copy-in only
+  EXPECT_EQ(ops[0].region, b);
+  EXPECT_EQ(dir.used_bytes(gpu_mem), 6ull << 30);
+}
+
 TEST(DirectoryEviction, DirtyVictimIsWrittenBackFirst) {
   Machine::Builder builder;
   const SpaceId gpu_mem = builder.add_space("gpu", 1000);

@@ -4,7 +4,9 @@
 // lock, so once the account has seen its price keys and its peak queue
 // depth those operations must not touch the heap: on_push, on_pop,
 // on_settle, on_steal and reprice make no allocation (the per-task
-// entries live in a flat table sized by the peak, with no node per task).
+// entries live in a flat table sized by the peak, with no node per task),
+// and neither does reading a finish-time index those changes left dirty
+// (it is sorted in place).
 //
 // The count comes from a replacement global operator new in this file,
 // which is why the test is its own executable. Only the account call sits
@@ -24,6 +26,8 @@
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
+/// Keeps index reads from being optimized away.
+std::size_t g_sink = 0;
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -111,12 +115,21 @@ TEST(LoadAccountAlloc, HotOperationsStayWithinBudget) {
   }
   EXPECT_EQ(push_max, 0u) << "on_push allocates";
 
+  // Reading a dirty index sorts it in place; a clean read is a lookup.
+  const auto read_both = [&] {
+    g_sink += account.workers_by_busy(DeviceKind::kSmp).size();
+    g_sink += account.least_busy(DeviceKind::kCuda);
+  };
+  EXPECT_EQ(allocations_of(read_both), 0u) << "dirty index read allocates";
+  EXPECT_EQ(allocations_of(read_both), 0u) << "clean index read allocates";
+
   // Mean moves, including a forgotten mean and its return.
   for (const PriceKey& key : keys) {
     EXPECT_EQ(allocations_of([&] { account.reprice(key, 4e-3); }), 0u);
     EXPECT_EQ(allocations_of([&] { account.reprice(key, std::nullopt); }),
               0u);
     EXPECT_EQ(allocations_of([&] { account.reprice(key, 2.5e-3); }), 0u);
+    EXPECT_EQ(allocations_of(read_both), 0u) << "dirty index read allocates";
   }
 
   // Steal every smp task queued on worker 0 to worker 1, and every cuda
@@ -131,6 +144,7 @@ TEST(LoadAccountAlloc, HotOperationsStayWithinBudget) {
               0u);
     w = thief;
   }
+  EXPECT_EQ(allocations_of(read_both), 0u) << "dirty index read allocates";
 
   // Drain: pop and settle everything; a reprice between pops walks
   // shares that are emptying.

@@ -140,6 +140,90 @@ TEST(LoadAccount, ManyQueuedTasksSurviveGrowthAndOutOfOrderPops) {
   EXPECT_EQ(account.queued_ticks(1), 0);
 }
 
+// The finish-time index is sorted when read, not when changed. Drive
+// random push / pop / settle / steal / reprice sequences and read the
+// index only at random points, so a read may follow zero, one or many
+// changes to either kind: every read must equal a from-scratch sort of
+// (busy, queued count, id) over the kind's workers, and least_busy must
+// be its front whichever of the two is read first.
+TEST(LoadAccount, IndexSortedOnReadMatchesFromScratchSort) {
+  const Machine machine = make_minotauro_node(8, 2);  // 0-7 smp, 8-9 cuda
+  for (const std::uint64_t seed : {3u, 17u, 2026u}) {
+    Rng rng(seed);
+    LoadAccount account;
+    account.reset(machine);
+    std::vector<std::pair<TaskId, WorkerId>> queued;
+    TaskId next = 1;
+    auto random_key = [&] {
+      return PriceKey{static_cast<TaskTypeId>(rng.next_below(2)),
+                      static_cast<VersionId>(rng.next_below(2)), 100};
+    };
+    auto expected_index = [&](DeviceKind kind) {
+      std::vector<LoadAccount::IndexKey> expected;
+      for (const WorkerDesc& w : machine.workers()) {
+        if (w.kind != kind) continue;
+        expected.emplace_back(account.busy_ticks(w.id),
+                              account.queued_count(w.id), w.id);
+      }
+      std::sort(expected.begin(), expected.end());
+      return expected;
+    };
+    int reads = 0;
+    for (int step = 0; step < 4000; ++step) {
+      const std::uint64_t op = rng.next_below(100);
+      if (op < 40 || queued.empty()) {
+        const auto w =
+            static_cast<WorkerId>(rng.next_below(machine.worker_count()));
+        account.on_push(next, random_key(), w, rng.uniform(0.0, 1e-2));
+        queued.emplace_back(next++, w);
+      } else if (op < 60) {
+        const std::size_t i = rng.next_below(queued.size());
+        const WorkerId w = queued[i].second;
+        account.on_pop(queued[i].first, w);
+        queued.erase(queued.begin() + static_cast<std::ptrdiff_t>(i));
+        if (rng.next_below(2) == 0) account.on_settle(w);
+      } else if (op < 70) {
+        account.on_settle(
+            static_cast<WorkerId>(rng.next_below(machine.worker_count())));
+      } else if (op < 82) {
+        auto& [task, victim] = queued[rng.next_below(queued.size())];
+        const DeviceKind kind = machine.worker(victim).kind;
+        const WorkerId base = kind == DeviceKind::kSmp ? 0 : 8;
+        const WorkerId span = kind == DeviceKind::kSmp ? 8 : 2;
+        const auto thief = static_cast<WorkerId>(base + rng.next_below(span));
+        if (thief != victim) {
+          account.on_steal(task, victim, thief);
+          victim = thief;
+        }
+      } else {
+        const PriceKey key = random_key();
+        if (rng.next_below(4) == 0) {
+          account.reprice(key, std::nullopt);
+        } else {
+          account.reprice(key, rng.uniform(1e-6, 1e-2));
+        }
+      }
+      if (rng.next_below(8) != 0) continue;  // most changes go unread
+      ++reads;
+      for (const DeviceKind kind : {DeviceKind::kSmp, DeviceKind::kCuda}) {
+        const std::vector<LoadAccount::IndexKey> expected =
+            expected_index(kind);
+        WorkerId front = kInvalidWorker;
+        if (rng.next_below(2) == 0) front = account.least_busy(kind);
+        const LoadAccount::KindIndex& index = account.workers_by_busy(kind);
+        ASSERT_EQ(std::vector<LoadAccount::IndexKey>(index.begin(),
+                                                     index.end()),
+                  expected)
+            << "seed " << seed << " step " << step;
+        if (front == kInvalidWorker) front = account.least_busy(kind);
+        ASSERT_EQ(front, std::get<2>(expected.front()))
+            << "seed " << seed << " step " << step;
+      }
+    }
+    EXPECT_GT(reads, 300) << "seed " << seed;
+  }
+}
+
 TEST(LoadAccountDeathTest, MisuseAborts) {
   const PriceKey key{0, 0, 100};
   auto fresh = [] {

@@ -1,200 +1,198 @@
-// Unit tests for the discrete-event core: event queue ordering,
-// cancellation, virtual clock; noise model statistics.
+// Unit tests for the discrete-event core: the sim backend's completion
+// loop (time order, tie order, completions that start work, the clock
+// invariant, the deadlock check, nested-wait dispatch) driven through a
+// sim Runtime; noise model statistics.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "common/stats.h"
-#include "sim/event_queue.h"
+#include "machine/presets.h"
+#include "runtime/runtime.h"
 #include "sim/noise.h"
 
 namespace versa::sim {
 namespace {
 
-TEST(EventQueue, RunsInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(3.0, [&] { order.push_back(3); });
-  q.schedule_at(1.0, [&] { order.push_back(1); });
-  q.schedule_at(2.0, [&] { order.push_back(2); });
-  EXPECT_EQ(q.run(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(q.now(), 3.0);
+/// Noise-free sim runtime with the decision trace on (its `complete`
+/// events give the completion order). dep-aware steals, so an idle worker
+/// takes queued work wherever it was placed.
+RuntimeConfig sim_config(const std::string& scheduler = "dep-aware") {
+  RuntimeConfig config;
+  config.backend = Backend::kSim;
+  config.scheduler = scheduler;
+  config.noise.kind = NoiseKind::kNone;
+  config.sched_trace = true;
+  return config;
 }
 
-TEST(EventQueue, TiesBreakByInsertionOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    q.schedule_at(5.0, [&order, i] { order.push_back(i); });
-  }
-  q.run();
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(order[i], i);
-  }
-}
-
-TEST(EventQueue, ScheduleAfterUsesCurrentClock) {
-  EventQueue q;
-  Time seen = -1.0;
-  q.schedule_at(2.0, [&] {
-    q.schedule_after(3.0, [&] { seen = q.now(); });
-  });
-  q.run();
-  EXPECT_DOUBLE_EQ(seen, 5.0);
-}
-
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  bool ran = false;
-  const EventHandle h = q.schedule_at(1.0, [&] { ran = true; });
-  EXPECT_TRUE(q.cancel(h));
-  EXPECT_FALSE(q.cancel(h));  // double-cancel reports failure
-  q.run();
-  EXPECT_FALSE(ran);
-}
-
-TEST(EventQueue, CancelledEventsAreSkippedOnPop) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(1.0, [&] { order.push_back(1); });
-  const EventHandle h = q.schedule_at(2.0, [&] { order.push_back(2); });
-  q.schedule_at(3.0, [&] { order.push_back(3); });
-  q.cancel(h);
-  EXPECT_EQ(q.run(), 2u);
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
-}
-
-TEST(EventQueue, EventsMayScheduleMoreEvents) {
-  EventQueue q;
-  int depth = 0;
-  std::function<void()> chain = [&] {
-    if (++depth < 5) q.schedule_after(1.0, chain);
-  };
-  q.schedule_at(0.0, chain);
-  q.run();
-  EXPECT_EQ(depth, 5);
-  EXPECT_DOUBLE_EQ(q.now(), 4.0);
-}
-
-TEST(EventQueue, RunUntilStopsAtLimit) {
-  EventQueue q;
-  int count = 0;
-  for (int i = 1; i <= 10; ++i) {
-    q.schedule_at(static_cast<Time>(i), [&] { ++count; });
-  }
-  EXPECT_EQ(q.run_until(5.0), 5u);
-  EXPECT_EQ(count, 5);
-  EXPECT_EQ(q.pending(), 5u);
-}
-
-TEST(EventQueue, EmptyAndPendingTrackLiveEvents) {
-  EventQueue q;
-  EXPECT_TRUE(q.empty());
-  const EventHandle h = q.schedule_at(1.0, [] {});
-  EXPECT_FALSE(q.empty());
-  EXPECT_EQ(q.pending(), 1u);
-  q.cancel(h);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, StepReturnsFalseWhenDrained) {
-  EventQueue q;
-  EXPECT_FALSE(q.step());
-  q.schedule_at(1.0, [] {});
-  EXPECT_TRUE(q.step());
-  EXPECT_FALSE(q.step());
-}
-
-TEST(EventQueue, RunUntilSkipsCancelledHead) {
-  // A cancelled event at the head must not let run_until run a later
-  // event past the limit.
-  EventQueue q;
-  int ran = 0;
-  const EventHandle early = q.schedule_at(1.0, [&] { ++ran; });
-  q.schedule_at(5.0, [&] { ++ran; });
-  EXPECT_TRUE(q.cancel(early));
-  EXPECT_EQ(q.run_until(2.0), 0u);
-  EXPECT_EQ(ran, 0);
-  EXPECT_EQ(q.now(), 0.0);
-  EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueue, StaleHandleCannotCancelAReusedSlot) {
-  EventQueue q;
-  const EventHandle first = q.schedule_at(1.0, [] {});
-  EXPECT_TRUE(q.step());
-  bool ran = false;
-  const EventHandle second = q.schedule_at(2.0, [&] { ran = true; });
-  EXPECT_NE(first, second);
-  EXPECT_FALSE(q.cancel(first));  // already ran; its slot now holds `second`
-  EXPECT_EQ(q.pending(), 1u);
-  EXPECT_TRUE(q.step());
-  EXPECT_TRUE(ran);
-  EXPECT_FALSE(q.cancel(second));
-}
-
-TEST(EventQueue, ManyTiesAndCancellationsAtScale) {
-  // 32768 events over 512 distinct times, scheduled in scrambled time
-  // order; every third one is cancelled. The first half's cancels happen
-  // before the second half is scheduled, so later events reuse the freed
-  // slots. The survivors must still run in (time, insertion) order, and
-  // the live count must track every schedule, cancel and step.
-  constexpr int kEvents = 32768;
-  constexpr int kTimes = 512;
-  EventQueue q;
-  std::vector<int> order;
-  order.reserve(kEvents);
-  std::vector<EventHandle> handles;
-  handles.reserve(kEvents);
-  auto time_of = [](int i) {
-    return static_cast<Time>((i * 7919) % kTimes);
-  };
-  std::size_t live = 0;
-  auto cancel_thirds = [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) {
-      if (i % 3 != 0) continue;
-      ASSERT_TRUE(q.cancel(handles[i]));
-      --live;
-      ASSERT_FALSE(q.cancel(handles[i])) << "double cancel of event " << i;
+/// (task, virtual time) of every completion, in the order they fired.
+std::vector<std::pair<TaskId, Time>> completions(Runtime& rt) {
+  std::vector<std::pair<TaskId, Time>> out;
+  for (const core::TraceEvent& e : rt.scheduler().decision_trace().events()) {
+    if (e.kind == core::TraceEventKind::kComplete) {
+      out.emplace_back(e.task, e.time);
     }
-  };
-  for (int i = 0; i < kEvents; ++i) {
-    if (i == kEvents / 2) {
-      cancel_thirds(0, i);
-      ASSERT_EQ(q.pending(), live);
-    }
-    handles.push_back(q.schedule_at(time_of(i), [&order, i] {
-      order.push_back(i);
-    }));
-    ++live;
   }
-  ASSERT_EQ(q.pending(), live);
-  cancel_thirds(kEvents / 2, kEvents);
-  ASSERT_EQ(q.pending(), live);
+  return out;
+}
 
-  while (q.step()) {
-    --live;
-    ASSERT_EQ(q.pending(), live);
-  }
-  EXPECT_EQ(live, 0u);
-  EXPECT_TRUE(q.empty());
+/// A body-less task type with one SMP version of constant `cost`.
+TaskTypeId constant_type(Runtime& rt, const std::string& name, Duration cost) {
+  const TaskTypeId type = rt.declare_task(name);
+  rt.add_version(type, DeviceKind::kSmp, "smp", nullptr,
+                 make_constant_cost(cost));
+  return type;
+}
 
-  std::vector<int> expected;
-  for (int i = 0; i < kEvents; ++i) {
-    if (i % 3 != 0) expected.push_back(i);
-  }
-  std::stable_sort(expected.begin(), expected.end(), [&](int a, int b) {
-    return time_of(a) < time_of(b);
-  });
-  EXPECT_EQ(order, expected);
+// Durations below are powers of two, so every sum is exact.
 
-  // Every handle is spent: executed ones and cancelled ones alike.
-  for (int i = 0; i < kEvents; i += 7) {
-    EXPECT_FALSE(q.cancel(handles[i]));
+TEST(SimExecutor, CompletionsRunInTimeOrder) {
+  const Machine machine = make_smp_machine(3);
+  Runtime rt(machine, sim_config());
+  const TaskId slow = rt.submit(constant_type(rt, "slow", 0.75),
+                                {Access::inout(rt.register_data("a", 64))});
+  const TaskId fast = rt.submit(constant_type(rt, "fast", 0.25),
+                                {Access::inout(rt.register_data("b", 64))});
+  const TaskId mid = rt.submit(constant_type(rt, "mid", 0.5),
+                               {Access::inout(rt.register_data("c", 64))});
+  rt.taskwait();
+  using Done = std::vector<std::pair<TaskId, Time>>;
+  EXPECT_EQ(completions(rt), (Done{{fast, 0.25}, {mid, 0.5}, {slow, 0.75}}));
+  EXPECT_EQ(rt.now(), 0.75);
+}
+
+TEST(SimExecutor, EqualFinishTimesCompleteInStartOrder) {
+  // Two workers. `first` and `long_one` start at 0; `second` depends on
+  // `first` and starts at 0.25 on the freed worker. `long_one` and
+  // `second` both finish at 0.5: `long_one` started first, so it
+  // completes first although `second` has the lower id.
+  const Machine machine = make_smp_machine(2);
+  Runtime rt(machine, sim_config());
+  const TaskTypeId quarter = constant_type(rt, "quarter", 0.25);
+  const RegionId a = rt.register_data("a", 64);
+  const TaskId first = rt.submit(quarter, {Access::inout(a)});
+  const TaskId second = rt.submit(quarter, {Access::inout(a)});
+  const TaskId long_one = rt.submit(constant_type(rt, "half", 0.5),
+                                    {Access::inout(rt.register_data("b", 64))});
+  rt.taskwait();
+  ASSERT_LT(second, long_one);
+  EXPECT_EQ(rt.task_graph().task(second).start_time, 0.25);
+  using Done = std::vector<std::pair<TaskId, Time>>;
+  EXPECT_EQ(completions(rt),
+            (Done{{first, 0.25}, {long_one, 0.5}, {second, 0.5}}));
+}
+
+TEST(SimExecutor, CompletionStartsTheWorkItReleases) {
+  // One producer fans out to three consumers on three workers: all three
+  // start at the producer's completion instant, and each of their
+  // completions starts the next link of its own chain.
+  const Machine machine = make_smp_machine(3);
+  Runtime rt(machine, sim_config());
+  const TaskTypeId quarter = constant_type(rt, "quarter", 0.25);
+  const RegionId src = rt.register_data("src", 64);
+  const TaskId producer = rt.submit(quarter, {Access::out(src)});
+  std::vector<TaskId> consumers;
+  std::vector<TaskId> tails;
+  for (int i = 0; i < 3; ++i) {
+    const RegionId own = rt.register_data("own" + std::to_string(i), 64);
+    consumers.push_back(
+        rt.submit(quarter, {Access::in(src), Access::out(own)}));
+    tails.push_back(rt.submit(quarter, {Access::inout(own)}));
   }
+  rt.taskwait();
+  const TaskGraph& graph = rt.task_graph();
+  EXPECT_EQ(graph.task(producer).finish_time, 0.25);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(graph.task(consumers[i]).start_time, 0.25) << i;
+    EXPECT_EQ(graph.task(tails[i]).start_time, 0.5) << i;
+    EXPECT_EQ(graph.task(tails[i]).finish_time, 0.75) << i;
+  }
+  EXPECT_EQ(completions(rt).size(), 7u);
+  EXPECT_EQ(rt.now(), 0.75);
+}
+
+TEST(SimExecutor, ParentOutlivingItsModelledTimeCompletesAtTheWaitClock) {
+  // The parent's own duration ends long before its child does. The
+  // nested taskwait moves the clock to the child's finish, and the
+  // parent's completion is scheduled there, never in the past (the
+  // "event scheduled in the past" check guards this clamp).
+  const Machine machine = make_smp_machine(2);
+  Runtime rt(machine, sim_config());
+  const TaskTypeId child = constant_type(rt, "child", 1.0);
+  TaskId child_id = kInvalidTask;
+  const TaskTypeId parent = rt.declare_task("parent");
+  rt.add_version(
+      parent, DeviceKind::kSmp, "smp",
+      [&](TaskContext&) {
+        child_id = rt.submit(child, {Access::inout(rt.register_data("c", 64))});
+        rt.taskwait();
+      },
+      make_constant_cost(0.125));
+  const TaskId parent_id =
+      rt.submit(parent, {Access::inout(rt.register_data("p", 64))});
+  rt.taskwait();
+  const TaskGraph& graph = rt.task_graph();
+  EXPECT_EQ(graph.task(child_id).finish_time, 1.0);
+  EXPECT_EQ(graph.task(parent_id).finish_time, 1.0);
+  using Done = std::vector<std::pair<TaskId, Time>>;
+  EXPECT_EQ(completions(rt), (Done{{child_id, 1.0}, {parent_id, 1.0}}));
+}
+
+TEST(SimExecutorDeath, DrainedQueueWithUnfinishedTasksAborts) {
+  // A GPU-only task on a host-only machine is never popped: the loop
+  // drains every event with the task unfinished and must abort.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Machine machine = make_smp_machine(1);
+  EXPECT_DEATH(
+      {
+        Runtime rt(machine, sim_config("fifo"));
+        const TaskTypeId t = rt.declare_task("t");
+        rt.add_version(t, DeviceKind::kCuda, "gpu-only", nullptr,
+                       make_constant_cost(1e-3));
+        rt.submit(t, {Access::in(rt.register_data("r", 64))});
+        rt.taskwait();
+      },
+      "simulation deadlock");
+}
+
+TEST(SimExecutor, NestedWaitEndingOnLastChildDispatchesQueuedWork) {
+  // Two workers. `y` runs on one and the parent on the other; the
+  // parent's child queues behind them. `y` completes first, which
+  // readies `z` (queued behind the child) and lets the child run. The
+  // child's completion ends the parent's wait and frees its worker: `z`
+  // must start at that instant, before the parent's body resumes.
+  const Machine machine = make_smp_machine(2);
+  Runtime rt(machine, sim_config());
+  const RegionId y_out = rt.register_data("y", 64);
+  const TaskId y = rt.submit(constant_type(rt, "y", 0.5),
+                             {Access::out(y_out)});
+  const TaskTypeId child = constant_type(rt, "child", 1.0);
+  bool z_started = false;
+  bool z_started_when_wait_returned = false;
+  const TaskTypeId parent = rt.declare_task("parent");
+  rt.add_version(
+      parent, DeviceKind::kSmp, "smp",
+      [&](TaskContext&) {
+        rt.submit(child, {Access::inout(rt.register_data("c", 64))});
+        rt.taskwait();
+        z_started_when_wait_returned = z_started;
+      },
+      make_constant_cost(0.125));
+  rt.submit(parent, {Access::inout(rt.register_data("p", 64))});
+  const TaskTypeId z_type = rt.declare_task("z");
+  rt.add_version(
+      z_type, DeviceKind::kSmp, "smp",
+      [&](TaskContext&) { z_started = true; }, make_constant_cost(1.0));
+  const TaskId z = rt.submit(z_type, {Access::in(y_out)});
+  rt.taskwait();
+  const TaskGraph& graph = rt.task_graph();
+  ASSERT_EQ(graph.task(y).finish_time, 0.5);
+  EXPECT_TRUE(z_started_when_wait_returned);
+  EXPECT_EQ(graph.task(z).start_time, 1.5);
 }
 
 TEST(Noise, NoneIsExact) {
