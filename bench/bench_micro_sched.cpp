@@ -13,8 +13,14 @@
 // full of one blocked group's tasks (the paper-sim learning window).
 //
 // BM_LoadAccountReprice prices a profile-mean move in the load account
-// when every SMP worker holds queued tasks of the key, followed by the
+// when every SMP worker holds queued tasks of the price, followed by the
 // placement's read of the finish-time index (where the index is sorted).
+//
+// BM_PlaceReliableMix prices one reliable-phase task cycle (ready, pop,
+// complete) over a mix of task types and sizes, each task arriving with
+// its profile cell unresolved: the one cell resolution, the placement's
+// reads by cell, the account charge and the completion's record and
+// re-price.
 #include <benchmark/benchmark.h>
 
 #include <deque>
@@ -237,7 +243,7 @@ void BM_LoadAccountReprice(benchmark::State& state) {
   const Machine machine = make_minotauro_node(8, 2);  // 0-7 smp, 8-9 cuda
   core::LoadAccount account;
   account.reset(machine);
-  const core::PriceKey key{0, 0, kTaskSize};
+  const PriceId key = 0;
   TaskId next = 1;
   for (WorkerId w = 0; w < 8; ++w) {
     for (std::uint32_t i = 0; i <= w; ++i) {
@@ -255,6 +261,65 @@ void BM_LoadAccountReprice(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LoadAccountReprice);
+
+void BM_PlaceReliableMix(benchmark::State& state) {
+  constexpr int kTypes = 4;
+  constexpr int kSizes = 4;
+  constexpr int kTasks = 256;
+  BenchContext ctx(make_fat_node());
+  std::vector<TaskTypeId> types = {ctx.type_};
+  for (int t = 1; t < kTypes; ++t) {
+    const TaskTypeId type = ctx.registry_.declare_task("t" + std::to_string(t));
+    ctx.registry_.add_version(type, DeviceKind::kSmp, "smp", nullptr, nullptr);
+    ctx.registry_.add_version(type, DeviceKind::kCuda, "gpu", nullptr, nullptr);
+    types.push_back(type);
+  }
+  VersioningScheduler sched;
+  sched.attach(ctx);
+  ProfileTable& profile = sched.mutable_profile();
+  // Every (type, size) group reliable, means growing with the size and
+  // differing per type; the GPU version faster, as on the real node.
+  const auto mean_of = [&](TaskTypeId type, int size_index, VersionId v) {
+    const Duration smp =
+        1e-3 * (1 + type) * static_cast<double>(1 << size_index);
+    return ctx.registry_.version(v).device == DeviceKind::kSmp ? smp
+                                                               : 0.4 * smp;
+  };
+  for (TaskTypeId type : types) {
+    for (int s = 0; s < kSizes; ++s) {
+      for (VersionId v : ctx.registry_.versions(type)) {
+        profile.prime(type, v, profile.group_key(kTaskSize << s),
+                      mean_of(type, s, v), 16);
+      }
+    }
+  }
+  std::vector<Task*> tasks;
+  std::vector<int> size_index;
+  for (int i = 0; i < kTasks; ++i) {
+    const int s = (i / kTypes) % kSizes;
+    tasks.push_back(&ctx.graph_.create_task(types[i % kTypes], {},
+                                            kTaskSize << s, ""));
+    size_index.push_back(s);
+  }
+  for (auto _ : state) {
+    for (int i = 0; i < kTasks; ++i) {
+      // Re-ready the task as a fresh one: no resolved cell, no charge.
+      Task& task = *tasks[i];
+      task.state = TaskState::kReady;
+      task.profile_cell = kNoCell;
+      task.scheduler_estimate = 0.0;
+      sched.task_ready(task);
+      const WorkerId worker = task.assigned_worker;
+      benchmark::DoNotOptimize(sched.pop_task(worker));
+      // Recording the primed mean keeps every mean, so every decision,
+      // the same from cycle to cycle.
+      sched.task_completed(
+          task, worker, mean_of(task.type, size_index[i], task.chosen_version));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kTasks);
+}
+BENCHMARK(BM_PlaceReliableMix);
 
 }  // namespace
 }  // namespace versa

@@ -27,6 +27,13 @@ using DeviceId = std::uint32_t;
 using SpaceId = std::uint32_t;
 using RegionId = std::uint64_t;
 
+/// Dense ids of the versioning profile (ProfileTable): a CellId names one
+/// (task type, data-set-size group) cell of the paper's Table I, a PriceId
+/// one (cell, version) entry of it, which is also the load account's
+/// price bucket.
+using CellId = std::uint32_t;
+using PriceId = std::uint32_t;
+
 /// Service mode (DESIGN.md §10): one runtime serves many independent task
 /// graphs, each owned by a tenant. Graph 0 / tenant 0 are the implicit
 /// defaults used by every single-graph program, so code that never opens a
@@ -42,6 +49,7 @@ constexpr DeviceId kInvalidDevice = std::numeric_limits<DeviceId>::max();
 constexpr SpaceId kInvalidSpace = std::numeric_limits<SpaceId>::max();
 constexpr GraphId kInvalidGraph = std::numeric_limits<GraphId>::max();
 constexpr TenantId kInvalidTenant = std::numeric_limits<TenantId>::max();
+constexpr CellId kNoCell = std::numeric_limits<CellId>::max();
 
 /// The implicit graph root / tenant every task belongs to unless a service
 /// session says otherwise.

@@ -38,6 +38,7 @@ void SimExecutor::task_queued(Task& task, WorkerId worker) {
   // the held-lock stack. The sim backend acquires synchronously — the
   // event loop is single-threaded, so prefetch stays deterministic.
   port_->port_mutex().assert_held();
+  work_arrived_ = true;
   if (config_.prefetch) {
     // Overlap: start this task's copies now, while workers compute.
     acquire_for(task, machine_.worker(worker).space);
@@ -45,7 +46,11 @@ void SimExecutor::task_queued(Task& task, WorkerId worker) {
   // Actual dispatch happens in pump(), driven by the wait loops.
 }
 
-void SimExecutor::work_available() {}
+void SimExecutor::work_available() {
+  // A ready task may have gone to a policy's pool without any push (the
+  // versioning learning pool), where an idle worker's pop can pull it.
+  work_arrived_ = true;
+}
 
 void SimExecutor::start_task(WorkerId worker, TaskId id, bool occupy_worker) {
   Task& task = port_->port_graph().task(id);
@@ -136,17 +141,18 @@ bool SimExecutor::complete_next() {
 }
 
 void SimExecutor::pump() {
-  bool progress = true;
-  while (progress) {
-    progress = false;
+  // A pop that missed stays a miss until work arrives: starting a task
+  // only removes work, and a worker freed by a completion is swept by the
+  // pump that follows the completion.
+  do {
+    work_arrived_ = false;
     for (WorkerId w = 0; w < machine_.worker_count(); ++w) {
       if (busy_[w]) continue;
       const TaskId id = port_->port_scheduler().pop_task(w);
       if (id == kInvalidTask) continue;
       start_task(w, id);
-      progress = true;
     }
-  }
+  } while (work_arrived_);
 }
 
 template <typename DonePredicate>

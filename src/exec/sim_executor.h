@@ -19,7 +19,10 @@
 // queue. Equal finish times complete in start order (seq), each entry
 // names a reused completion record, and every completion is followed by
 // exactly one pump() of the idle workers, run by the wait loop that
-// popped it.
+// popped it. A pump sweeps the idle workers again only if work arrived
+// during its sweep (task_queued or work_available): a pop that missed can
+// only hit after a push or a new ready task, so a sweep with no arrival
+// ends the pump.
 #pragma once
 
 #include <cstdint>
@@ -77,6 +80,11 @@ class SimExecutor final : public Executor {
   TransferEngine engine_;
   std::vector<sim::NoiseModel> noise_;
   std::vector<bool> busy_;
+  /// Set by task_queued and work_available; pump() clears it before each
+  /// sweep and repeats the sweep while it comes back set. A nested pump
+  /// (a task body's taskwait) also ends on a sweep without arrivals, so
+  /// the state it leaves needs no further sweep either.
+  bool work_arrived_ = false;
   Time horizon_ = 0.0;
   Rng failure_rng_;
 
@@ -120,7 +128,7 @@ class SimExecutor final : public Executor {
   void acquire_for(Task& task, SpaceId space)
       VERSA_REQUIRES(port_->port_mutex());
 
-  /// Pop work for every idle worker until nothing moves.
+  /// Pop work for every idle worker until a sweep sees no work arrive.
   void pump() VERSA_REQUIRES(port_->port_mutex());
 
   /// Launch `id` on `worker`. `occupy_worker` is false when a worker

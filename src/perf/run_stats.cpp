@@ -6,32 +6,28 @@ namespace versa {
 
 void RunStatsCollector::on_complete(TaskTypeId type, VersionId version,
                                     Duration measured) {
-  Value& value = stats_[Key{type, version}];
+  if (version >= stats_.size()) stats_.resize(version + 1);
+  Value& value = stats_[version];
+  VERSA_CHECK_MSG(value.count == 0 || value.type == type,
+                  "version completed under two task types");
+  value.type = type;
   ++value.count;
   value.total += measured;
   ++total_tasks_;
 }
 
 std::uint64_t RunStatsCollector::count(VersionId version) const {
-  std::uint64_t total = 0;
-  for (const auto& [key, value] : stats_) {
-    if (key.version == version) total += value.count;
-  }
-  return total;
+  return version < stats_.size() ? stats_[version].count : 0;
 }
 
 Duration RunStatsCollector::total_time(VersionId version) const {
-  Duration total = 0.0;
-  for (const auto& [key, value] : stats_) {
-    if (key.version == version) total += value.total;
-  }
-  return total;
+  return version < stats_.size() ? stats_[version].total : 0.0;
 }
 
 std::uint64_t RunStatsCollector::type_count(TaskTypeId type) const {
   std::uint64_t total = 0;
-  for (const auto& [key, value] : stats_) {
-    if (key.type == type) total += value.count;
+  for (const Value& value : stats_) {
+    if (value.count > 0 && value.type == type) total += value.count;
   }
   return total;
 }
@@ -39,8 +35,10 @@ std::uint64_t RunStatsCollector::type_count(TaskTypeId type) const {
 double RunStatsCollector::percent(TaskTypeId type, VersionId version) const {
   const std::uint64_t all = type_count(type);
   if (all == 0) return 0.0;
-  auto it = stats_.find(Key{type, version});
-  const std::uint64_t mine = it == stats_.end() ? 0 : it->second.count;
+  const std::uint64_t mine =
+      version < stats_.size() && stats_[version].type == type
+          ? stats_[version].count
+          : 0;
   return 100.0 * static_cast<double>(mine) / static_cast<double>(all);
 }
 

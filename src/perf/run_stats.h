@@ -1,10 +1,12 @@
 // Per-run execution statistics: how many times each task version ran and
 // for how long — the data behind the paper's "task statistics" figures
 // (8, 11, 14, 15) — plus makespan and GFLOP/s helpers.
+//
+// Stats live in a vector indexed by VersionId: version ids are dense and
+// each names exactly one task type, so a completion is one array write.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -31,18 +33,12 @@ class RunStatsCollector {
   void reset();
 
  private:
-  struct Key {
-    TaskTypeId type;
-    VersionId version;
-    bool operator<(const Key& other) const {
-      return type != other.type ? type < other.type : version < other.version;
-    }
-  };
   struct Value {
+    TaskTypeId type = kInvalidTaskType;
     std::uint64_t count = 0;
     Duration total = 0.0;
   };
-  std::map<Key, Value> stats_;
+  std::vector<Value> stats_;  ///< indexed by VersionId
   std::uint64_t total_tasks_ = 0;
 };
 

@@ -13,10 +13,6 @@ Ticks to_ticks(Duration seconds) {
   return static_cast<Ticks>(std::llround(seconds / kSecondsPerTick));
 }
 
-Duration to_seconds(Ticks ticks) {
-  return static_cast<Duration>(ticks) * kSecondsPerTick;
-}
-
 void LoadAccount::reset(const Machine& machine) {
   const std::size_t n = machine.worker_count();
   queued_.assign(n, 0);
@@ -35,12 +31,6 @@ void LoadAccount::reset(const Machine& machine) {
 
 LoadAccount::IndexKey LoadAccount::index_key(WorkerId worker) const {
   return {queued_[worker] + running_[worker], counts_[worker], worker};
-}
-
-LoadAccount::Bucket& LoadAccount::bucket_of(const PriceKey& key) {
-  const auto [it, inserted] = buckets_.try_emplace(key);
-  if (inserted) it->second.shares.resize(queued_.size());
-  return it->second;
 }
 
 Ticks LoadAccount::effective(const TaskEntry& entry,
@@ -121,14 +111,15 @@ void LoadAccount::EntryTable::clear() {
   size_ = 0;
 }
 
-Duration LoadAccount::on_push(TaskId task, const PriceKey& key,
-                              WorkerId worker, Duration estimate) {
+Duration LoadAccount::on_push(TaskId task, PriceId price, WorkerId worker,
+                              Duration estimate) {
   VERSA_CHECK(worker < queued_.size());
-  Bucket& bucket = bucket_of(key);
+  Bucket& bucket = bucket_of(price);
   const Ticks charge =
       bucket.price.has_value() ? *bucket.price : to_ticks(estimate);
-  VERSA_CHECK_MSG(entries_.insert(task, TaskEntry{key, worker, charge}),
+  VERSA_CHECK_MSG(entries_.insert(task, TaskEntry{price, worker, charge}),
                   "task pushed twice into the load account");
+  ++bucket.queued;
   WorkerShare& share = bucket.shares[worker];
   ++share.count;
   share.charged += charge;
@@ -143,8 +134,9 @@ Duration LoadAccount::on_pop(TaskId task, WorkerId worker) {
   TaskEntry entry;
   VERSA_CHECK_MSG(entries_.take(task, entry), "pop of an untracked task");
   VERSA_CHECK_MSG(entry.worker == worker, "pop from the wrong worker");
-  Bucket& bucket = bucket_of(entry.key);
+  Bucket& bucket = bucket_of(entry.price);
   const Ticks charge = effective(entry, bucket);
+  --bucket.queued;
   WorkerShare& share = bucket.shares[worker];
   VERSA_CHECK(share.count > 0);
   --share.count;
@@ -173,7 +165,7 @@ void LoadAccount::on_steal(TaskId task, WorkerId victim, WorkerId thief) {
   TaskEntry& entry = *found;
   VERSA_CHECK_MSG(entry.worker == victim, "steal from the wrong victim");
   VERSA_CHECK(thief < queued_.size());
-  Bucket& bucket = bucket_of(entry.key);
+  Bucket& bucket = bucket_of(entry.price);
   const Ticks charge = effective(entry, bucket);
   WorkerShare& from = bucket.shares[victim];
   VERSA_CHECK(from.count > 0);
@@ -194,10 +186,11 @@ void LoadAccount::on_steal(TaskId task, WorkerId victim, WorkerId thief) {
   touch(thief);
 }
 
-void LoadAccount::reprice(const PriceKey& key, std::optional<Duration> mean) {
-  Bucket& bucket = bucket_of(key);
+void LoadAccount::reprice(PriceId price, std::optional<Duration> mean) {
+  Bucket& bucket = bucket_of(price);
   bucket.price = mean.has_value() ? std::optional<Ticks>(to_ticks(*mean))
                                   : std::nullopt;
+  if (bucket.queued == 0) return;  // no queued charge to patch
   for (WorkerId worker = 0; worker < bucket.shares.size(); ++worker) {
     WorkerShare& share = bucket.shares[worker];
     if (share.count == 0) continue;

@@ -12,10 +12,16 @@
 //   * on_steal    — re-home a queued charge between same-kind workers
 //   * reprice     — a profile mean moved (new measurement, drift-relearn
 //                   reset, warm-start restore): patch the charges of every
-//                   *queued* task priced by that (type, version, group)
-//                   key, per worker, in O(workers holding the key) — no
-//                   queue rescan. Running charges stay frozen at their
+//                   *queued* task priced by that price id, per worker, in
+//                   O(workers), O(1) when none is queued — no queue
+//                   rescan. Running charges stay frozen at their
 //                   pop-time price, matching the historical accounting.
+//
+// A price id is a dense index the caller supplies: the versioning policy
+// passes the profile table's id of the (type, size group, version) entry
+// whose mean priced the charge; the base policies never reprice and pass
+// one shared id, which is exact because a bucket without a price charges
+// each task its push-time estimate.
 //
 // Charges are held in integer picosecond ticks so incremental addition and
 // subtraction are exact (associative): after any op sequence the account is
@@ -25,7 +31,7 @@
 // Re-pricing patches aggregates instead of per-task entries: a queued
 // task is always charged its bucket's current price when one is known
 // (its push-time charge otherwise), so a mean move costs one aggregate
-// patch per worker holding the key instead of one write per queued task.
+// patch per worker holding the price instead of one write per queued task.
 //
 // The account also maintains, per device kind, a finish-time index: a flat
 // vector of (busy, queued count, worker id) entries, so a least-busy
@@ -40,13 +46,14 @@
 // unchanged.
 //
 // Every hot operation is allocation-free once the account has seen its
-// keys and its peak queue depth: the index is sized in reset(), each
-// price bucket holds a dense per-worker share vector sized when the
-// bucket is created, and the per-task entries (push-time charge, price
-// key and worker, which back the "pushed twice", "untracked pop" and
-// "wrong worker" checks) live in an open-addressed table with no node per
-// task. The table only grows, doubling when half full, so its size follows
-// the peak number of queued tasks, never the run's history.
+// price ids and its peak queue depth: the index is sized in reset(), the
+// buckets are a vector indexed by price id, each holding a dense
+// per-worker share vector sized when the bucket is first used, and the
+// per-task entries (push-time charge, price id and worker, which back the
+// "pushed twice", "untracked pop" and "wrong worker" checks) live in an
+// open-addressed table with no node per task. The table only grows,
+// doubling when half full, so its size follows the peak number of queued
+// tasks, never the run's history.
 //
 // Thread-safety: none of its own, by design — the LoadAccount is a plain
 // data structure. Since the ThreadExecutor lock split it is shared between
@@ -61,7 +68,6 @@
 #include <cstdint>
 #include <optional>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -78,32 +84,12 @@ using Ticks = std::int64_t;
 constexpr double kSecondsPerTick = 1e-12;
 
 Ticks to_ticks(Duration seconds);
-Duration to_seconds(Ticks ticks);
+inline Duration to_seconds(Ticks ticks) {
+  return static_cast<Duration>(ticks) * kSecondsPerTick;
+}
 
-/// Identity of a price: the (task type, version, size group) cell of the
-/// profile table whose mean priced a charge.
-struct PriceKey {
-  TaskTypeId type = kInvalidTaskType;
-  VersionId version = kInvalidVersion;
-  std::uint64_t group = 0;
-
-  bool operator==(const PriceKey& other) const {
-    return type == other.type && version == other.version &&
-           group == other.group;
-  }
-};
-
-struct PriceKeyHash {
-  std::size_t operator()(const PriceKey& key) const {
-    std::uint64_t h = 1469598103934665603ull;  // FNV-1a over the three ids
-    for (std::uint64_t part :
-         {static_cast<std::uint64_t>(key.type),
-          static_cast<std::uint64_t>(key.version), key.group}) {
-      h = (h ^ part) * 1099511628211ull;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
+/// The price id every charge of a policy that never reprices shares.
+constexpr PriceId kSharedPrice = 0;
 
 class LoadAccount {
  public:
@@ -117,10 +103,10 @@ class LoadAccount {
   void reset(const Machine& machine);
 
   /// Charge `estimate` of queued work for `task` on `worker`. When the
-  /// key's price is known (a reprice established it) the bucket price wins
-  /// over `estimate`, so concurrent pushes and reprices cannot diverge.
-  /// Returns the charge actually applied.
-  Duration on_push(TaskId task, const PriceKey& key, WorkerId worker,
+  /// price of `price` is known (a reprice established it) the bucket price
+  /// wins over `estimate`, so concurrent pushes and reprices cannot
+  /// diverge. Returns the charge actually applied.
+  Duration on_push(TaskId task, PriceId price, WorkerId worker,
                    Duration estimate);
 
   /// The task left the queue to run: move its effective charge into the
@@ -135,10 +121,10 @@ class LoadAccount {
   /// Work stealing re-homed a queued task from `victim` to `thief`.
   void on_steal(TaskId task, WorkerId victim, WorkerId thief);
 
-  /// The profile mean of `key` changed (nullopt = forgotten, e.g. a
-  /// drift-relearn reset): re-price every queued charge of that key. A
+  /// The profile mean behind `price` changed (nullopt = forgotten, e.g. a
+  /// drift-relearn reset): re-price every queued charge of that price. A
   /// forgotten mean reverts each task to its push-time charge.
-  void reprice(const PriceKey& key, std::optional<Duration> mean);
+  void reprice(PriceId price, std::optional<Duration> mean);
 
   /// Estimated seconds of queued + running work.
   Duration busy(WorkerId worker) const;
@@ -160,18 +146,19 @@ class LoadAccount {
 
  private:
   struct WorkerShare {
-    std::uint32_t count = 0;  ///< queued tasks of this key on the worker
+    std::uint32_t count = 0;  ///< queued tasks of this price on the worker
     Ticks charged = 0;        ///< their current (possibly repriced) charge
     Ticks frozen = 0;         ///< sum of their push-time charges
   };
   struct Bucket {
     std::optional<Ticks> price;  ///< current mean price, when known
-    /// Indexed by worker; a worker holding none of the key's queued tasks
-    /// has an empty ({}) share.
+    std::uint32_t queued = 0;    ///< queued tasks of this price, all workers
+    /// Indexed by worker, sized at the bucket's first use; a worker
+    /// holding none of the price's queued tasks has an empty ({}) share.
     std::vector<WorkerShare> shares;
   };
   struct TaskEntry {
-    PriceKey key;
+    PriceId price = kSharedPrice;
     WorkerId worker = kInvalidWorker;
     Ticks charge = 0;  ///< push-time charge, never rewritten
   };
@@ -212,11 +199,16 @@ class LoadAccount {
   mutable std::array<KindIndex, 2> index_;
   /// A kind's index is stale: some worker of it changed since the sort.
   mutable std::array<bool, 2> dirty_{};
-  std::unordered_map<PriceKey, Bucket, PriceKeyHash> buckets_;
+  std::vector<Bucket> buckets_;  ///< indexed by price id
   EntryTable entries_;
 
-  /// The key's bucket, created with one empty share per worker.
-  Bucket& bucket_of(const PriceKey& key);
+  /// The price's bucket, created with one empty share per worker.
+  Bucket& bucket_of(PriceId price) {
+    if (price >= buckets_.size()) buckets_.resize(price + 1);
+    Bucket& bucket = buckets_[price];
+    if (bucket.shares.empty()) bucket.shares.resize(queued_.size());
+    return bucket;
+  }
   Ticks effective(const TaskEntry& entry, const Bucket& bucket) const;
   IndexKey index_key(WorkerId worker) const;
   /// `worker`'s busy time or queued count changed: mark its kind's index

@@ -1,9 +1,9 @@
 #include "sched/profile_table.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
-#include "common/check.h"
 #include "common/string_util.h"
 
 namespace versa {
@@ -25,18 +25,59 @@ std::uint64_t ProfileTable::group_key(std::uint64_t data_set_size) const {
   return static_cast<std::uint64_t>(std::llround(bucket)) + 1;
 }
 
+CellId ProfileTable::cell_at(TaskTypeId type, std::uint64_t group_key) {
+  ++cell_lookups_;
+  const auto [it, inserted] = cell_index_.try_emplace(
+      {type, group_key}, static_cast<CellId>(cells_.size()));
+  if (inserted) cells_.push_back(Cell{type, group_key, {}});
+  return it->second;
+}
+
+CellId ProfileTable::find_cell(TaskTypeId type,
+                               std::uint64_t group_key) const {
+  ++cell_lookups_;
+  const auto it = cell_index_.find({type, group_key});
+  return it == cell_index_.end() ? kNoCell : it->second;
+}
+
+CellId ProfileTable::resolve_cell(TaskTypeId type,
+                                  std::uint64_t data_set_size) {
+  return cell_at(type, group_key(data_set_size));
+}
+
+ProfileTable::VersionStats& ProfileTable::entry(CellId cell,
+                                                const TaskVersion& version,
+                                                bool list) {
+  Cell& c = cells_[cell];
+  VERSA_CHECK_MSG(version.type == c.type, "version of another task type");
+  while (c.versions.size() <= version.ordinal) {
+    c.versions.emplace_back(config_, next_price_++);
+  }
+  VersionStats& stats = c.versions[version.ordinal];
+  stats.listed |= list;
+  return stats;
+}
+
+PriceId ProfileTable::price_id(CellId cell, const TaskVersion& version) {
+  return entry(cell, version, false).price;
+}
+
 void ProfileTable::record(TaskTypeId type, VersionId version,
                           std::uint64_t data_set_size, Duration measured) {
+  record(resolve_cell(type, data_set_size), registry_.version(version),
+         measured);
+}
+
+void ProfileTable::record(CellId cell, const TaskVersion& version,
+                          Duration measured) {
   VERSA_CHECK(measured >= 0.0);
-  const std::uint64_t key = group_key(data_set_size);
-  Group& group = groups_[{type, key}];
-  auto [it, inserted] = group.per_version.try_emplace(version, config_);
-  VersionStats& stats = it->second;
+  VersionStats& stats = entry(cell, version, true);
   if (stats.detector.add(measured)) {
     // Sustained shift away from the reference mean: the history is stale.
     // Forget it and fall back into the learning phase for this group; the
     // alarm observation becomes the first sample of the relearn.
-    drift_events_.push_back(DriftEvent{type, key, version,
+    drift_events_.push_back(DriftEvent{cells_[cell].type,
+                                       cells_[cell].group_key, version.id,
                                        stats.detector.reference(), measured,
                                        stats.mean.count()});
     stats.mean.reset();
@@ -46,44 +87,39 @@ void ProfileTable::record(TaskTypeId type, VersionId version,
       stats.mean.count() >= config_.lambda) {
     stats.detector.arm(stats.mean.mean());
   }
-  notify_mean(type, version, key);
+  notify_mean(stats);
 }
 
 void ProfileTable::set_mean_listener(MeanListener listener) {
   mean_listener_ = std::move(listener);
 }
 
-void ProfileTable::notify_mean(TaskTypeId type, VersionId version,
-                               std::uint64_t group_key) const {
+void ProfileTable::notify_mean(const VersionStats& stats) const {
   if (!mean_listener_) return;
   std::optional<Duration> current;
-  auto group_it = groups_.find({type, group_key});
-  if (group_it != groups_.end()) {
-    auto it = group_it->second.per_version.find(version);
-    if (it != group_it->second.per_version.end() && !it->second.mean.empty()) {
-      current = it->second.mean.mean();
-    }
-  }
-  mean_listener_(type, version, group_key, current);
+  if (!stats.mean.empty()) current = stats.mean.mean();
+  mean_listener_(stats.price, current);
 }
 
 std::optional<Duration> ProfileTable::nearest_group_mean(
     TaskTypeId type, VersionId version, std::uint64_t group_key) const {
+  const TaskVersion& v = registry_.version(version);
+  if (v.type != type) return std::nullopt;
   std::optional<Duration> best;
   std::uint64_t best_distance = 0;
   std::uint64_t best_key = 0;
-  for (const auto& [key, group] : groups_) {
-    if (key.first != type) continue;
-    auto it = group.per_version.find(version);
-    if (it == group.per_version.end() || it->second.mean.empty()) continue;
-    const std::uint64_t distance = key.second > group_key
-                                       ? key.second - group_key
-                                       : group_key - key.second;
+  for (const Cell& cell : cells_) {
+    if (cell.type != type || v.ordinal >= cell.versions.size()) continue;
+    const VersionStats& stats = cell.versions[v.ordinal];
+    if (stats.mean.empty()) continue;
+    const std::uint64_t distance = cell.group_key > group_key
+                                       ? cell.group_key - group_key
+                                       : group_key - cell.group_key;
     if (!best || distance < best_distance ||
-        (distance == best_distance && key.second < best_key)) {
-      best = it->second.mean.mean();
+        (distance == best_distance && cell.group_key < best_key)) {
+      best = stats.mean.mean();
       best_distance = distance;
-      best_key = key.second;
+      best_key = cell.group_key;
     }
   }
   return best;
@@ -91,11 +127,10 @@ std::optional<Duration> ProfileTable::nearest_group_mean(
 
 const ProfileTable::VersionStats* ProfileTable::find(
     TaskTypeId type, VersionId version, std::uint64_t data_set_size) const {
-  auto group_it = groups_.find({type, group_key(data_set_size)});
-  if (group_it == groups_.end()) return nullptr;
-  auto it = group_it->second.per_version.find(version);
-  if (it == group_it->second.per_version.end()) return nullptr;
-  return &it->second;
+  const TaskVersion& v = registry_.version(version);
+  if (v.type != type) return nullptr;
+  const CellId cell = find_cell(type, group_key(data_set_size));
+  return cell == kNoCell ? nullptr : find(cell, v);
 }
 
 std::optional<Duration> ProfileTable::mean(TaskTypeId type, VersionId version,
@@ -119,18 +154,23 @@ double ProfileTable::variance(TaskTypeId type, VersionId version,
 
 bool ProfileTable::reliable(TaskTypeId type,
                             std::uint64_t data_set_size) const {
+  const CellId cell = find_cell(type, group_key(data_set_size));
   for (VersionId v : registry_.versions(type)) {
-    if (count(type, v, data_set_size) < config_.lambda) return false;
+    if (cell == kNoCell || count(cell, registry_.version(v)) < config_.lambda) {
+      return false;
+    }
   }
   return true;
 }
 
 std::optional<VersionId> ProfileTable::fastest_version(
     TaskTypeId type, std::uint64_t data_set_size) const {
+  const CellId cell = find_cell(type, group_key(data_set_size));
   std::optional<VersionId> best;
   Duration best_mean = 0.0;
+  if (cell == kNoCell) return best;
   for (VersionId v : registry_.versions(type)) {
-    const auto m = mean(type, v, data_set_size);
+    const auto m = mean(cell, registry_.version(v));
     if (!m) continue;
     if (!best || *m < best_mean) {
       best = v;
@@ -144,17 +184,17 @@ void ProfileTable::prime(TaskTypeId type, VersionId version,
                          std::uint64_t group_key, Duration mean,
                          std::uint64_t count) {
   VERSA_CHECK(count >= 1);
-  Group& group = groups_[{type, group_key}];
-  auto [it, inserted] = group.per_version.try_emplace(version, config_);
+  VersionStats& stats =
+      entry(cell_at(type, group_key), registry_.version(version), true);
   // Seed by replaying `count` observations of the given mean; for the
   // arithmetic policy this reproduces (mean, count) exactly.
   for (std::uint64_t i = 0; i < count; ++i) {
-    it->second.mean.add(mean);
+    stats.mean.add(mean);
   }
   if (config_.drift.enabled && count >= config_.lambda) {
-    it->second.detector.arm(it->second.mean.mean());
+    stats.detector.arm(stats.mean.mean());
   }
-  notify_mean(type, version, group_key);
+  notify_mean(stats);
 }
 
 void ProfileTable::restore(TaskTypeId type, VersionId version,
@@ -162,48 +202,76 @@ void ProfileTable::restore(TaskTypeId type, VersionId version,
                            std::uint64_t count, double m2) {
   VERSA_CHECK(count >= 1);
   VERSA_CHECK(mean >= 0.0);
-  Group& group = groups_[{type, group_key}];
-  auto [it, inserted] = group.per_version.try_emplace(version, config_);
-  it->second.mean.restore(mean, count, m2);
+  VersionStats& stats =
+      entry(cell_at(type, group_key), registry_.version(version), true);
+  stats.mean.restore(mean, count, m2);
   if (config_.drift.enabled && count >= config_.lambda) {
-    it->second.detector.arm(mean);
+    stats.detector.arm(mean);
   } else {
-    it->second.detector.disarm();
+    stats.detector.disarm();
   }
-  notify_mean(type, version, group_key);
+  notify_mean(stats);
 }
 
 void ProfileTable::reset_version(TaskTypeId type, VersionId version,
                                  std::uint64_t group_key) {
-  auto group_it = groups_.find({type, group_key});
-  if (group_it == groups_.end()) return;
-  auto it = group_it->second.per_version.find(version);
-  if (it == group_it->second.per_version.end()) return;
-  it->second.mean.reset();
-  it->second.detector.disarm();
-  notify_mean(type, version, group_key);
+  const TaskVersion& v = registry_.version(version);
+  const CellId cell = find_cell(type, group_key);
+  if (cell == kNoCell || v.type != type) return;
+  Cell& c = cells_[cell];
+  if (v.ordinal >= c.versions.size() || !c.versions[v.ordinal].listed) return;
+  VersionStats& stats = c.versions[v.ordinal];
+  stats.mean.reset();
+  stats.detector.disarm();
+  notify_mean(stats);
+}
+
+bool ProfileTable::Cell::listed() const {
+  return std::any_of(versions.begin(), versions.end(),
+                     [](const VersionStats& stats) { return stats.listed; });
+}
+
+std::size_t ProfileTable::group_count() const {
+  return static_cast<std::size_t>(std::count_if(
+      cells_.begin(), cells_.end(), [](const Cell& c) { return c.listed(); }));
+}
+
+std::vector<CellId> ProfileTable::sorted_cells() const {
+  std::vector<CellId> out;
+  for (CellId id = 0; id < cells_.size(); ++id) {
+    if (cells_[id].listed()) out.push_back(id);
+  }
+  std::sort(out.begin(), out.end(), [this](CellId a, CellId b) {
+    return std::pair(cells_[a].type, cells_[a].group_key) <
+           std::pair(cells_[b].type, cells_[b].group_key);
+  });
+  return out;
 }
 
 std::string ProfileTable::dump() const {
   std::ostringstream out;
   out << "TaskVersionSet | DataSetSize | <VersionId, ExecTime, #Exec>\n";
   TaskTypeId last_type = kInvalidTaskType;
-  for (const auto& [key, group] : groups_) {
-    const auto& [type, size_key] = key;
+  for (CellId id : sorted_cells()) {
+    const Cell& cell = cells_[id];
     const std::string type_name =
-        (type == last_type) ? std::string() : registry_.task_name(type);
-    last_type = type;
+        (cell.type == last_type) ? std::string()
+                                 : registry_.task_name(cell.type);
+    last_type = cell.type;
     bool first_line = true;
-    for (const auto& [version, stats] : group.per_version) {
+    const std::vector<VersionId>& versions = registry_.versions(cell.type);
+    for (std::size_t i = 0; i < cell.versions.size(); ++i) {
+      const VersionStats& stats = cell.versions[i];
+      if (!stats.listed) continue;
       out << (first_line ? type_name : std::string())
           << (first_line ? " | " : "   ")
           << (first_line
                   ? (config_.grouping == SizeGrouping::kExact
-                         ? format_bytes(static_cast<double>(size_key))
-                         : "group#" + std::to_string(size_key))
+                         ? format_bytes(static_cast<double>(cell.group_key))
+                         : "group#" + std::to_string(cell.group_key))
                   : std::string())
           << (first_line ? " | " : "     ") << "<"
-          << registry_.version(version).name << ", "
+          << registry_.version(versions[i]).name << ", "
           << format_duration(stats.mean.mean()) << ", " << stats.mean.count()
           << ">\n";
       first_line = false;
@@ -214,15 +282,18 @@ std::string ProfileTable::dump() const {
 
 std::vector<ProfileTable::Entry> ProfileTable::entries() const {
   std::vector<Entry> out;
-  for (const auto& [key, group] : groups_) {
-    for (const auto& [version, stats] : group.per_version) {
-      out.push_back(Entry{key.first, key.second, version, stats.mean.mean(),
-                          stats.mean.count(), stats.mean.m2()});
+  for (CellId id : sorted_cells()) {
+    const Cell& cell = cells_[id];
+    const std::vector<VersionId>& versions = registry_.versions(cell.type);
+    for (std::size_t i = 0; i < cell.versions.size(); ++i) {
+      const VersionStats& stats = cell.versions[i];
+      if (!stats.listed) continue;
+      out.push_back(Entry{cell.type, cell.group_key, versions[i],
+                          stats.mean.mean(), stats.mean.count(),
+                          stats.mean.m2()});
     }
   }
   return out;
 }
-
-std::size_t ProfileTable::group_count() const { return groups_.size(); }
 
 }  // namespace versa

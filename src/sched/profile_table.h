@@ -7,6 +7,17 @@
 // selectable. The mean is arithmetic by default with an EMA option
 // (footnote 3).
 //
+// Layout: each (type, size group) pair is a *cell* with a dense CellId,
+// created lazily the first time something names it. Cells live in a
+// vector; a cell holds its per-version stats in a vector indexed by the
+// version's ordinal (its position in registry.versions(type)), grown on
+// demand so a version registered after the cell exists still gets an
+// entry. Each (cell, version) entry carries a dense PriceId, the load
+// account's price bucket for that mean. The hot path resolves a task's
+// cell once (resolve_cell, one hash lookup) and then asks by cell; the
+// (type, version, size) API looks the cell up on every call and serves
+// cold callers: the profile store, hints, benches and tests.
+//
 // Thread-safety: externally synchronized by the runtime lock
 // (kLockRankRuntime). The table is policy-decision state — record() fires
 // from task_completed and mean() from placement, both of which the runtime
@@ -18,11 +29,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "common/check.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "profile/drift_detector.h"
@@ -58,17 +70,42 @@ class ProfileTable {
   /// Map a data-set size to its group key under the grouping policy.
   std::uint64_t group_key(std::uint64_t data_set_size) const;
 
+  /// The cell of (type, the size's group), created if new: one hash
+  /// lookup. Callers on the hot path keep the id (Task::profile_cell).
+  CellId resolve_cell(TaskTypeId type, std::uint64_t data_set_size);
+  TaskTypeId cell_type(CellId cell) const { return cells_[cell].type; }
+  std::uint64_t cell_group_key(CellId cell) const {
+    return cells_[cell].group_key;
+  }
+
+  /// The price id of `version`'s entry in `cell`, created if new.
+  PriceId price_id(CellId cell, const TaskVersion& version);
+
+  /// (type, size) -> cell hash lookups so far, by every entry point
+  /// (diagnostic: the lookup budget test bounds them per task).
+  std::uint64_t cell_lookups() const { return cell_lookups_; }
+
   /// Record one measured execution.
   void record(TaskTypeId type, VersionId version, std::uint64_t data_set_size,
               Duration measured);
+  void record(CellId cell, const TaskVersion& version, Duration measured);
 
   /// Mean execution time of a version for the size's group, if any runs
   /// were recorded.
   std::optional<Duration> mean(TaskTypeId type, VersionId version,
                                std::uint64_t data_set_size) const;
+  std::optional<Duration> mean(CellId cell, const TaskVersion& version) const {
+    const VersionStats* stats = find(cell, version);
+    if (stats == nullptr || stats->mean.empty()) return std::nullopt;
+    return stats->mean.mean();
+  }
 
   std::uint64_t count(TaskTypeId type, VersionId version,
                       std::uint64_t data_set_size) const;
+  std::uint64_t count(CellId cell, const TaskVersion& version) const {
+    const VersionStats* stats = find(cell, version);
+    return stats == nullptr ? 0 : stats->mean.count();
+  }
 
   /// Sample variance of the recorded durations (0 below two samples).
   double variance(TaskTypeId type, VersionId version,
@@ -110,13 +147,13 @@ class ProfileTable {
 
   const ProfileConfig& config() const { return config_; }
 
-  /// Observer for mean movement: fired whenever a version's mean for a
-  /// group changes — new measurement, hint prime, warm-start restore, or a
-  /// reset (drift relearning), in which case the mean is nullopt. The
-  /// scheduling core's LoadAccount hooks in here to re-price the busy
-  /// charges of already-queued tasks instead of rescanning queues.
-  using MeanListener = std::function<void(
-      TaskTypeId, VersionId, std::uint64_t group_key, std::optional<Duration>)>;
+  /// Observer for mean movement: fired with the entry's price id whenever
+  /// a version's mean for a group changes — new measurement, hint prime,
+  /// warm-start restore, or a reset (drift relearning), in which case the
+  /// mean is nullopt. The scheduling core's LoadAccount hooks in here to
+  /// re-price the busy charges of already-queued tasks instead of
+  /// rescanning queues.
+  using MeanListener = std::function<void(PriceId, std::optional<Duration>)>;
   void set_mean_listener(MeanListener listener);
 
   /// Best estimate for a version whose (type, size) group has no mean yet:
@@ -130,11 +167,11 @@ class ProfileTable {
   std::optional<Duration> nearest_group_mean(TaskTypeId type, VersionId version,
                                              std::uint64_t group_key) const;
 
-  /// Table I-style ASCII dump.
+  /// Table I-style ASCII dump, in (type, group, version) order.
   std::string dump() const;
 
   /// Iteration hook for the profile-store writer: (type, group_key, version,
-  /// mean, count) per entry.
+  /// mean, count) per entry, in (type, group, version) order.
   struct Entry {
     TaskTypeId type;
     std::uint64_t group_key;
@@ -145,31 +182,68 @@ class ProfileTable {
   };
   std::vector<Entry> entries() const;
 
+  /// Groups holding at least one recorded, primed or restored entry.
   std::size_t group_count() const;
 
  private:
   struct VersionStats {
     RunningMean mean;
     CusumDetector detector;
-    explicit VersionStats(const ProfileConfig& cfg)
-        : mean(cfg.mean_kind, cfg.ema_alpha), detector(cfg.drift) {}
+    PriceId price;
+    /// Recorded, primed or restored at least once (a reset keeps it):
+    /// the entries dump(), entries() and nearest_group_mean() see.
+    bool listed = false;
+    VersionStats(const ProfileConfig& cfg, PriceId price_id)
+        : mean(cfg.mean_kind, cfg.ema_alpha),
+          detector(cfg.drift),
+          price(price_id) {}
   };
-  using GroupKey = std::pair<TaskTypeId, std::uint64_t>;
-  struct Group {
-    std::map<VersionId, VersionStats> per_version;
+  struct Cell {
+    TaskTypeId type;
+    std::uint64_t group_key;
+    /// Indexed by TaskVersion::ordinal; shorter than the type's version
+    /// list when versions were registered after the cell was made.
+    std::vector<VersionStats> versions;
+    bool listed() const;  ///< some entry is listed
+  };
+  struct CellKeyHash {
+    std::size_t operator()(const std::pair<TaskTypeId, std::uint64_t>& key)
+        const {
+      return std::hash<std::uint64_t>{}(key.second * 0x9e3779b97f4a7c15ull ^
+                                        key.first);
+    }
   };
 
   const VersionRegistry& registry_;
   ProfileConfig config_;
-  std::map<GroupKey, Group> groups_;
+  std::vector<Cell> cells_;
+  std::unordered_map<std::pair<TaskTypeId, std::uint64_t>, CellId, CellKeyHash>
+      cell_index_;
+  PriceId next_price_ = 0;
+  mutable std::uint64_t cell_lookups_ = 0;
   std::vector<DriftEvent> drift_events_;
   MeanListener mean_listener_;
 
-  void notify_mean(TaskTypeId type, VersionId version,
-                   std::uint64_t group_key) const;
+  /// The cell of (type, group key), created if new; find_cell answers
+  /// kNoCell instead. Each counts one lookup.
+  CellId cell_at(TaskTypeId type, std::uint64_t group_key);
+  CellId find_cell(TaskTypeId type, std::uint64_t group_key) const;
 
+  /// The entry of `version` in `cell`, created if new; `list` marks it
+  /// listed (a record, prime or restore).
+  VersionStats& entry(CellId cell, const TaskVersion& version, bool list);
+  const VersionStats* find(CellId cell, const TaskVersion& version) const {
+    const Cell& c = cells_[cell];
+    VERSA_DCHECK(version.type == c.type);
+    return version.ordinal < c.versions.size() ? &c.versions[version.ordinal]
+                                               : nullptr;
+  }
   const VersionStats* find(TaskTypeId type, VersionId version,
                            std::uint64_t data_set_size) const;
+
+  void notify_mean(const VersionStats& stats) const;
+  /// Listed cells' ids in (type, group key) order.
+  std::vector<CellId> sorted_cells() const;
 };
 
 }  // namespace versa

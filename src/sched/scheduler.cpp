@@ -56,10 +56,9 @@ void QueueScheduler::cover_locks_with(const lock_order::LockClass& outer) {
   queues_.cover_with(outer);
 }
 
-void QueueScheduler::reprice(const core::PriceKey& key,
-                             std::optional<Duration> mean) {
+void QueueScheduler::reprice(PriceId price, std::optional<Duration> mean) {
   versa::LockGuard lock(account_mutex_);
-  account_.reprice(key, mean);
+  account_.reprice(price, mean);
   reprices_.store(reprices_.load(std::memory_order_relaxed) + 1,
                   std::memory_order_relaxed);
 }
@@ -76,8 +75,8 @@ std::uint64_t QueueScheduler::buffer_push_batches() const {
   return shard_pushes_.load(std::memory_order_relaxed);
 }
 
-std::uint64_t QueueScheduler::price_group(const Task& task) const {
-  return task.data_set_size;
+PriceId QueueScheduler::price_id(Task&, const TaskVersion&) {
+  return core::kSharedPrice;
 }
 
 void QueueScheduler::push_to_worker(Task& task, VersionId version,
@@ -91,17 +90,16 @@ void QueueScheduler::push_to_worker(Task& task, VersionId version,
   task.chosen_version = version;
   task.assigned_worker = worker;
   task.state = TaskState::kQueued;
-  const std::uint64_t group = price_group(task);
+  const PriceId price = price_id(task, v);
   // Charge the account; freeze the applied charge (the current profile
   // mean when known, else the caller's estimate) so a later mean-forgotten
   // re-price — and the rescan reference — can still price this task.
-  Duration busy_before;
+  Duration busy_before = 0.0;  // trace only
   {
     versa::LockGuard lock(account_mutex_);
-    busy_before = account_.busy(worker);
+    if (trace_.enabled()) busy_before = account_.busy(worker);
     task.scheduler_estimate =
-        account_.on_push(task.id, core::PriceKey{task.type, version, group},
-                         worker, info.estimate);
+        account_.on_push(task.id, price, worker, info.estimate);
     shard_pushes_.store(shard_pushes_.load(std::memory_order_relaxed) + 1,
                         std::memory_order_relaxed);
   }

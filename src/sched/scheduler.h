@@ -207,14 +207,16 @@ class QueueScheduler : public Scheduler {
   void push_to_worker(Task& task, VersionId version, WorkerId worker,
                       const PushInfo& info = PushInfo());
 
-  /// The profile mean of `key` moved (nullopt = forgotten): re-price the
-  /// account at once. Takes the account lock: safe from any thread on the
-  /// thread backend, under the runtime lock on the sim backend.
-  void reprice(const core::PriceKey& key, std::optional<Duration> mean);
+  /// The profile mean behind `price` moved (nullopt = forgotten):
+  /// re-price the account at once. Takes the account lock: safe from any
+  /// thread on the thread backend, under the runtime lock on the sim
+  /// backend.
+  void reprice(PriceId price, std::optional<Duration> mean);
 
-  /// Size-group component of the account price key for `task` (policies
-  /// with profile tables override this with their grouping policy).
-  virtual std::uint64_t price_group(const Task& task) const;
+  /// The account price id that charges `version` of `task`. Policies that
+  /// never reprice keep the default, one shared price (core::kSharedPrice);
+  /// policies with profile tables name the mean's entry. Runtime lock held.
+  virtual PriceId price_id(Task& task, const TaskVersion& version);
 
   /// Enable same-device-kind work stealing on empty pops. Policies set
   /// this at construction, before any worker thread exists.

@@ -15,18 +15,16 @@ void VersioningScheduler::attach(SchedulerContext& ctx) {
   profile_.emplace(ctx.registry(), config_);
   // Every mean movement — new measurement, hint prime, warm-start restore,
   // drift-relearn reset — re-prices the queued charges of that (type,
-  // version, group) key at once, so every later decision reads current
+  // group, version) entry at once, so every later decision reads current
   // estimates.
   profile_->set_mean_listener(
-      [this](TaskTypeId type, VersionId version, std::uint64_t group,
-             std::optional<Duration> mean) {
-        reprice(core::PriceKey{type, version, group}, mean);
+      [this](PriceId price, std::optional<Duration> mean) {
+        reprice(price, mean);
       });
   learning_executions_ = 0;
   pool_.clear();
-  pooled_per_group_.clear();
-  learning_inflight_.clear();
-  rr_cursor_.clear();
+  cells_.clear();
+  drain_pass_ = 0;
 }
 
 const ProfileTable& VersioningScheduler::profile() const {
@@ -43,40 +41,40 @@ Duration VersioningScheduler::placement_penalty(const Task&, WorkerId) const {
   return 0.0;
 }
 
-VersioningScheduler::GroupKey VersioningScheduler::group_of(
-    const Task& task) const {
-  return {task.type, profile_->group_key(task.data_set_size)};
+void VersioningScheduler::resolve_cell(Task& task) {
+  task.profile_cell = profile_->resolve_cell(task.type, task.data_set_size);
+  if (task.profile_cell >= cells_.size()) cells_.resize(task.profile_cell + 1);
 }
 
-bool VersioningScheduler::reliable_runnable(TaskTypeId type,
-                                            std::uint64_t size) const {
+bool VersioningScheduler::reliable_runnable(CellId cell,
+                                            TaskTypeId type) const {
+  const VersionRegistry& registry = ctx_->registry();
+  const Machine& machine = ctx_->machine();
   bool any_runnable = false;
-  for (VersionId v : ctx_->registry().versions(type)) {
-    const TaskVersion& version = ctx_->registry().version(v);
-    if (ctx_->machine().count_workers(version.device) == 0) continue;
+  for (VersionId v : registry.versions(type)) {
+    const TaskVersion& version = registry.version(v);
+    if (machine.count_workers(version.device) == 0) continue;
     any_runnable = true;
-    if (profile_->count(type, v, size) < config_.lambda) return false;
+    if (profile_->count(cell, version) < config_.lambda) return false;
   }
   VERSA_CHECK_MSG(any_runnable, "no runnable version for task on this machine");
   return true;
 }
 
-std::uint64_t VersioningScheduler::price_group(const Task& task) const {
-  return profile_->group_key(task.data_set_size);
+PriceId VersioningScheduler::price_id(Task& task,
+                                      const TaskVersion& version) {
+  return profile_->price_id(cell_of(task), version);
 }
 
-Duration VersioningScheduler::estimate_for(const Task& task,
-                                           VersionId version) const {
+Duration VersioningScheduler::estimate_for(const Task& task, CellId cell,
+                                           const TaskVersion& version) const {
   // §IV-B with a fallback chain for the unknown-mean case: charging zero
   // would make a worker buried under unmeasured tasks look idle.
-  if (const auto mean =
-          profile_->mean(task.type, version, task.data_set_size)) {
-    return *mean;
-  }
+  if (const auto mean = profile_->mean(cell, version)) return *mean;
   if (task.scheduler_estimate > 0.0) return task.scheduler_estimate;
   return profile_
-      ->nearest_group_mean(task.type, version,
-                           profile_->group_key(task.data_set_size))
+      ->nearest_group_mean(task.type, version.id,
+                           profile_->cell_group_key(cell))
       .value_or(0.0);
 }
 
@@ -91,8 +89,8 @@ Duration VersioningScheduler::estimated_busy(WorkerId worker) const {
     core::Ticks reference = 0;
     for (TaskId id : queued_tasks(worker)) {
       const Task& task = ctx_->graph().task(id);
-      const auto mean =
-          profile_->mean(task.type, task.chosen_version, task.data_set_size);
+      const auto mean = profile_->mean(
+          task.profile_cell, ctx_->registry().version(task.chosen_version));
       reference += core::to_ticks(mean.value_or(task.scheduler_estimate));
     }
     versa::LockGuard lock(account_mutex_);
@@ -111,75 +109,87 @@ WorkerId VersioningScheduler::least_busy_worker(
   return account_.least_busy(version.device);
 }
 
-void VersioningScheduler::push_learning(Task& task, VersionId version,
+void VersioningScheduler::push_learning(Task& task, CellId cell,
+                                        const TaskVersion& version,
                                         WorkerId worker) {
   ++learning_executions_;
-  ++learning_inflight_[{group_of(task), version}];
+  std::vector<std::uint32_t>& inflight = cells_[cell].learning_inflight;
+  if (version.ordinal >= inflight.size()) inflight.resize(version.ordinal + 1);
+  ++inflight[version.ordinal];
   PushInfo info;
-  info.estimate = estimate_for(task, version);
+  info.estimate = estimate_for(task, cell, version);
   info.learning = true;
-  push_to_worker(task, version, worker, info);
+  push_to_worker(task, version.id, worker, info);
 }
 
-bool VersioningScheduler::try_place(Task& task) {
-  if (reliable_runnable(task.type, task.data_set_size)) {
-    assign_earliest_executor(task);
+void VersioningScheduler::end_learning_run(CellId cell,
+                                           const TaskVersion& version) {
+  std::vector<std::uint32_t>& inflight = cells_[cell].learning_inflight;
+  if (version.ordinal < inflight.size() && inflight[version.ordinal] > 0) {
+    --inflight[version.ordinal];
+  }
+}
+
+bool VersioningScheduler::try_place(Task& task, CellId cell) {
+  if (reliable_runnable(cell, task.type)) {
+    assign_earliest_executor(task, cell);
     return true;
   }
   // Learning phase: round-robin over versions that still need runs, with
   // at most λ in-flight apiece so no version can swamp a worker before a
   // single measurement lands.
-  const std::vector<VersionId>& versions =
-      ctx_->registry().versions(task.type);
-  const GroupKey group = group_of(task);
-  std::size_t& cursor = rr_cursor_[group];
+  const VersionRegistry& registry = ctx_->registry();
+  const std::vector<VersionId>& versions = registry.versions(task.type);
+  CellState& state = cells_[cell];
   for (std::size_t i = 0; i < versions.size(); ++i) {
-    const VersionId v = versions[(cursor + i) % versions.size()];
-    const std::uint32_t done = static_cast<std::uint32_t>(
-        profile_->count(task.type, v, task.data_set_size));
-    const auto inflight_it = learning_inflight_.find({group, v});
+    const VersionId v = versions[(state.rr_cursor + i) % versions.size()];
+    const TaskVersion& version = registry.version(v);
+    const std::uint32_t done =
+        static_cast<std::uint32_t>(profile_->count(cell, version));
     const std::uint32_t inflight =
-        inflight_it == learning_inflight_.end() ? 0 : inflight_it->second;
+        version.ordinal < state.learning_inflight.size()
+            ? state.learning_inflight[version.ordinal]
+            : 0;
     if (done + inflight >= config_.lambda) continue;
-    const WorkerId worker = least_busy_worker(ctx_->registry().version(v));
+    const WorkerId worker = least_busy_worker(version);
     if (worker == kInvalidWorker) continue;  // device has no workers
-    cursor = (cursor + i + 1) % versions.size();
-    push_learning(task, v, worker);
+    state.rr_cursor = (state.rr_cursor + i + 1) % versions.size();
+    push_learning(task, cell, version, worker);
     return true;
   }
   return false;  // every learning slot is taken; wait in the pool
 }
 
 void VersioningScheduler::task_ready(Task& task) {
-  if (!try_place(task)) {
-    const GroupKey group = group_of(task);
-    pool_.push_back({task.id, group});
-    ++pooled_per_group_[group];
+  const CellId cell = cell_of(task);
+  if (!try_place(task, cell)) {
+    pool_.push_back({task.id, cell});
+    ++cells_[cell].pooled;
   }
 }
 
 void VersioningScheduler::drain_pool() {
   // One in-order pass: placed tasks leave, the rest keep their order. A
-  // group whose try_place failed stays blocked for the rest of the pass
+  // cell whose try_place failed stays blocked for the rest of the pass
   // (exact, see the declaration), and the pass ends once every unscanned
-  // task belongs to a blocked group.
-  blocked_groups_.clear();
+  // task belongs to a blocked cell.
+  const std::uint64_t pass = ++drain_pass_;
   const std::size_t end = pool_.size();
-  std::size_t unblocked = end;  // pooled, not in a blocked group
+  std::size_t unblocked = end;  // pooled, not in a blocked cell
   std::size_t kept = 0;
   std::size_t next = 0;
   for (; next < end && unblocked > 0; ++next) {
     const PooledTask pooled = pool_[next];
-    if (std::find(blocked_groups_.begin(), blocked_groups_.end(),
-                  pooled.group) == blocked_groups_.end()) {
-      if (try_place(ctx_->graph().task(pooled.id))) {
-        --pooled_per_group_[pooled.group];
+    CellState& state = cells_[pooled.cell];
+    if (state.blocked_pass != pass) {
+      if (try_place(ctx_->graph().task(pooled.id), pooled.cell)) {
+        --state.pooled;
         --unblocked;
         continue;
       }
-      // This task and every later one of its group stay.
-      blocked_groups_.push_back(pooled.group);
-      unblocked -= pooled_per_group_[pooled.group];
+      // This task and every later one of its cell stay.
+      state.blocked_pass = pass;
+      unblocked -= state.pooled;
     }
     pool_[kept++] = pooled;
   }
@@ -187,7 +197,7 @@ void VersioningScheduler::drain_pool() {
               pool_.begin() + static_cast<std::ptrdiff_t>(next));
 }
 
-void VersioningScheduler::assign_earliest_executor(Task& task) {
+void VersioningScheduler::assign_earliest_executor(Task& task, CellId cell) {
   // Earliest executor: minimize busy(worker) + mean(version) (+ extension
   // penalty) over every (version, compatible worker) pair. In the
   // fastest-executor ablation the busy term is dropped, so the fastest
@@ -204,7 +214,9 @@ void VersioningScheduler::assign_earliest_executor(Task& task) {
   // 13), which must not be acquired under the account lock (rank 20).
   // The vector is member scratch storage: placement arrives under the
   // runtime lock and never re-enters itself.
-  const std::size_t worker_count = ctx_->machine().worker_count();
+  const Machine& machine = ctx_->machine();
+  const VersionRegistry& registry = ctx_->registry();
+  const std::size_t worker_count = machine.worker_count();
   std::vector<Duration>& penalties = penalty_scratch_;
   penalties.resize(worker_count);
   for (WorkerId w = 0; w < worker_count; ++w) {
@@ -215,14 +227,14 @@ void VersioningScheduler::assign_earliest_executor(Task& task) {
     // The whole candidate walk reads the finish-time index under the
     // account lock; the push below re-acquires it, after the decision.
     versa::LockGuard lock(account_mutex_);
-    for (VersionId v : ctx_->registry().versions(task.type)) {
-      const TaskVersion& version = ctx_->registry().version(v);
-      const auto mean = profile_->mean(task.type, v, task.data_set_size);
+    for (VersionId v : registry.versions(task.type)) {
+      const TaskVersion& version = registry.version(v);
+      const auto mean = profile_->mean(cell, version);
       if (!mean) continue;  // version's device has no workers (never ran)
       if (fastest_executor_only_) {
         // Ablation strawman: the queue-length epsilon only spreads exact
         // ties; perf is irrelevant, so keep the plain worker sweep.
-        for (const WorkerDesc& w : ctx_->machine().workers()) {
+        for (const WorkerDesc& w : machine.workers()) {
           if (w.kind != version.device) continue;
           const Duration busy =
               static_cast<Duration>(queue_length(w.id)) * 1e-12;
@@ -277,12 +289,14 @@ TaskId VersioningScheduler::pull_from_pool(WorkerId worker) {
   const VersionRegistry& registry = ctx_->registry();
   // The first pooled task whose type has a version of this worker's kind;
   // only that task's version choice is computed.
-  VersionId first_of_kind = kInvalidVersion;
+  const TaskVersion* first_of_kind = nullptr;
   const auto it = std::find_if(
       pool_.begin(), pool_.end(), [&](const PooledTask& pooled) {
-        for (VersionId v : registry.versions(pooled.group.first)) {
-          if (registry.version(v).device == kind) {
-            first_of_kind = v;
+        const TaskTypeId type = profile_->cell_type(pooled.cell);
+        for (VersionId v : registry.versions(type)) {
+          const TaskVersion& version = registry.version(v);
+          if (version.device == kind) {
+            first_of_kind = &version;
             return true;
           }
         }
@@ -290,30 +304,32 @@ TaskId VersioningScheduler::pull_from_pool(WorkerId worker) {
       });
   if (it == pool_.end()) return kInvalidTask;
   Task& task = ctx_->graph().task(it->id);
-  VersionId under_sampled = kInvalidVersion;
-  VersionId fastest = kInvalidVersion;
+  const CellId cell = it->cell;
+  const TaskVersion* under_sampled = nullptr;
+  const TaskVersion* fastest = nullptr;
   Duration fastest_mean = 0.0;
   for (VersionId v : registry.versions(task.type)) {
-    if (registry.version(v).device != kind) continue;
-    if (profile_->count(task.type, v, task.data_set_size) < config_.lambda &&
-        under_sampled == kInvalidVersion) {
-      under_sampled = v;
+    const TaskVersion& version = registry.version(v);
+    if (version.device != kind) continue;
+    if (profile_->count(cell, version) < config_.lambda &&
+        under_sampled == nullptr) {
+      under_sampled = &version;
     }
-    const auto mean = profile_->mean(task.type, v, task.data_set_size);
-    if (mean && (fastest == kInvalidVersion || *mean < fastest_mean)) {
-      fastest = v;
+    const auto mean = profile_->mean(cell, version);
+    if (mean && (fastest == nullptr || *mean < fastest_mean)) {
+      fastest = &version;
       fastest_mean = *mean;
     }
   }
   // Under-sampled first, then the fastest known. With neither (no mean
   // yet and nothing under-sampled, which only happens while some other
   // device is still learning) run the first version of our kind.
-  const VersionId choice = under_sampled != kInvalidVersion ? under_sampled
-                           : fastest != kInvalidVersion     ? fastest
-                                                            : first_of_kind;
-  --pooled_per_group_[it->group];
+  const TaskVersion& choice = under_sampled != nullptr ? *under_sampled
+                              : fastest != nullptr     ? *fastest
+                                                       : *first_of_kind;
+  --cells_[cell].pooled;
   pool_.erase(it);
-  push_learning(task, choice, worker);
+  push_learning(task, cell, choice, worker);
   return QueueScheduler::pop_task(worker);
 }
 
@@ -331,13 +347,11 @@ void VersioningScheduler::task_completed(Task& task, WorkerId worker,
                                          Duration measured) {
   // The scheduler is always learning (§IV-B): record in both phases. The
   // record fires the mean listener, which re-prices the key at once.
-  profile_->record(task.type, task.chosen_version, task.data_set_size,
-                   measured);
+  const CellId cell = cell_of(task);
+  const TaskVersion& version = ctx_->registry().version(task.chosen_version);
+  profile_->record(cell, version, measured);
   QueueScheduler::task_completed(task, worker, measured);
-  auto it = learning_inflight_.find({group_of(task), task.chosen_version});
-  if (it != learning_inflight_.end() && it->second > 0) {
-    --it->second;
-  }
+  end_learning_run(cell, version);
   drain_pool();
 }
 
@@ -346,10 +360,8 @@ void VersioningScheduler::task_failed(Task& task, WorkerId worker) {
   // as a measurement (the attempt tells us nothing about the version's
   // true cost, only that the device hiccupped).
   QueueScheduler::task_failed(task, worker);
-  auto it = learning_inflight_.find({group_of(task), task.chosen_version});
-  if (it != learning_inflight_.end() && it->second > 0) {
-    --it->second;
-  }
+  end_learning_run(cell_of(task),
+                   ctx_->registry().version(task.chosen_version));
 }
 
 bool VersioningScheduler::has_pending() const {

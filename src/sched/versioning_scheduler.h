@@ -31,9 +31,15 @@
 // stops: completion times keep updating the means in both phases, and a
 // task arriving with a previously unseen data-set size re-enters the
 // learning phase for that new group only.
+//
+// A task's profile cell (its type and size group) is resolved once, with
+// one hash lookup, when the task first reaches task_ready, and kept in
+// Task::profile_cell so a retry after a failure reuses it. Every later
+// question — reliability, means and counts at placement, the account's
+// price id, the learning slots, the pool's per-group counts — is an array
+// read by that CellId.
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "sched/profile_table.h"
@@ -81,13 +87,11 @@ class VersioningScheduler : public QueueScheduler {
   /// (zero here; the locality-aware subclass adds a transfer estimate).
   virtual Duration placement_penalty(const Task& task, WorkerId worker) const;
 
-  /// Account price keys group by the profile table's size grouping so a
-  /// mean movement re-prices exactly the tasks that mean priced.
-  std::uint64_t price_group(const Task& task) const override;
+  /// The profile entry of (task's cell, version): a mean movement
+  /// re-prices exactly the tasks that mean priced.
+  PriceId price_id(Task& task, const TaskVersion& version) override;
 
  private:
-  using GroupKey = std::pair<TaskTypeId, std::uint64_t>;
-
   ProfileConfig config_;
   bool fastest_executor_only_ = false;
   bool debug_cross_check_ = false;
@@ -96,46 +100,57 @@ class VersioningScheduler : public QueueScheduler {
 
   struct PooledTask {
     TaskId id;
-    GroupKey group;
+    CellId cell;
   };
 
   /// Ready tasks not yet assigned to any worker (learning back-pressure),
   /// in arrival order.
   std::vector<PooledTask> pool_;
 
-  /// Pooled task count per group: drain_pool stops once every task left
-  /// to scan belongs to a group that failed in the same pass.
-  std::map<GroupKey, std::uint32_t> pooled_per_group_;
-
-  /// Groups whose try_place failed in the current drain_pool pass
-  /// (scratch storage, kept to avoid a per-pass allocation).
-  std::vector<GroupKey> blocked_groups_;
-
-  /// Learning-phase in-flight run count per (group, version).
-  std::map<std::pair<GroupKey, VersionId>, std::uint32_t> learning_inflight_;
-
-  /// Round-robin cursor per group for the learning phase.
-  std::map<GroupKey, std::size_t> rr_cursor_;
+  /// Policy state of one profile cell, indexed by CellId (grown as the
+  /// profile creates cells).
+  struct CellState {
+    /// Pooled tasks of the cell: drain_pool stops once every task left to
+    /// scan belongs to a cell that failed in the same pass.
+    std::uint32_t pooled = 0;
+    /// drain_pool pass in which the cell's try_place failed.
+    std::uint64_t blocked_pass = 0;
+    /// Round-robin cursor for the learning phase.
+    std::size_t rr_cursor = 0;
+    /// Learning-phase in-flight run count, by TaskVersion::ordinal.
+    std::vector<std::uint32_t> learning_inflight;
+  };
+  std::vector<CellState> cells_;
+  std::uint64_t drain_pass_ = 0;
 
   /// Per-worker placement penalties of the task being placed (scratch
   /// storage of assign_earliest_executor, kept to avoid a per-task
   /// allocation).
   std::vector<Duration> penalty_scratch_;
 
-  GroupKey group_of(const Task& task) const;
+  /// The task's profile cell: resolved on first use, then read from the
+  /// task.
+  CellId cell_of(Task& task) {
+    if (task.profile_cell == kNoCell) resolve_cell(task);
+    VERSA_DCHECK(profile_->cell_type(task.profile_cell) == task.type);
+    return task.profile_cell;
+  }
+  void resolve_cell(Task& task);
 
-  /// All runnable versions (device has >= 1 worker) recorded >= λ times?
-  bool reliable_runnable(TaskTypeId type, std::uint64_t size) const;
+  /// All runnable versions (device has >= 1 worker) recorded >= λ times
+  /// in `cell` (of task type `type`)?
+  bool reliable_runnable(CellId cell, TaskTypeId type) const;
 
   /// The charge for placing `version` of `task` when no mean exists yet:
   /// the group mean, else the task's frozen scheduler_estimate (a failed
   /// task re-entering keeps its last charge), else the version's mean from
   /// the nearest size group — zero only when the version never ran at all.
-  Duration estimate_for(const Task& task, VersionId version) const;
+  Duration estimate_for(const Task& task, CellId cell,
+                        const TaskVersion& version) const;
 
-  /// Try to place `task` (learning slot or earliest executor). Returns
-  /// false if it must wait in the pool.
-  bool try_place(Task& task);
+  /// Try to place `task` of `cell` (learning slot or earliest executor).
+  /// Returns false if it must wait in the pool.
+  bool try_place(Task& task, CellId cell);
 
   /// Place every placeable pooled task in pool order, preserving the
   /// order of the rest. At most one try_place per (type, size group) fails
@@ -146,10 +161,15 @@ class VersioningScheduler : public QueueScheduler {
   /// task belongs to a group that failed.
   void drain_pool();
 
-  void assign_earliest_executor(Task& task);
+  void assign_earliest_executor(Task& task, CellId cell);
 
   /// Learning bookkeeping around push_to_worker.
-  void push_learning(Task& task, VersionId version, WorkerId worker);
+  void push_learning(Task& task, CellId cell, const TaskVersion& version,
+                     WorkerId worker);
+
+  /// A run of `version` in `cell` ended (completed or failed): lower the
+  /// version's learning in-flight count, if it is above zero.
+  void end_learning_run(CellId cell, const TaskVersion& version);
 
   WorkerId least_busy_worker(const TaskVersion& version) const;
 

@@ -205,6 +205,11 @@ struct Task {
   /// errors make the runtime reschedule the task; see
   /// SimExecutorConfig::failure_rate).
   std::uint32_t attempts = 0;
+
+  /// Profile cell of (type, data-set-size group), resolved by the
+  /// versioning scheduler when the task first becomes ready and kept for
+  /// its retries; kNoCell until then and under every other policy.
+  CellId profile_cell = kNoCell;
 };
 
 }  // namespace versa

@@ -19,6 +19,7 @@ VersionId VersionRegistry::add_version(TaskTypeId type, DeviceKind device,
   TaskVersion v;
   v.id = static_cast<VersionId>(versions_.size());
   v.type = type;
+  v.ordinal = static_cast<std::uint32_t>(types_[type].versions.size());
   v.device = device;
   v.name = std::move(name);
   v.fn = std::move(fn);
@@ -27,11 +28,6 @@ VersionId VersionRegistry::add_version(TaskTypeId type, DeviceKind device,
   versions_.push_back(std::move(v));
   types_[type].versions.push_back(versions_.back().id);
   return versions_.back().id;
-}
-
-const TaskVersion& VersionRegistry::version(VersionId id) const {
-  VERSA_CHECK(id < versions_.size());
-  return versions_[id];
 }
 
 const std::string& VersionRegistry::task_name(TaskTypeId type) const {
@@ -52,13 +48,6 @@ VersionId VersionRegistry::find_version(TaskTypeId type,
     if (versions_[id].name == name) return id;
   }
   return kInvalidVersion;
-}
-
-const std::vector<VersionId>& VersionRegistry::versions(TaskTypeId type) const {
-  VERSA_CHECK(type < types_.size());
-  VERSA_CHECK_MSG(!types_[type].versions.empty(),
-                  "task type has no registered versions");
-  return types_[type].versions;
 }
 
 std::vector<VersionId> VersionRegistry::versions_for_device(

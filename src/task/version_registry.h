@@ -13,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/check.h"
 #include "machine/cost_model.h"
 #include "task/task.h"
 
@@ -21,6 +22,8 @@ namespace versa {
 struct TaskVersion {
   VersionId id = kInvalidVersion;
   TaskTypeId type = kInvalidTaskType;
+  /// Position in versions(type): registration order, main version first.
+  std::uint32_t ordinal = 0;
   DeviceKind device = DeviceKind::kSmp;
   std::string name;
   TaskFn fn;           ///< may be empty for synthetic/simulated tasks
@@ -38,7 +41,10 @@ class VersionRegistry {
   VersionId add_version(TaskTypeId type, DeviceKind device, std::string name,
                         TaskFn fn, CostModelPtr cost);
 
-  const TaskVersion& version(VersionId id) const;
+  const TaskVersion& version(VersionId id) const {
+    VERSA_CHECK(id < versions_.size());
+    return versions_[id];
+  }
   const std::string& task_name(TaskTypeId type) const;
   TaskTypeId find_task(const std::string& name) const;  ///< kInvalidTaskType if absent
 
@@ -47,7 +53,12 @@ class VersionRegistry {
   VersionId find_version(TaskTypeId type, std::string_view name) const;
 
   /// All versions of a type, in registration order (main first).
-  const std::vector<VersionId>& versions(TaskTypeId type) const;
+  const std::vector<VersionId>& versions(TaskTypeId type) const {
+    VERSA_CHECK(type < types_.size());
+    VERSA_CHECK_MSG(!types_[type].versions.empty(),
+                    "task type has no registered versions");
+    return types_[type].versions;
+  }
 
   /// Versions of a type runnable on `device`.
   std::vector<VersionId> versions_for_device(TaskTypeId type,

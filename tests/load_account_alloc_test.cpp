@@ -56,7 +56,6 @@ namespace versa {
 namespace {
 
 using core::LoadAccount;
-using core::PriceKey;
 
 /// Heap allocations made by `op`.
 template <typename Op>
@@ -71,8 +70,7 @@ TEST(LoadAccountAlloc, HotOperationsStayWithinBudget) {
   const WorkerId workers = static_cast<WorkerId>(machine.worker_count());
   LoadAccount account;
   account.reset(machine);
-  const std::vector<PriceKey> keys = {
-      {0, 0, 100}, {0, 1, 100}, {1, 0, 200}, {1, 1, 200}};
+  const std::vector<PriceId> keys = {0, 1, 2, 3};
   constexpr int kTasksPerWorker = 4;
 
   // Warm-up: create every bucket and grow the per-task table to the
@@ -80,7 +78,7 @@ TEST(LoadAccountAlloc, HotOperationsStayWithinBudget) {
   TaskId next = 1;
   for (int round = 0; round < 2; ++round) {
     std::vector<std::pair<TaskId, WorkerId>> queued;
-    for (const PriceKey& key : keys) {
+    for (const PriceId key : keys) {
       account.reprice(key, 1e-3);
       for (WorkerId w = 0; w < workers; ++w) {
         for (int i = 0; i < kTasksPerWorker; ++i) {
@@ -101,7 +99,7 @@ TEST(LoadAccountAlloc, HotOperationsStayWithinBudget) {
   std::size_t push_max = 0;
   std::vector<std::pair<TaskId, WorkerId>> queued;
   queued.reserve(keys.size() * workers * kTasksPerWorker);
-  for (const PriceKey& key : keys) {
+  for (const PriceId key : keys) {
     for (WorkerId w = 0; w < workers; ++w) {
       for (int i = 0; i < kTasksPerWorker; ++i) {
         const TaskId task = next++;
@@ -124,7 +122,7 @@ TEST(LoadAccountAlloc, HotOperationsStayWithinBudget) {
   EXPECT_EQ(allocations_of(read_both), 0u) << "clean index read allocates";
 
   // Mean moves, including a forgotten mean and its return.
-  for (const PriceKey& key : keys) {
+  for (const PriceId key : keys) {
     EXPECT_EQ(allocations_of([&] { account.reprice(key, 4e-3); }), 0u);
     EXPECT_EQ(allocations_of([&] { account.reprice(key, std::nullopt); }),
               0u);

@@ -25,7 +25,6 @@ namespace versa {
 namespace {
 
 using core::LoadAccount;
-using core::PriceKey;
 using core::Ticks;
 using core::to_seconds;
 using core::to_ticks;
@@ -41,7 +40,7 @@ TEST(LoadAccount, TickConversionRoundTrips) {
 TEST(LoadAccount, PushPopSettleMoveCharges) {
   LoadAccount account;
   account.reset(make_minotauro_node(2, 1));
-  const PriceKey key{0, 0, 100};
+  const PriceId key = 0;
   account.on_push(7, key, 0, 2e-3);
   EXPECT_EQ(account.queued_ticks(0), to_ticks(2e-3));
   EXPECT_EQ(account.running_ticks(0), 0);
@@ -57,7 +56,7 @@ TEST(LoadAccount, PushPopSettleMoveCharges) {
 TEST(LoadAccount, RepriceMovesQueuedButNotRunning) {
   LoadAccount account;
   account.reset(make_minotauro_node(2, 1));
-  const PriceKey key{0, 0, 100};
+  const PriceId key = 0;
   account.on_push(1, key, 0, 1e-3);
   account.on_push(2, key, 0, 1e-3);
   account.on_pop(1, 0);  // running slot frozen at 1 ms
@@ -76,7 +75,7 @@ TEST(LoadAccount, RepriceMovesQueuedButNotRunning) {
 TEST(LoadAccount, StealMovesChargeBetweenWorkers) {
   LoadAccount account;
   account.reset(make_minotauro_node(2, 1));
-  const PriceKey key{0, 0, 100};
+  const PriceId key = 0;
   account.on_push(1, key, 0, 4e-3);
   account.on_steal(1, 0, 1);
   EXPECT_EQ(account.queued_ticks(0), 0);
@@ -92,7 +91,7 @@ TEST(LoadAccount, StealMovesChargeBetweenWorkers) {
 TEST(LoadAccount, IndexOrdersByBusyThenCountThenId) {
   LoadAccount account;
   account.reset(make_minotauro_node(3, 2));  // workers 0-2 smp, 3-4 cuda
-  const PriceKey key{0, 0, 100};
+  const PriceId key = 0;
   account.on_push(1, key, 1, 2e-3);
   account.on_push(2, key, 2, 1e-3);
   EXPECT_EQ(account.least_busy(DeviceKind::kSmp), 0u);
@@ -118,7 +117,7 @@ TEST(LoadAccount, ManyQueuedTasksSurviveGrowthAndOutOfOrderPops) {
   // with its own charge.
   LoadAccount account;
   account.reset(make_minotauro_node(2, 1));
-  const PriceKey key{0, 0, 100};
+  const PriceId key = 0;
   constexpr TaskId kTasks = 1000;
   for (TaskId task = 0; task < kTasks; ++task) {
     account.on_push(task * 7919, key, task % 2,
@@ -155,8 +154,9 @@ TEST(LoadAccount, IndexSortedOnReadMatchesFromScratchSort) {
     std::vector<std::pair<TaskId, WorkerId>> queued;
     TaskId next = 1;
     auto random_key = [&] {
-      return PriceKey{static_cast<TaskTypeId>(rng.next_below(2)),
-                      static_cast<VersionId>(rng.next_below(2)), 100};
+      const auto type = static_cast<PriceId>(rng.next_below(2));
+      const auto version = static_cast<PriceId>(rng.next_below(2));
+      return type * 2 + version;  // dense id of one (type, version) price
     };
     auto expected_index = [&](DeviceKind kind) {
       std::vector<LoadAccount::IndexKey> expected;
@@ -196,7 +196,7 @@ TEST(LoadAccount, IndexSortedOnReadMatchesFromScratchSort) {
           victim = thief;
         }
       } else {
-        const PriceKey key = random_key();
+        const PriceId key = random_key();
         if (rng.next_below(4) == 0) {
           account.reprice(key, std::nullopt);
         } else {
@@ -225,7 +225,7 @@ TEST(LoadAccount, IndexSortedOnReadMatchesFromScratchSort) {
 }
 
 TEST(LoadAccountDeathTest, MisuseAborts) {
-  const PriceKey key{0, 0, 100};
+  const PriceId key = 0;
   auto fresh = [] {
     LoadAccount account;
     account.reset(make_minotauro_node(2, 1));
@@ -288,26 +288,24 @@ TEST(LoadAccount, RandomOpsMatchRescanReference) {
   account.reset(machine);
 
   struct RefTask {
-    PriceKey key;
+    PriceId key;
     WorkerId worker;
     Ticks frozen;
   };
-  using FlatKey = std::tuple<TaskTypeId, VersionId, std::uint64_t>;
-  auto flat = [](const PriceKey& k) {
-    return FlatKey{k.type, k.version, k.group};
-  };
   std::map<TaskId, RefTask> queued;
-  std::map<FlatKey, std::optional<Ticks>> prices;
+  std::map<PriceId, std::optional<Ticks>> prices;
   std::vector<Ticks> running(machine.worker_count(), 0);
   TaskId next_task = 1;
 
+  // Dense ids of 3 types x 2 versions x 2 size groups.
   auto random_key = [&] {
-    return PriceKey{static_cast<TaskTypeId>(rng.next_below(3)),
-                    static_cast<VersionId>(rng.next_below(2)),
-                    rng.next_below(2) == 0 ? 100u : 200u};
+    const auto type = static_cast<PriceId>(rng.next_below(3));
+    const auto version = static_cast<PriceId>(rng.next_below(2));
+    const auto group = static_cast<PriceId>(rng.next_below(2));
+    return (type * 2 + version) * 2 + group;
   };
   auto price_of = [&](const RefTask& ref) {
-    const std::optional<Ticks>& price = prices[flat(ref.key)];
+    const std::optional<Ticks>& price = prices[ref.key];
     return price.has_value() ? *price : ref.frozen;
   };
   auto rescan = [&](WorkerId w) {
@@ -323,9 +321,9 @@ TEST(LoadAccount, RandomOpsMatchRescanReference) {
     return count;
   };
 
-  auto push = [&](const PriceKey& key, WorkerId w, Duration estimate) {
+  auto push = [&](PriceId key, WorkerId w, Duration estimate) {
     const Duration charge = account.on_push(next_task, key, w, estimate);
-    const std::optional<Ticks>& price = prices[flat(key)];
+    const std::optional<Ticks>& price = prices[key];
     queued[next_task] =
         RefTask{key, w, price.has_value() ? *price : to_ticks(estimate)};
     EXPECT_EQ(to_ticks(charge), queued[next_task].frozen);
@@ -342,9 +340,9 @@ TEST(LoadAccount, RandomOpsMatchRescanReference) {
     account.on_settle(w);
     running[w] = 0;
   };
-  auto reprice = [&](const PriceKey& key, std::optional<Duration> mean) {
+  auto reprice = [&](PriceId key, std::optional<Duration> mean) {
     account.reprice(key, mean);
-    prices[flat(key)] = mean.has_value()
+    prices[key] = mean.has_value()
                             ? std::optional<Ticks>(to_ticks(*mean))
                             : std::nullopt;
   };
@@ -379,7 +377,7 @@ TEST(LoadAccount, RandomOpsMatchRescanReference) {
   // reverts each to its push-time charge, and both pop, which empties the
   // share. Then the key refills the share on two workers, is re-priced
   // and forgotten again.
-  const PriceKey refill{2, 1, 200};
+  const PriceId refill = 11;  // type 2, version 1, group 200
   int step = -1;
   const TaskId a = push(refill, 0, 1e-3);
   const TaskId b = push(refill, 0, 2e-3);
@@ -404,7 +402,7 @@ TEST(LoadAccount, RandomOpsMatchRescanReference) {
   for (step = 0; step < 5000; ++step) {
     const std::uint64_t op = rng.next_below(100);
     if (op < 45 || queued.empty()) {  // push
-      const PriceKey key = random_key();
+      const PriceId key = random_key();
       const WorkerId w =
           static_cast<WorkerId>(rng.next_below(machine.worker_count()));
       push(key, w, rng.uniform(0.0, 1e-2));
@@ -428,7 +426,7 @@ TEST(LoadAccount, RandomOpsMatchRescanReference) {
         it->second.worker = thief;
       }
     } else {  // reprice (mean moved, or forgotten on a drift reset)
-      const PriceKey key = random_key();
+      const PriceId key = random_key();
       if (rng.next_below(5) == 0) {
         reprice(key, std::nullopt);
       } else {

@@ -9,6 +9,7 @@
 #include "machine/presets.h"
 #include "runtime/runtime.h"
 #include "sched/scheduler_factory.h"
+#include "sched/versioning_scheduler.h"
 #include "util/lock_order.h"
 
 namespace versa {
@@ -88,6 +89,27 @@ TEST(RuntimeSimLockBudget, CholeskyQueueAndAccountLocksPerTask) {
   EXPECT_LE(queue_per_task, 2.0);
   EXPECT_LE(account_per_task, 5.0);
   lock_order::set_enforced(was_enforced);
+}
+
+TEST(RuntimeSimLookupBudget, CholeskyCellLookupsPerTask) {
+  // Count, don't time. The versioning scheduler resolves a task's profile
+  // cell once, when the task first becomes ready; placement, pricing,
+  // completion and the learning pool then read the cell by index, so the
+  // run makes at most one (type, size) -> cell hash lookup per task.
+  const Machine machine = make_minotauro_node(8, 2);
+  Runtime rt(machine, sim_config());
+  apps::CholeskyParams params;
+  params.n = 16384;
+  params.block = 1024;
+  apps::CholeskyApp app(rt, params);
+  const auto& sched = dynamic_cast<const VersioningScheduler&>(rt.scheduler());
+  const std::uint64_t before = sched.profile().cell_lookups();
+  app.run();
+  ASSERT_EQ(app.task_count(), 816u);
+  const double lookups_per_task =
+      static_cast<double>(sched.profile().cell_lookups() - before) /
+      static_cast<double>(app.task_count());
+  EXPECT_LE(lookups_per_task, 1.0);
 }
 
 TEST(RuntimeSim, SingleTaskRunsForItsModelledDuration) {
